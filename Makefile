@@ -61,7 +61,7 @@ bench:
 		-bench 'BenchmarkMeasureCurve$$|BenchmarkMeasureCurveNested$$|BenchmarkMeasureCurveNestedCompressed$$|BenchmarkMeasureCurveNestedSerialBFS$$|BenchmarkMeasureCurveCached$$|BenchmarkMeasureSharedCurve$$' \
 		-benchmem -count 1 . ; \
 	  $(GO) test -run '^$$' \
-		-bench 'BenchmarkBFS50k$$|BenchmarkBFS50kSerial$$|BenchmarkBFS50kDense$$|BenchmarkBFS50kDenseSerial$$|BenchmarkBatchSPTs64$$|BenchmarkBatchSPTs64Serial$$|BenchmarkBatchSPTs64Compressed$$|BenchmarkBatchSPTs64Relabeled$$' \
+		-bench 'BenchmarkBFS50k$$|BenchmarkBFS50kDense$$|BenchmarkBatchSPTs64$$|BenchmarkBatchSPTs64Serial$$|BenchmarkBatchSPTs64Compressed$$' \
 		-benchmem -count 1 ./internal/graph ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkLarge' \
 		-benchmem -benchtime 1x -count 1 -timeout 120m . ; } | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
@@ -112,7 +112,7 @@ bench-compare:
 
 # The large-graph smoke: 1M-node streamed transit-stub, retained-heap bound
 # against the streaming memory model, compression ratio, and one curve point
-# byte-identical across flat/compressed/relabeled layouts. ~2s; part of
+# byte-identical across the flat and compressed layouts. ~2s; part of
 # `make check` and CI.
 large-smoke:
 	MTREESCALE_LARGE_SMOKE=1 $(GO) test -run 'TestLargeGraphSmoke$$' -timeout 10m .

@@ -464,7 +464,7 @@ func NewAffinityTreeModel(k, depth int) (*AffinityTreeModel, error) {
 // EstimateAffinity samples L̄_β(n) on a k-ary tree with receivers at all
 // non-root sites.
 func EstimateAffinity(m *AffinityTreeModel, n int, beta float64, p AffinityParams) (AffinityEstimate, error) {
-	return affinity.EstimateTreeSize(m, n, beta, p)
+	return affinity.EstimateTreeSize(context.Background(), m, n, beta, p)
 }
 
 // AffinityChain is the k-ary tree Metropolis sampler; build one with

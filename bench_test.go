@@ -143,7 +143,7 @@ func BenchmarkMeasureCurveNestedCompressed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if g, err = g.Compress(false); err != nil {
+	if g, err = g.Compress(); err != nil {
 		b.Fatal(err)
 	}
 	sizes := mtreescale.LogSpacedSizes(500, 16)

@@ -1,6 +1,7 @@
 package affinity
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestBetaZeroMatchesAnalytic(t *testing.T) {
 	m, _ := NewTreeModel(2, 7)
 	tr := analytic.Tree{K: 2, Depth: 7}
 	for _, n := range []int{2, 10, 40} {
-		est, err := EstimateTreeSize(m, n, 0, Params{BurnInSweeps: 20, SampleSweeps: 400, Seed: int64(n)})
+		est, err := EstimateTreeSize(context.Background(), m, n, 0, Params{BurnInSweeps: 20, SampleSweeps: 400, Seed: int64(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestAffinityShrinksTree(t *testing.T) {
 	p := Params{BurnInSweeps: 100, SampleSweeps: 300, Seed: 5}
 	var sizes []float64
 	for _, beta := range []float64{-10, -1, 0, 1, 10} {
-		est, err := EstimateTreeSize(m, n, beta, p)
+		est, err := EstimateTreeSize(context.Background(), m, n, beta, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestAffinityBoundsRespectExtremes(t *testing.T) {
 	// D ≥ ... every tree has at least 1 link and at most Sites links.
 	m, _ := NewTreeModel(2, 6)
 	for _, beta := range []float64{-20, 0, 20} {
-		est, err := EstimateTreeSize(m, 15, beta, Params{Seed: 3})
+		est, err := EstimateTreeSize(context.Background(), m, 15, beta, Params{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,11 +165,11 @@ func TestExtremeAffinityConverges(t *testing.T) {
 	// approaches 0 and the tree approaches a single path (≤ D links well
 	// below the uniform size).
 	m, _ := NewTreeModel(2, 7)
-	est, err := EstimateTreeSize(m, 30, 50, Params{BurnInSweeps: 400, SampleSweeps: 200, Seed: 9})
+	est, err := EstimateTreeSize(context.Background(), m, 30, 50, Params{BurnInSweeps: 400, SampleSweeps: 200, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform, err := EstimateTreeSize(m, 30, 0, Params{Seed: 9})
+	uniform, err := EstimateTreeSize(context.Background(), m, 30, 0, Params{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +184,11 @@ func TestExtremeAffinityConverges(t *testing.T) {
 func TestEstimateDeterministic(t *testing.T) {
 	m, _ := NewTreeModel(2, 6)
 	p := Params{BurnInSweeps: 10, SampleSweeps: 50, Seed: 77}
-	a, err := EstimateTreeSize(m, 12, 1, p)
+	a, err := EstimateTreeSize(context.Background(), m, 12, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateTreeSize(m, 12, 1, p)
+	b, err := EstimateTreeSize(context.Background(), m, 12, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +199,13 @@ func TestEstimateDeterministic(t *testing.T) {
 
 func TestEstimateParamValidation(t *testing.T) {
 	m, _ := NewTreeModel(2, 4)
-	if _, err := EstimateTreeSize(m, 5, 0, Params{BurnInSweeps: -1}); err == nil {
+	if _, err := EstimateTreeSize(context.Background(), m, 5, 0, Params{BurnInSweeps: -1}); err == nil {
 		t.Fatal("negative burn-in must error")
 	}
-	if _, err := EstimateTreeSize(m, 5, 0, Params{SampleSweeps: -2}); err == nil {
+	if _, err := EstimateTreeSize(context.Background(), m, 5, 0, Params{SampleSweeps: -2}); err == nil {
 		t.Fatal("negative sweeps must error")
 	}
-	if _, err := EstimateTreeSize(m, 5, 0, Params{Thin: -1}); err == nil {
+	if _, err := EstimateTreeSize(context.Background(), m, 5, 0, Params{Thin: -1}); err == nil {
 		t.Fatal("negative thin must error")
 	}
 }
@@ -213,7 +214,7 @@ func TestSweep9Shape(t *testing.T) {
 	m, _ := NewTreeModel(2, 5)
 	betas := []float64{-1, 0, 1}
 	ns := []int{2, 8}
-	out, err := Sweep9(m, betas, ns, Params{BurnInSweeps: 10, SampleSweeps: 30, Seed: 1})
+	out, err := Sweep9(context.Background(), m, betas, ns, Params{BurnInSweeps: 10, SampleSweeps: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +230,23 @@ func TestSweep9Shape(t *testing.T) {
 	}
 }
 
+func TestSweep9Cancelled(t *testing.T) {
+	m, _ := NewTreeModel(2, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Sweep9(ctx, m, []float64{0, 1}, []int{2, 8}, Params{Seed: 1}); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 func TestAcceptanceRateOrdering(t *testing.T) {
 	// Stronger |β| must reduce acceptance (more proposals rejected).
 	m, _ := NewTreeModel(2, 7)
-	weak, err := EstimateTreeSize(m, 20, 0.1, Params{Seed: 2})
+	weak, err := EstimateTreeSize(context.Background(), m, 20, 0.1, Params{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strong, err := EstimateTreeSize(m, 20, 20, Params{Seed: 2})
+	strong, err := EstimateTreeSize(context.Background(), m, 20, 20, Params{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

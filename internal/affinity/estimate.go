@@ -1,6 +1,7 @@
 package affinity
 
 import (
+	"context"
 	"math"
 
 	"mtreescale/internal/rng"
@@ -69,8 +70,9 @@ func checkBeta(beta float64) error {
 }
 
 // EstimateTreeSize samples L̄_β(n) on a k-ary tree with receivers at all
-// non-root sites (Figure 9's setup).
-func EstimateTreeSize(m *TreeModel, n int, beta float64, p Params) (Estimate, error) {
+// non-root sites (Figure 9's setup). It polls ctx once per sweep and returns
+// ctx's error promptly after cancellation.
+func EstimateTreeSize(ctx context.Context, m *TreeModel, n int, beta float64, p Params) (Estimate, error) {
 	if err := p.normalize(); err != nil {
 		return Estimate{}, err
 	}
@@ -78,13 +80,24 @@ func EstimateTreeSize(m *TreeModel, n int, beta float64, p Params) (Estimate, er
 	if err != nil {
 		return Estimate{}, err
 	}
-	for i := 0; i < p.BurnInSweeps; i++ {
+	sweep := func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		chain.Sweep()
+		return nil
+	}
+	for i := 0; i < p.BurnInSweeps; i++ {
+		if err := sweep(); err != nil {
+			return Estimate{}, err
+		}
 	}
 	var sizeW, distW stats.Welford
 	for i := 0; i < p.SampleSweeps; i++ {
 		for t := 0; t < p.Thin; t++ {
-			chain.Sweep()
+			if err := sweep(); err != nil {
+				return Estimate{}, err
+			}
 		}
 		sizeW.Add(float64(chain.TreeSize()))
 		distW.Add(chain.AvgPairDist())
@@ -104,15 +117,17 @@ func EstimateTreeSize(m *TreeModel, n int, beta float64, p Params) (Estimate, er
 }
 
 // Sweep9 runs the Figure 9 protocol: for each β and each group size n,
-// estimate L̄_β(n)/n. Returns estimates indexed [beta][n].
-func Sweep9(m *TreeModel, betas []float64, ns []int, p Params) ([][]Estimate, error) {
+// estimate L̄_β(n)/n. Returns estimates indexed [beta][n]. Every chain polls
+// ctx once per sweep, so cancellation stops the whole protocol within one
+// sweep's work.
+func Sweep9(ctx context.Context, m *TreeModel, betas []float64, ns []int, p Params) ([][]Estimate, error) {
 	out := make([][]Estimate, len(betas))
 	for bi, beta := range betas {
 		out[bi] = make([]Estimate, len(ns))
 		for ni, n := range ns {
 			q := p
 			q.Seed = rng.Split(p.Seed, int64(bi*1000003+ni))
-			est, err := EstimateTreeSize(m, n, beta, q)
+			est, err := EstimateTreeSize(ctx, m, n, beta, q)
 			if err != nil {
 				return nil, err
 			}

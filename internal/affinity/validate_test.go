@@ -1,6 +1,7 @@
 package affinity
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestChainRejectsNonFiniteBeta(t *testing.T) {
 		if _, err := m.NewLeafChain(4, beta, rng.New(1)); !valid.IsParam(err) {
 			t.Errorf("NewLeafChain(beta=%v) err = %v, want valid.ErrParam", beta, err)
 		}
-		if _, err := EstimateTreeSize(m, 4, beta, Params{Seed: 1}); !valid.IsParam(err) {
+		if _, err := EstimateTreeSize(context.Background(), m, 4, beta, Params{Seed: 1}); !valid.IsParam(err) {
 			t.Errorf("EstimateTreeSize(beta=%v) err = %v, want valid.ErrParam", beta, err)
 		}
 	}
@@ -53,7 +54,7 @@ func TestChainRejectsBadGroupSizeAndParams(t *testing.T) {
 		{"negative thinning", Params{Thin: -2}},
 	}
 	for _, c := range cases {
-		if _, err := EstimateTreeSize(m, 4, 0, c.p); !valid.IsParam(err) {
+		if _, err := EstimateTreeSize(context.Background(), m, 4, 0, c.p); !valid.IsParam(err) {
 			t.Errorf("%s: err = %v, want valid.ErrParam", c.name, err)
 		}
 	}

@@ -205,7 +205,7 @@ func ensembleGen(g Grid) func(seed int64) (*graph.Graph, error) {
 			return nil, err
 		}
 		if g.LargeGraph {
-			return gr.Compress(false)
+			return gr.Compress()
 		}
 		return gr, nil
 	}

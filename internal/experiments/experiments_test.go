@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"mtreescale/internal/plot"
 )
@@ -311,5 +313,21 @@ func TestChurnExperimentCancelled(t *testing.T) {
 	cancel()
 	if _, err := RunCtx(ctx, "churn-repair", Quick()); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFig9bTimeoutCancels: fig9's Metropolis chains poll ctx once per
+// sweep, so a medium-profile fig9b — seconds of work uncancelled — returns
+// the deadline error well within a second of a 100 ms deadline.
+func TestFig9bTimeoutCancels(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := RunCtx(ctx, "fig9b", Medium())
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("fig9b returned after %v, want within 1s", took)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }

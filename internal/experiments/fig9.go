@@ -50,7 +50,7 @@ func runFig9(ctx context.Context, id string, depth int, p Profile) (*Result, err
 		SampleSweeps: p.MCMCSamples,
 		Seed:         rng.Split(p.Seed, int64(depth)),
 	}
-	ests, err := affinity.Sweep9(m, fig9Betas, ns, params)
+	ests, err := affinity.Sweep9(ctx, m, fig9Betas, ns, params)
 	if err != nil {
 		return nil, err
 	}

@@ -8,14 +8,13 @@ package graph
 //     can precede or follow v;
 //   - every subsequent neighbor is encoded as uvarint(neigh[i]-neigh[i-1]-1):
 //     lists are strictly ascending, so the gap is >= 1 and the -1 keeps
-//     consecutive runs (hub-heavy low-id blocks after degree relabeling) in
-//     the 1-byte range.
+//     consecutive runs in the 1-byte range.
 //
 // On the paper's topologies this averages a little over one byte per
 // directed edge entry versus four for the flat CSR — the "roughly halves
 // edge-array bytes" the large-graph mode is built on. The decoder is a
-// manual loop rather than binary.Uvarint because it sits inside every
-// compressed BFS edge scan.
+// manual loop rather than binary.Uvarint because it sits inside every edge
+// scan both traversal kernels make of a compressed graph (Graph.adjInto).
 
 // appendUvarint appends x in LEB128 form.
 func appendUvarint(dst []byte, x uint64) []byte {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Unreachable marks a node with no path from the BFS source.
@@ -14,10 +15,11 @@ const Unreachable int32 = -1
 // and Dist the hop count. Unreachable nodes have Parent == Dist == -1.
 //
 // Parents are canonical: Parent[v] is the lowest-index neighbor of v at
-// distance Dist[v]-1. Every kernel (serial, direction-optimizing, MS-BFS)
-// resolves ties the same way, so an SPT is a pure function of
-// (graph, source) regardless of which kernel produced it — the property the
-// SPT cache and the batch measurement path rely on to stay byte-identical.
+// distance Dist[v]-1. Both kernels (serial BFSInto and the MS-BFS group)
+// resolve ties the same way on both layouts, so an SPT is a pure function of
+// (graph, source) regardless of which kernel or layout produced it — the
+// property the SPT cache and the batch measurement path rely on to stay
+// byte-identical.
 //
 // The multicast engine builds every delivery tree as a subtree of an SPT,
 // matching the paper's source-specific shortest-path routing model
@@ -29,8 +31,9 @@ type SPT struct {
 	Dist   []int32
 	// Order lists reachable nodes in nondecreasing distance; Order[0] ==
 	// Source. The relative order of nodes at the same distance is
-	// kernel-dependent (queue order, frontier order, or index order) — no
-	// consumer may rely on it beyond the nondecreasing-distance guarantee.
+	// kernel-dependent (discovery order for BFSInto, index order for
+	// SPTBatch.Materialize) — no consumer may rely on it beyond the
+	// nondecreasing-distance guarantee.
 	Order []int32
 }
 
@@ -43,16 +46,27 @@ func (g *Graph) BFS(source int) (*SPT, error) {
 	return t, nil
 }
 
+// bfsScratch holds the serial kernel's level bitsets and, for compressed
+// graphs, its adjacency decode buffer between runs, so steady-state
+// traversal allocates nothing.
+type bfsScratch struct {
+	cur, next []uint64
+	dec       []int32
+}
+
+var bfsScratchPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+
 // BFSInto is an allocation-free variant of BFS for hot loops: it reuses the
 // SPT's slices if they are large enough. The SPT must not be shared across
 // goroutines while being reused.
 //
-// Above directionOptThreshold nodes it routes to the direction-optimizing
-// kernel (hybrid.go); below it, to the reference queue BFS. Compressed
-// graphs route to the compressed kernel (cbfs.go) with the same threshold
-// picking its stepping mode. All kernels produce identical Dist arrays and
-// identical canonical (lowest-index) Parent arrays; only the within-level
-// Order may differ between kernels.
+// It is the package's serial kernel, a level-synchronous BFS over both
+// layouts: level membership lives in a bitset, scanned in ascending node
+// order, so the first discoverer of every next-level node is its
+// lowest-index previous-level neighbor — parents come out canonical with no
+// per-edge tie-break. The membership scan costs N/64 word reads per level,
+// noise next to the edge scan it sits on top of. Order lists each level in
+// discovery order.
 func (g *Graph) BFSInto(source int, t *SPT) error {
 	n := g.N()
 	if source < 0 || source >= n {
@@ -71,38 +85,20 @@ func (g *Graph) BFSInto(source int, t *SPT) error {
 		t.Parent[i] = Unreachable
 		t.Dist[i] = Unreachable
 	}
-	if g.cadj != nil {
-		g.compressedBFSInto(source, t, n >= directionOptThreshold)
-	} else if n >= directionOptThreshold {
-		g.hybridBFSInto(source, t)
-	} else {
-		g.serialBFSInto(source, t)
-	}
-	return nil
-}
 
-// serialBFSInto is the reference level-synchronous BFS: level membership
-// lives in a bitset, scanned in ascending node order, so the first
-// discoverer of every next-level node is its lowest-index previous-level
-// neighbor — parents come out canonical with no per-edge tie-break. The
-// membership scan costs N/64 word reads per level, noise next to the edge
-// scan it sits on top of. This is the kernel of record that the
-// direction-optimizing and multi-source kernels are tested against.
-func (g *Graph) serialBFSInto(source int, t *SPT) {
-	n := g.N()
 	words := (n + 63) / 64
 	sc := bfsScratchPool.Get().(*bfsScratch)
-	if cap(sc.visited) < words {
-		sc.visited = make([]uint64, words)
-		sc.front = make([]uint64, words)
-	}
-	cur := sc.visited[:words]
-	next := sc.front[:words]
-	for i := range next {
-		cur[i] = 0
-		next[i] = 0
-	}
 	defer bfsScratchPool.Put(sc)
+	if cap(sc.cur) < words {
+		sc.cur = make([]uint64, words)
+		sc.next = make([]uint64, words)
+	}
+	if cap(sc.dec) < int(g.maxDeg) {
+		sc.dec = make([]int32, g.maxDeg)
+	}
+	cur, next := sc.cur[:words], sc.next[:words]
+	clear(cur)
+	clear(next)
 
 	t.Dist[source] = 0
 	t.Parent[source] = int32(source)
@@ -116,7 +112,7 @@ func (g *Graph) serialBFSInto(source int, t *SPT) {
 			for f != 0 {
 				u := int32(wi<<6 + bits.TrailingZeros64(f))
 				f &= f - 1
-				for _, w := range g.Neighbors(int(u)) {
+				for _, w := range g.adjInto(int(u), &sc.dec) {
 					if t.Dist[w] == Unreachable {
 						t.Dist[w] = du + 1
 						t.Parent[w] = u
@@ -128,7 +124,7 @@ func (g *Graph) serialBFSInto(source int, t *SPT) {
 			}
 		}
 		if !grew {
-			return
+			return nil
 		}
 		cur, next = next, cur
 	}

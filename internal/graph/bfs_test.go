@@ -231,8 +231,46 @@ func TestBFSLargeRandom(t *testing.T) {
 	}
 }
 
+// checkParentValidity asserts Dist[Parent[v]] == Dist[v]-1 over a real edge
+// for every reachable non-source node, and Parent == Unreachable exactly
+// where Dist is — the shortest-path-tree invariant.
+func checkParentValidity(t *testing.T, g *Graph, spt *SPT) {
+	t.Helper()
+	for v := 0; v < g.N(); v++ {
+		if spt.Dist[v] == Unreachable {
+			if spt.Parent[v] != Unreachable {
+				t.Fatalf("unreachable node %d has parent %d", v, spt.Parent[v])
+			}
+			continue
+		}
+		if v == spt.Source {
+			continue
+		}
+		p := spt.Parent[v]
+		if p == Unreachable {
+			t.Fatalf("reachable node %d has no parent", v)
+		}
+		if spt.Dist[p] != spt.Dist[v]-1 {
+			t.Fatalf("node %d: Dist[Parent]=%d, want Dist-1=%d", v, spt.Dist[p], spt.Dist[v]-1)
+		}
+		if !g.HasEdge(v, int(p)) {
+			t.Fatalf("parent link (%d,%d) is not an edge", v, p)
+		}
+	}
+}
+
+// BenchmarkBFS50k and BenchmarkBFS50kDense time the serial kernel on a
+// sparse (50k nodes, ~150k edges) and a dense low-diameter (50k nodes,
+// ~500k edges) random graph from random sources.
 func BenchmarkBFS50k(b *testing.B) {
-	g := randomGraph(1, 50000, 100000)
+	benchBFS(b, randomGraph(1, 50000, 100000))
+}
+
+func BenchmarkBFS50kDense(b *testing.B) {
+	benchBFS(b, randomGraph(3, 50000, 450000))
+}
+
+func benchBFS(b *testing.B, g *Graph) {
 	var spt SPT
 	r := rng.New(2)
 	b.ResetTimer()

@@ -7,34 +7,30 @@ import (
 )
 
 // This file implements the compressed-CSR layout behind the large-graph mode
-// (ROADMAP: Internet-scale graphs): adjacency stored as varint deltas (adjcodec.go),
-// optionally after a degree-descending vertex relabeling that clusters hubs
-// — the nodes nearly every BFS level touches — into the low-index cache
-// blocks of the traversal bitsets and lane-mask arrays.
+// (ROADMAP: Internet-scale graphs): adjacency stored as varint deltas
+// (adjcodec.go) in place of the flat int32 array, under the same vertex ids
+// and the same offsets table. The traversal kernels read it through the one
+// adjacency call both layouts share (Graph.adjInto), decoding each
+// neighbor list into per-traversal scratch, so a compressed graph is
+// observationally identical to its source — only MemBytes and traversal
+// speed differ.
 //
-// Relabeling never leaks: the permutation is kept alongside its stable
-// inverse, the compressed kernels (cbfs.go, cmsbfs.go) traverse in storage
-// ids but write Dist/Parent/Order directly in original ids, and parents
-// follow the same canonical lowest-original-index rule as the uncompressed
-// kernels. Every public accessor (Neighbors, Edges, Validate, ...) speaks
-// original ids too, so a compressed graph is observationally identical to
-// its source — only MemBytes and traversal speed differ.
+// An earlier generation also offered a degree-descending vertex relabeling
+// on top of compression, with compressed copies of every kernel to traverse
+// it. It cost 12 B/node, never shrank the paper's graphs and was slower on
+// them (BENCH_6: BatchSPTs64Relabeled 108.7 ms vs 64.4 ms unrelabeled at
+// 50k×64), so it was removed together with those copies.
 
 // Compressed reports whether g stores its adjacency varint-delta encoded.
 func (g *Graph) Compressed() bool { return g.cadj != nil }
 
-// Relabeled reports whether g's storage order is the degree-descending
-// relabeling rather than original ids.
-func (g *Graph) Relabeled() bool { return g.inv != nil }
-
-// Compress returns a compressed copy of g: varint delta-encoded adjacency,
-// and — when relabel is set — vertices stored in degree-descending order
-// (original id ascending within equal degree, so the layout is stable and
-// reproducible). Compressing an already-compressed graph returns it
-// unchanged. The original graph is untouched; callers building large graphs
-// should drop their reference to it after compressing, bringing peak RSS to
-// roughly the uncompressed CSR plus the (smaller) compressed one.
-func (g *Graph) Compress(relabel bool) (*Graph, error) {
+// Compress returns a compressed copy of g: varint delta-encoded adjacency
+// under the original vertex ids. Compressing an already-compressed graph
+// returns it unchanged. The original graph is untouched; callers building
+// large graphs should drop their reference to it after compressing,
+// bringing peak RSS to roughly the uncompressed CSR plus the (smaller)
+// compressed one.
+func (g *Graph) Compress() (*Graph, error) {
 	if g.cadj != nil {
 		return g, nil
 	}
@@ -42,110 +38,29 @@ func (g *Graph) Compress(relabel bool) (*Graph, error) {
 	if n < 0 {
 		n = 0
 	}
-	cg := &Graph{name: g.name}
-	if relabel && n > 0 {
-		cg.perm, cg.inv = degreeOrder(g)
-	}
 	offsets := make([]int32, n+1)
+	copy(offsets, g.offsets)
 	coff := make([]uint32, n+1)
-	// Seed capacity at ~1.25 B per directed entry; typical encodings land
-	// near there after relabeling, and append growth covers the rest.
+	// Seed capacity at ~1.25 B per directed entry; append growth covers the
+	// rest.
 	cadj := make([]byte, 0, len(g.adj)+len(g.adj)/4)
-	var scratch []int32
 	var maxDeg int32
-	for rid := 0; rid < n; rid++ {
-		ov := rid
-		if cg.inv != nil {
-			ov = int(cg.inv[rid])
-		}
-		src := g.adj[g.offsets[ov]:g.offsets[ov+1]]
-		neigh := src
-		if cg.perm != nil {
-			if cap(scratch) < len(src) {
-				scratch = make([]int32, len(src))
-			}
-			scratch = scratch[:len(src)]
-			for i, w := range src {
-				scratch[i] = cg.perm[w]
-			}
-			slices.Sort(scratch)
-			neigh = scratch
-		}
-		deg := int32(len(neigh))
-		if deg > maxDeg {
-			maxDeg = deg
-		}
-		offsets[rid+1] = offsets[rid] + deg
-		cadj = appendAdj(cadj, int32(rid), neigh)
+	for v := 0; v < n; v++ {
+		neigh := g.adj[g.offsets[v]:g.offsets[v+1]]
+		maxDeg = max(maxDeg, int32(len(neigh)))
+		cadj = appendAdj(cadj, int32(v), neigh)
 		if len(cadj) > math.MaxUint32 {
 			return nil, fmt.Errorf("graph: compressed adjacency exceeds 4 GiB (%d directed entries)", len(g.adj))
 		}
-		coff[rid+1] = uint32(len(cadj))
+		coff[v+1] = uint32(len(cadj))
 	}
-	cg.offsets = offsets
-	cg.cadj = slices.Clip(cadj)
-	cg.coff = coff
-	cg.maxDeg = maxDeg
-	return cg, nil
-}
-
-// degreeOrder computes the degree-descending counting-sort permutation:
-// perm[orig] = storage id, inv[storage id] = orig. Ties break on ascending
-// original id, keeping the relabeling a stable, deterministic function of
-// the graph.
-func degreeOrder(g *Graph) (perm, inv []int32) {
-	n := g.N()
-	maxd := 0
-	for v := 0; v < n; v++ {
-		if d := g.Degree(v); d > maxd {
-			maxd = d
-		}
-	}
-	// Bucket by maxd-degree so ascending bucket order is descending degree;
-	// filling in ascending original id keeps the sort stable.
-	count := make([]int32, maxd+2)
-	for v := 0; v < n; v++ {
-		count[maxd-g.Degree(v)+1]++
-	}
-	for i := 1; i < len(count); i++ {
-		count[i] += count[i-1]
-	}
-	perm = make([]int32, n)
-	inv = make([]int32, n)
-	for v := 0; v < n; v++ {
-		b := maxd - g.Degree(v)
-		rid := count[b]
-		count[b]++
-		perm[v] = rid
-		inv[rid] = int32(v)
-	}
-	return perm, inv
-}
-
-// ridOf maps an original id to its storage id.
-func (g *Graph) ridOf(v int) int32 {
-	if g.perm != nil {
-		return g.perm[v]
-	}
-	return int32(v)
-}
-
-// origOf maps a storage id back to its original id.
-func (g *Graph) origOf(r int32) int32 {
-	if g.inv != nil {
-		return g.inv[r]
-	}
-	return r
-}
-
-// degRID returns the degree of a storage id (identical in both id spaces —
-// relabeling permutes vertices, not edges).
-func (g *Graph) degRID(r int32) int32 { return g.offsets[r+1] - g.offsets[r] }
-
-// decodeRID decodes storage id r's neighbor list (in storage ids, strictly
-// ascending) into dst, which must have capacity >= MaxDegree.
-func (g *Graph) decodeRID(r int32, dst []int32) []int32 {
-	return decodeAdjInto(g.cadj[g.coff[r]:g.coff[r+1]], r, int(g.degRID(r)), dst)
+	return &Graph{
+		offsets: offsets,
+		name:    g.name,
+		cadj:    slices.Clip(cadj),
+		coff:    coff,
+		maxDeg:  maxDeg,
+	}, nil
 }
 
 // MaxDegree returns the graph's maximum degree. For compressed graphs it is
@@ -157,28 +72,7 @@ func (g *Graph) MaxDegree() int {
 	}
 	maxd := 0
 	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d > maxd {
-			maxd = d
-		}
+		maxd = max(maxd, g.Degree(v))
 	}
 	return maxd
-}
-
-// neighborsOrigInto decodes the neighbor list of original-id vertex v into
-// buf (grown as needed), in ascending original ids. It is the compressed
-// slow path behind Neighbors/Edges/Validate.
-func (g *Graph) neighborsOrigInto(v int, buf []int32) []int32 {
-	r := g.ridOf(v)
-	deg := int(g.degRID(r))
-	if cap(buf) < deg {
-		buf = make([]int32, deg)
-	}
-	buf = g.decodeRID(r, buf[:deg])
-	if g.inv != nil {
-		for i, w := range buf {
-			buf[i] = g.inv[w]
-		}
-		slices.Sort(buf)
-	}
-	return buf
 }

@@ -107,69 +107,67 @@ func FuzzAdjCodec(f *testing.F) {
 
 // --- layout equivalence ---
 
-// compressVariants returns g plus its compressed and compressed+relabeled
-// forms, with subtest labels.
-func compressVariants(t *testing.T, g *Graph) map[string]*Graph {
+// compressed returns g's compressed form.
+func compressed(t *testing.T, g *Graph) *Graph {
 	t.Helper()
-	cg, err := g.Compress(false)
+	cg, err := g.Compress()
 	if err != nil {
-		t.Fatalf("Compress(false): %v", err)
+		t.Fatalf("Compress: %v", err)
 	}
-	rg, err := g.Compress(true)
-	if err != nil {
-		t.Fatalf("Compress(true): %v", err)
+	if !cg.Compressed() || g.Compressed() {
+		t.Fatalf("Compressed() = %v on the copy, %v on the source", cg.Compressed(), g.Compressed())
 	}
-	if !cg.Compressed() || cg.Relabeled() {
-		t.Fatalf("Compress(false) flags: compressed=%v relabeled=%v", cg.Compressed(), cg.Relabeled())
-	}
-	if !rg.Compressed() || !rg.Relabeled() {
-		t.Fatalf("Compress(true) flags: compressed=%v relabeled=%v", rg.Compressed(), rg.Relabeled())
-	}
-	return map[string]*Graph{"compressed": cg, "relabeled": rg}
+	return cg
 }
 
 func TestCompressPreservesGraphView(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		g := randomGraph(seed, 300, 900)
-		for label, cg := range compressVariants(t, g) {
-			if cg.N() != g.N() || cg.M() != g.M() {
-				t.Fatalf("%s: N/M = %d/%d, want %d/%d", label, cg.N(), cg.M(), g.N(), g.M())
+		cg := compressed(t, g)
+		if cg.N() != g.N() || cg.M() != g.M() {
+			t.Fatalf("N/M = %d/%d, want %d/%d", cg.N(), cg.M(), g.N(), g.M())
+		}
+		if cg.MaxDegree() != g.MaxDegree() {
+			t.Fatalf("MaxDegree = %d, want %d", cg.MaxDegree(), g.MaxDegree())
+		}
+		if err := cg.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		var buf []int32
+		for v := 0; v < g.N(); v++ {
+			if cg.Degree(v) != g.Degree(v) {
+				t.Fatalf("Degree(%d) = %d, want %d", v, cg.Degree(v), g.Degree(v))
 			}
-			if err := cg.Validate(); err != nil {
-				t.Fatalf("%s: Validate: %v", label, err)
+			if !slices.Equal(cg.Neighbors(v), g.Neighbors(v)) {
+				t.Fatalf("Neighbors(%d) = %v, want %v", v, cg.Neighbors(v), g.Neighbors(v))
 			}
-			for v := 0; v < g.N(); v++ {
-				if cg.Degree(v) != g.Degree(v) {
-					t.Fatalf("%s: Degree(%d) = %d, want %d", label, v, cg.Degree(v), g.Degree(v))
-				}
-				if !slices.Equal(cg.Neighbors(v), g.Neighbors(v)) {
-					t.Fatalf("%s: Neighbors(%d) = %v, want %v", label, v, cg.Neighbors(v), g.Neighbors(v))
-				}
+			if buf = cg.NeighborsInto(v, buf); !slices.Equal(buf, g.Neighbors(v)) {
+				t.Fatalf("NeighborsInto(%d) = %v, want %v", v, buf, g.Neighbors(v))
 			}
-			// Edge enumeration order is part of the contract (io.Write
-			// byte-identity).
-			var pe, ce [][2]int
-			g.Edges(func(u, v int) { pe = append(pe, [2]int{u, v}) })
-			cg.Edges(func(u, v int) { ce = append(ce, [2]int{u, v}) })
-			if !slices.Equal(pe, ce) {
-				t.Fatalf("%s: edge enumeration differs", label)
+		}
+		// Edge enumeration order is part of the contract (io.Write
+		// byte-identity).
+		var pe, ce [][2]int
+		g.Edges(func(u, v int) { pe = append(pe, [2]int{u, v}) })
+		cg.Edges(func(u, v int) { ce = append(ce, [2]int{u, v}) })
+		if !slices.Equal(pe, ce) {
+			t.Fatal("edge enumeration differs")
+		}
+		for _, e := range pe[:min(len(pe), 50)] {
+			if !cg.HasEdge(e[0], e[1]) || !cg.HasEdge(e[1], e[0]) {
+				t.Fatalf("HasEdge(%v) = false", e)
 			}
-			for _, e := range pe[:min(len(pe), 50)] {
-				if !cg.HasEdge(e[0], e[1]) || !cg.HasEdge(e[1], e[0]) {
-					t.Fatalf("%s: HasEdge(%v) = false", label, e)
-				}
-			}
-			if cg.HasEdge(-1, 0) || cg.HasEdge(0, g.N()) {
-				t.Fatalf("%s: out-of-range HasEdge true", label)
-			}
+		}
+		if cg.HasEdge(-1, 0) || cg.HasEdge(0, g.N()) {
+			t.Fatal("out-of-range HasEdge true")
 		}
 	}
 }
 
 func TestCompressIdempotent(t *testing.T) {
 	g := randomGraph(3, 50, 80)
-	cg, _ := g.Compress(true)
-	again, err := cg.Compress(false)
+	cg := compressed(t, g)
+	again, err := cg.Compress()
 	if err != nil || again != cg {
 		t.Fatalf("re-compress: got (%p, %v), want same graph %p", again, err, cg)
 	}
@@ -177,7 +175,7 @@ func TestCompressIdempotent(t *testing.T) {
 
 func TestCompressMemBytesSmaller(t *testing.T) {
 	g := randomGraph(9, 5000, 15000)
-	cg, _ := g.Compress(false)
+	cg := compressed(t, g)
 	// The compressed form drops the 4 B/entry adjacency for ~1-2 B/entry
 	// plus a 4 B/node offset table it shares with the flat form.
 	flatAdj := int64(4 * 2 * g.M())
@@ -234,28 +232,22 @@ func testGraphs(t *testing.T) map[string]*Graph {
 
 func TestCompressedBFSMatchesFlat(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		variants := compressVariants(t, g)
-		for _, forceSerial := range []bool{false, true} {
-			thr := directionOptThreshold
-			if forceSerial {
-				thr = SetDirectionOptThreshold(1 << 30)
-			} else {
-				thr = SetDirectionOptThreshold(2)
+		cg := compressed(t, g)
+		for src := 0; src < g.N(); src += 17 {
+			want, err := g.BFS(src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for src := 0; src < g.N(); src += 17 {
-				want, err := g.BFS(src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for label, cg := range variants {
-					got, err := cg.BFS(src)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkSPTEqual(t, name+"/"+label, want, got)
-				}
+			got, err := cg.BFS(src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			SetDirectionOptThreshold(thr)
+			checkSPTEqual(t, name, want, got)
+			// One kernel serves both layouts, so even the within-level
+			// Order agrees.
+			if !slices.Equal(want.Order, got.Order) {
+				t.Fatalf("%s: Order differs between layouts", name)
+			}
 		}
 	}
 }
@@ -271,18 +263,16 @@ func TestCompressedBatchMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for label, cg := range compressVariants(t, g) {
-			got, err := cg.BatchSPTs(sources)
-			if err != nil {
-				t.Fatal(err)
+		got, err := compressed(t, g).BatchSPTs(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sources {
+			if !slices.Equal(want.DistRow(i), got.DistRow(i)) {
+				t.Fatalf("%s: lane %d Dist differs", name, i)
 			}
-			for i := range sources {
-				if !slices.Equal(want.DistRow(i), got.DistRow(i)) {
-					t.Fatalf("%s/%s: lane %d Dist differs", name, label, i)
-				}
-				if !slices.Equal(want.ParentRow(i), got.ParentRow(i)) {
-					t.Fatalf("%s/%s: lane %d Parent differs", name, label, i)
-				}
+			if !slices.Equal(want.ParentRow(i), got.ParentRow(i)) {
+				t.Fatalf("%s: lane %d Parent differs", name, i)
 			}
 		}
 	}
@@ -290,7 +280,7 @@ func TestCompressedBatchMatchesFlat(t *testing.T) {
 
 func TestCompressedBatchMatchesSingleSource(t *testing.T) {
 	g := randomGraph(21, 600, 1200)
-	cg, _ := g.Compress(true)
+	cg := compressed(t, g)
 	sources := []int{0, 5, 5, 599, 301}
 	batch, err := cg.BatchSPTs(sources)
 	if err != nil {
@@ -309,24 +299,5 @@ func TestCompressedBatchMatchesSingleSource(t *testing.T) {
 		}
 		mat := batch.Materialize(i)
 		checkSPTEqual(t, "materialize", want, mat)
-	}
-}
-
-func TestDegreeOrderStable(t *testing.T) {
-	g := randomGraph(31, 200, 400)
-	perm, inv := degreeOrder(g)
-	for r := 1; r < len(inv); r++ {
-		du, dv := g.Degree(int(inv[r-1])), g.Degree(int(inv[r]))
-		if du < dv {
-			t.Fatalf("degree order not descending at rank %d", r)
-		}
-		if du == dv && inv[r-1] >= inv[r] {
-			t.Fatalf("degree ties not ascending-original at rank %d", r)
-		}
-	}
-	for v, r := range perm {
-		if int(inv[r]) != v {
-			t.Fatalf("perm/inv mismatch at %d", v)
-		}
 	}
 }

@@ -3,6 +3,18 @@
 // breadth-first shortest paths, shortest-path trees, connected components,
 // topology metrics and a plain-text edge-list interchange format.
 //
+// The paper needs one thing from this layer: the canonical hop-count
+// shortest-path tree of each source, of which every delivery tree is a
+// subtree (§2, footnote 1). Two traversal kernels produce it: the serial
+// level-synchronous BFSInto (bfs.go) and the 64-lane multi-source BFS group
+// behind BatchSPTs (msbfs.go). Both emit the same lowest-index-parent tree,
+// and both serve the flat and the compressed adjacency layout (compress.go)
+// through one adjacency read, Graph.adjInto. Earlier generations also
+// carried a direction-optimizing single-source kernel, a degree-descending
+// relabeled layout and compressed copies of both kernels; they were removed
+// because BFS is under 1% of a paper-scale curve run, and EXPERIMENTS.md
+// keeps their measurements as history.
+//
 // Nodes are dense integers 0..N-1. All edges are unweighted and
 // bidirectional; the paper ("All topologies were cleaned by removing
 // duplicate edges and all remaining edges were then assumed to be
@@ -21,22 +33,20 @@ import (
 //
 // A Graph has one of two adjacency layouts. The flat layout stores sorted
 // int32 neighbor slices in adj. The compressed layout (see Compress) drops
-// adj and stores varint delta-encoded neighbor bytes in cadj, optionally
-// under a degree-descending vertex relabeling recorded by perm/inv; all
-// public methods still speak original vertex ids.
+// adj and stores varint delta-encoded neighbor bytes in cadj. Both keep the
+// same vertex ids and the same offsets table, and every read of a neighbor
+// list — public accessors and both traversal kernels alike — goes through
+// adjInto, so the layout is invisible above this file.
 type Graph struct {
-	offsets []int32 // len N+1; degree of storage id v is offsets[v+1]-offsets[v]
+	offsets []int32 // len N+1; degree of v is offsets[v+1]-offsets[v]
 	adj     []int32 // flat layout: neighbors of v are adj[offsets[v]:offsets[v+1]]
 	name    string
 
-	// Compressed layout (nil in the flat layout). Storage id r's neighbors
-	// are varint-decoded from cadj[coff[r]:coff[r+1]] (adjcodec.go).
+	// Compressed layout (nil in the flat layout). v's neighbors are
+	// varint-decoded from cadj[coff[v]:coff[v+1]] (adjcodec.go).
 	cadj []byte
 	coff []uint32
-	// perm maps original id -> storage id, inv the reverse. Both are nil
-	// when the compressed layout keeps original order.
-	perm, inv []int32
-	// maxDeg sizes per-worker decode scratch.
+	// maxDeg sizes the kernels' decode scratch (compressed layout only).
 	maxDeg int32
 }
 
@@ -141,10 +151,10 @@ func (g *Graph) Name() string { return g.name }
 
 // MemBytes estimates the heap footprint of the adjacency arrays — the
 // accounting unit of the byte-budgeted caches. It covers both layouts:
-// offsets and the flat adjacency for uncompressed graphs, plus the encoded
-// bytes, byte offsets and relabeling permutations for compressed ones.
+// offsets and the flat adjacency for uncompressed graphs, offsets plus the
+// encoded bytes and their byte offsets for compressed ones.
 func (g *Graph) MemBytes() int64 {
-	b := int64(cap(g.offsets)+cap(g.adj)+cap(g.perm)+cap(g.inv)) * 4
+	b := int64(cap(g.offsets)+cap(g.adj)) * 4
 	b += int64(cap(g.cadj)) + int64(cap(g.coff))*4
 	return b
 }
@@ -156,39 +166,42 @@ func (g *Graph) WithName(name string) *Graph {
 	return &cp
 }
 
-// Degree returns the degree of node v (an original id in both layouts).
-func (g *Graph) Degree(v int) int {
-	if g.perm != nil {
-		r := g.perm[v]
-		return int(g.offsets[r+1] - g.offsets[r])
+// Degree returns the degree of node v.
+func (g *Graph) Degree(v int) int { return int(g.offsets[v+1] - g.offsets[v]) }
+
+// adjInto returns v's strictly ascending neighbor list: a slice of the flat
+// adjacency array, or v's encoded bytes decoded into *dec, which must have
+// capacity >= Degree(v). It is the one adjacency read of the package: the
+// serial and multi-source kernels call it with per-traversal scratch sized
+// to MaxDegree, the public accessors below with a caller buffer. dec is a
+// pointer so the per-node call in the kernels' hot loops carries one word
+// rather than a three-word slice header.
+func (g *Graph) adjInto(v int, dec *[]int32) []int32 {
+	lo, hi := g.offsets[v], g.offsets[v+1]
+	if g.cadj == nil {
+		return g.adj[lo:hi]
 	}
-	return int(g.offsets[v+1] - g.offsets[v])
+	return decodeAdjInto(g.cadj[g.coff[v]:g.coff[v+1]], int32(v), int(hi-lo), *dec)
 }
 
-// Neighbors returns the sorted adjacency of v in original ids. For flat
-// graphs the slice aliases internal storage and must not be modified; for
-// compressed graphs it is freshly decoded (and owned by the caller). Hot
-// paths on compressed graphs use the block-wise decoder in the kernels
-// instead of this method.
-func (g *Graph) Neighbors(v int) []int32 {
-	if g.cadj != nil {
-		return g.neighborsOrigInto(v, nil)
-	}
-	return g.adj[g.offsets[v]:g.offsets[v+1]]
-}
+// Neighbors returns the sorted adjacency of v. For flat graphs the slice
+// aliases internal storage and must not be modified; for compressed graphs
+// it is freshly decoded (and owned by the caller). Loops over many nodes
+// should use NeighborsInto instead.
+func (g *Graph) Neighbors(v int) []int32 { return g.NeighborsInto(v, nil) }
 
-// NeighborsInto returns the sorted adjacency of v in original ids without
-// allocating on the steady state: flat graphs return an alias of internal
-// storage (buf is ignored and must not be written through), compressed
-// graphs decode into buf, growing it only when cap(buf) is too small, and
-// return the (possibly grown) buffer. Callers that keep the returned slice
-// as their scratch for the next call amortize decode storage to zero
-// allocations once the buffer has reached the graph's maximum degree.
+// NeighborsInto returns the sorted adjacency of v without allocating on the
+// steady state: flat graphs return an alias of internal storage (buf is
+// ignored and must not be written through), compressed graphs decode into
+// buf, growing it only when cap(buf) is too small, and return the (possibly
+// grown) buffer. Callers that keep the returned slice as their scratch for
+// the next call amortize decode storage to zero allocations once the buffer
+// has reached the graph's maximum degree.
 func (g *Graph) NeighborsInto(v int, buf []int32) []int32 {
-	if g.cadj != nil {
-		return g.neighborsOrigInto(v, buf)
+	if g.cadj != nil && cap(buf) < g.Degree(v) {
+		buf = make([]int32, g.Degree(v))
 	}
-	return g.adj[g.offsets[v]:g.offsets[v+1]]
+	return g.adjInto(v, &buf)
 }
 
 // HasEdge reports whether the edge (u,v) exists. Flat layout: binary search
@@ -199,8 +212,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 		return false
 	}
 	if g.cadj != nil {
-		r := g.ridOf(u)
-		return scanAdjFor(g.cadj[g.coff[r]:g.coff[r+1]], r, int(g.degRID(r)), g.ridOf(v))
+		return scanAdjFor(g.cadj[g.coff[u]:g.coff[u+1]], int32(u), g.Degree(u), int32(v))
 	}
 	ns := g.Neighbors(u)
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= int32(v) })
@@ -208,19 +220,13 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 // Edges calls fn once per undirected edge with u < v, ascending u then v —
-// the same original-id order in both layouts, so edge-list output is
-// byte-identical regardless of compression or relabeling.
+// the same order in both layouts, so edge-list output is byte-identical
+// regardless of compression.
 func (g *Graph) Edges(fn func(u, v int)) {
 	var buf []int32
 	for u := 0; u < g.N(); u++ {
-		var ns []int32
-		if g.cadj != nil {
-			buf = g.neighborsOrigInto(u, buf)
-			ns = buf
-		} else {
-			ns = g.adj[g.offsets[u]:g.offsets[u+1]]
-		}
-		for _, w := range ns {
+		buf = g.NeighborsInto(u, buf)
+		for _, w := range buf {
 			if int32(u) < w {
 				fn(u, int(w))
 			}
@@ -238,21 +244,15 @@ func (g *Graph) AvgDegree() float64 {
 
 // Validate checks internal invariants (sorted adjacency, symmetric edges, no
 // self-loops). It is used by tests and by topology generators in debug mode.
-// Compressed graphs are validated through the decoded original-id view, so
-// the same invariants hold in both layouts.
+// Compressed graphs are validated through the decoded view, so the same
+// invariants hold in both layouts.
 func (g *Graph) Validate() error {
 	if len(g.offsets) == 0 || g.offsets[0] != 0 {
 		return errors.New("graph: bad offsets header")
 	}
-	var buf []int32
+	var ns []int32
 	for v := 0; v < g.N(); v++ {
-		var ns []int32
-		if g.cadj != nil {
-			buf = g.neighborsOrigInto(v, buf)
-			ns = buf
-		} else {
-			ns = g.adj[g.offsets[v]:g.offsets[v+1]]
-		}
+		ns = g.NeighborsInto(v, ns)
 		for i, w := range ns {
 			if w < 0 || int(w) >= g.N() {
 				return fmt.Errorf("graph: node %d has out-of-range neighbor %d", v, w)

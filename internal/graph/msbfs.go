@@ -23,9 +23,11 @@ import (
 // Determinism and canonical parents: the frontier is a bitset iterated in
 // ascending node order, so for every lane the first frontier node to
 // discover w is the lowest-index previous-level neighbor — exactly the
-// canonical parent rule of the serial and direction-optimizing kernels.
-// Batch results are therefore byte-identical (Dist and Parent) to per-source
-// BFS, which the measurement engines' batch-on/off invariant rests on.
+// canonical parent rule of the serial kernel (BFSInto). Batch results are
+// therefore byte-identical (Dist and Parent) to per-source BFS, which the
+// measurement engines' batch-on/off invariant rests on. Like BFSInto, the
+// group reads adjacency through Graph.adjInto, so one kernel serves the
+// flat and the compressed layout.
 
 // msbfsLanes is the lane width of one traversal: one bit per source in a
 // uint64 mask.
@@ -60,9 +62,9 @@ type msbfsScratch struct {
 
 // grow sizes the scratch for an n-node traversal with maxDeg-wide decode
 // scratch (0 for the flat layout, which decodes nothing). visit/visitNext
-// must be all-zero between traversals — the kernels clear them incrementally
+// must be all-zero between traversals — the kernel clears them incrementally
 // — so freshly slabbed (dirty) arena memory is zeroed here; seen and the
-// frontier bitsets are zeroed by the kernels at the start of every group.
+// frontier bitsets are zeroed by the kernel at the start of every group.
 func (sc *msbfsScratch) grow(n, words, maxDeg int) {
 	if sc.ar == nil {
 		sc.ar = arena.New()
@@ -149,11 +151,7 @@ func (g *Graph) BatchSPTsInto(sources []int, b *SPTBatch) error {
 		if end > len(sources) {
 			end = len(sources)
 		}
-		if g.cadj != nil {
-			g.cmsbfsGroup(sources[base:end], b.dist[base*n:end*n], b.parent[base*n:end*n], &b.sc)
-		} else {
-			g.msbfsGroup(sources[base:end], b.dist[base*n:end*n], b.parent[base*n:end*n], &b.sc)
-		}
+		g.msbfsGroup(sources[base:end], b.dist[base*n:end*n], b.parent[base*n:end*n], &b.sc)
 	}
 	return nil
 }
@@ -226,7 +224,7 @@ func (b *SPTBatch) Materialize(i int) *SPT {
 func (g *Graph) msbfsGroup(group []int, dist, parent []int32, sc *msbfsScratch) {
 	n := g.N()
 	words := (n + 63) / 64
-	sc.grow(n, words, 0)
+	sc.grow(n, words, int(g.maxDeg))
 	seen := sc.seen[:n]
 	visit := sc.visit[:n]
 	visitNext := sc.visitNext[:n]
@@ -265,7 +263,7 @@ func (g *Graph) msbfsGroup(group []int, dist, parent []int32, sc *msbfsScratch) 
 				v := wi<<6 + bits.TrailingZeros64(word)
 				mv := visit[v]
 				visit[v] = 0
-				for _, w := range g.Neighbors(v) {
+				for _, w := range g.adjInto(v, &sc.dec) {
 					d := mv &^ seen[w]
 					if d == 0 {
 						continue

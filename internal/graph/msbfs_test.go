@@ -108,15 +108,6 @@ func TestBatchSPTsDisconnected(t *testing.T) {
 	checkBatchAgainstBFS(t, g, []int{0, 3, 7, 2})
 }
 
-func TestBatchSPTsAboveHybridThreshold(t *testing.T) {
-	// Batch vs BFS equivalence must also hold where BFSInto routes to the
-	// direction-optimizing kernel.
-	old := SetDirectionOptThreshold(64)
-	defer SetDirectionOptThreshold(old)
-	g := randomGraph(11, 500, 900)
-	checkBatchAgainstBFS(t, g, []int{0, 17, 401, 499, 17})
-}
-
 func TestBatchSPTsIntoReuse(t *testing.T) {
 	// A pooled batch refilled with fewer, then more sources must stay exact;
 	// stale lanes from earlier fills may not leak through.
@@ -210,31 +201,25 @@ func FuzzMSBFSEquivalence(f *testing.F) {
 
 // BenchmarkBatchSPTs64 traverses 64 sources through one MS-BFS batch on the
 // BenchmarkBFS50k graph; BenchmarkBatchSPTs64Serial is the ablation running
-// the same 64 sources through the routed single-source kernel.
+// the same 64 sources through the serial kernel, and
+// BenchmarkBatchSPTs64Compressed the storage ablation: the identical batch
+// over the varint-compressed CSR (results byte-identical, adjacency decoded
+// into the traversal's scratch by the same kernel).
 func BenchmarkBatchSPTs64(b *testing.B) {
-	g := randomGraph(1, 50000, 100000)
-	r := rng.New(2)
-	sources := make([]int, msbfsLanes)
-	for i := range sources {
-		sources[i] = r.Intn(g.N())
+	benchBatch64(b, randomGraph(1, 50000, 100000))
+}
+
+func BenchmarkBatchSPTs64Compressed(b *testing.B) {
+	g, err := randomGraph(1, 50000, 100000).Compress()
+	if err != nil {
+		b.Fatal(err)
 	}
-	batch := AcquireSPTBatch()
-	defer ReleaseSPTBatch(batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.BatchSPTsInto(sources, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatch64(b, g)
 }
 
 func BenchmarkBatchSPTs64Serial(b *testing.B) {
 	g := randomGraph(1, 50000, 100000)
-	r := rng.New(2)
-	sources := make([]int, msbfsLanes)
-	for i := range sources {
-		sources[i] = r.Intn(g.N())
-	}
+	sources := batch64Sources(g)
 	var spt SPT
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -246,30 +231,17 @@ func BenchmarkBatchSPTs64Serial(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchSPTs64Compressed is the storage ablation of
-// BenchmarkBatchSPTs64: the identical 64-source batch over the varint
-// compressed CSR (results byte-identical, adjacency decoded block-wise into
-// per-worker scratch); the Relabeled variant adds the degree-descending
-// cache-blocked vertex order on top.
-func BenchmarkBatchSPTs64Compressed(b *testing.B) {
-	benchBatch64Layout(b, false)
-}
-
-func BenchmarkBatchSPTs64Relabeled(b *testing.B) {
-	benchBatch64Layout(b, true)
-}
-
-func benchBatch64Layout(b *testing.B, relabel bool) {
-	b.Helper()
-	g, err := randomGraph(1, 50000, 100000).Compress(relabel)
-	if err != nil {
-		b.Fatal(err)
-	}
+func batch64Sources(g *Graph) []int {
 	r := rng.New(2)
 	sources := make([]int, msbfsLanes)
 	for i := range sources {
 		sources[i] = r.Intn(g.N())
 	}
+	return sources
+}
+
+func benchBatch64(b *testing.B, g *Graph) {
+	sources := batch64Sources(g)
 	batch := AcquireSPTBatch()
 	defer ReleaseSPTBatch(batch)
 	b.ResetTimer()

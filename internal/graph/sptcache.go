@@ -191,7 +191,7 @@ func (c *SPTCache) Add(g *Graph, source int, t *SPT) (*SPT, error) {
 // FillBatch ensures trees for every given source are cached, computing the
 // misses through the multi-source BFS kernel in 64-lane groups instead of
 // one BFS per source. MS-BFS produces the same canonical trees as the
-// single-source kernels, so subsequent Gets are byte-identical to
+// serial kernel, so subsequent Gets are byte-identical to
 // cache-as-you-go filling.
 func (c *SPTCache) FillBatch(g *Graph, sources []int) error {
 	var need []int

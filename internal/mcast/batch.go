@@ -7,7 +7,7 @@ import (
 // This file is the engines' batch source-scheduling path: a sweep's source
 // trees are resolved through the multi-source BFS kernel in 64-lane batches
 // *before* the worker fan-out, instead of one BFS inside each source job.
-// Every kernel produces the same canonical trees, so engaging the batch path
+// Both kernels produce the same canonical trees, so engaging the batch path
 // never changes a result — only how fast the trees appear.
 
 // maxBatchSlabBytes caps the dist+parent slab footprint of one engine-level

@@ -7,23 +7,18 @@ import (
 )
 
 // The compressed CSR layout must be a pure storage lever: every engine's
-// output over a compressed (and degree-relabeled) graph must be byte-identical
-// to the flat-layout run — serial or batched, at any worker count. Together
-// with batch_equiv_test.go this pins the full knob matrix the CLIs expose.
+// output over a compressed graph must be byte-identical to the flat-layout
+// run — serial or batched, at any worker count. Together with
+// batch_equiv_test.go this pins the full knob matrix the CLIs expose.
 
-// layoutVariants returns the same logical graph in its three storage layouts.
-// Element 0 is the flat reference.
-func layoutVariants(t *testing.T, g *graph.Graph) map[string]*graph.Graph {
+// compressed returns g in the compressed storage layout.
+func compressed(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
-	comp, err := g.Compress(false)
+	cg, err := g.Compress()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := g.Compress(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*graph.Graph{"compressed": comp, "relabeled": rel}
+	return cg
 }
 
 func TestMeasureCurveCompressedByteIdentical(t *testing.T) {
@@ -36,17 +31,16 @@ func TestMeasureCurveCompressedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, cg := range layoutVariants(t, g) {
-			for _, p := range batchVariants(base) {
-				graph.SharedSPTs.Clear()
-				got, err := MeasureCurve(cg, sizes, mode, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("%s mode=%v %+v: %+v != flat %+v", name, mode, p, got[k], want[k])
-					}
+		cg := compressed(t, g)
+		for _, p := range batchVariants(base) {
+			graph.SharedSPTs.Clear()
+			got, err := MeasureCurve(cg, sizes, mode, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("mode=%v %+v: %+v != flat %+v", mode, p, got[k], want[k])
 				}
 			}
 		}
@@ -62,17 +56,16 @@ func TestMeasureCurveNestedCompressedByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cg := range layoutVariants(t, g) {
-		for _, p := range batchVariants(base) {
-			graph.SharedSPTs.Clear()
-			got, err := MeasureCurveNested(cg, sizes, Distinct, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("%s %+v: %+v != flat %+v", name, p, got[k], want[k])
-				}
+	cg := compressed(t, g)
+	for _, p := range batchVariants(base) {
+		graph.SharedSPTs.Clear()
+		got, err := MeasureCurveNested(cg, sizes, Distinct, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%+v: %+v != flat %+v", p, got[k], want[k])
 			}
 		}
 	}
@@ -87,16 +80,15 @@ func TestMeasureSharedCurveCompressedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, cg := range layoutVariants(t, g) {
-			for _, p := range batchVariants(base) {
-				got, err := MeasureSharedCurve(cg, sizes, strategy, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("%s %v %+v: %+v != flat %+v", name, strategy, p, got[k], want[k])
-					}
+		cg := compressed(t, g)
+		for _, p := range batchVariants(base) {
+			got, err := MeasureSharedCurve(cg, sizes, strategy, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%v %+v: %+v != flat %+v", strategy, p, got[k], want[k])
 				}
 			}
 		}

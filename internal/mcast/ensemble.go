@@ -32,23 +32,14 @@ func MeasureEnsemble(gen func(seed int64) (*graph.Graph, error), nNetworks int, 
 // network workers observe ctx before each generation and propagate it into
 // every inner MeasureCurveCtx, which polls it at grid-point granularity. A
 // panic in gen or in a measurement worker surfaces as an error instead of
-// killing the process. A nil ctx means Background.
+// killing the process. A nil ctx means Background. The sweep is the partial
+// engine over the network block [0, nNetworks), reduced in network order.
 func MeasureEnsembleCtx(ctx context.Context, gen func(seed int64) (*graph.Graph, error), nNetworks int, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	ctx = orBackground(ctx)
-	if gen == nil {
-		return nil, fmt.Errorf("mcast: nil generator")
-	}
-	if nNetworks < 1 {
-		return nil, fmt.Errorf("mcast: nNetworks must be >= 1, got %d", nNetworks)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	perNet, err := measureEnsembleNets(ctx, gen, 0, nNetworks, sizes, mode, p)
+	part, err := MeasureEnsemblePartialCtx(ctx, gen, nNetworks, sizes, mode, p, 0, nNetworks)
 	if err != nil {
 		return nil, err
 	}
-	return reduceEnsemble(sizes, perNet), nil
+	return reduceEnsemble(sizes, part.PerNet), nil
 }
 
 // measureEnsembleNets generates and measures the network instances

@@ -44,7 +44,7 @@ type Protocol struct {
 	// SPTCache routes shortest-path-tree construction through the
 	// process-wide graph.SharedSPTs cache, so experiments that draw the
 	// same sources on the same (topology-cached) graph reuse trees instead
-	// of re-running BFS. Cached trees come from the same routed BFS kernel
+	// of re-running BFS. Cached trees come from the same serial BFS kernel
 	// as the uncached path, so results are byte-identical either way.
 	// Leave false for transient graphs that should not pin cache budget.
 	SPTCache bool
@@ -54,7 +54,7 @@ type Protocol struct {
 	// so one traversal of a shared frontier advances up to 64 sources at
 	// once. With SPTCache set, the batch pre-fills graph.SharedSPTs;
 	// without it, workers read zero-copy lane views of one pooled slab.
-	// Every kernel produces the same canonical trees, so results are
+	// Both kernels produce the same canonical trees, so results are
 	// byte-identical with the flag on or off.
 	BatchBFS bool
 }
@@ -147,28 +147,17 @@ func MeasureCurve(g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]Point, 
 // MeasureCurveCtx is MeasureCurve under a cancellation context: the worker
 // pool observes ctx at grid-point granularity, abandons the sweep promptly
 // after cancellation, and returns ctx's error. A nil ctx means Background.
+// Protocol.Nested selects the nested engine (MeasureCurveNested).
+//
+// The sweep is the partial engine run over the whole source block [0,
+// NSource), reduced in place — the one drive loop the single-process and
+// the cluster engines share.
 func MeasureCurveCtx(ctx context.Context, g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	if p.Nested {
-		return MeasureCurveNestedCtx(ctx, g, sizes, mode, p)
-	}
-	ctx = orBackground(ctx)
-	if err := validateCurveArgs(g, sizes, mode, p); err != nil {
-		return nil, err
-	}
-	sources := drawSources(g, p)
-	bt, err := resolveBatch(g, sources, p)
+	part, err := MeasureCurvePartialCtx(ctx, g, sizes, mode, p, 0, p.NSource)
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
-	acc := newCurveAccum(p.NSource, len(sizes))
-	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceIndependent(ctx, g, sources[si], si, si, sizes, mode, p, bt, acc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc.reduce(sizes), nil
+	return part.reduce(sizes), nil
 }
 
 // orBackground normalizes a nil context.
@@ -219,55 +208,50 @@ func drawSources(g *graph.Graph, p Protocol) []int {
 	return sources
 }
 
-// curveAccum holds per-(source, size) partial sums in contiguous slabs:
-// four float64 slabs and one int slab, each indexed [si*K + k]. One up-front
-// allocation replaces five small slices per source job, and the reduction
-// walks the slabs in source order so the float result is deterministic
-// regardless of worker scheduling.
-type curveAccum struct {
-	K                                      int
-	ratioSum, ratioSq, linkSum, unicastSum []float64
-	samples                                []int
-}
-
-func newCurveAccum(nSource, K int) *curveAccum {
-	slab := make([]float64, 4*nSource*K)
-	return &curveAccum{
-		K:          K,
-		ratioSum:   slab[0 : nSource*K],
-		ratioSq:    slab[nSource*K : 2*nSource*K],
-		linkSum:    slab[2*nSource*K : 3*nSource*K],
-		unicastSum: slab[3*nSource*K : 4*nSource*K],
-		samples:    make([]int, nSource*K),
+// newCurvePartial allocates the accumulator of the source block [srcLo,
+// srcHi): four float64 slabs carved from one allocation and one int slab,
+// each indexed [lane*K + k] with lane = si - srcLo. The reduction walks the
+// slabs in source order, so the float result is deterministic regardless of
+// worker scheduling.
+func newCurvePartial(nSource, k, srcLo, srcHi int) *CurvePartial {
+	cells := (srcHi - srcLo) * k
+	slab := make([]float64, 4*cells)
+	return &CurvePartial{
+		NSource: nSource, K: k, SrcLo: srcLo, SrcHi: srcHi,
+		RatioSum:   slab[0:cells],
+		RatioSq:    slab[cells : 2*cells],
+		LinkSum:    slab[2*cells : 3*cells],
+		UnicastSum: slab[3*cells : 4*cells],
+		Samples:    make([]int, cells),
 	}
 }
 
-// add records one sample for source index si at size index k. Distinct
+// add records one sample for block lane lane at size index k. Distinct
 // sources never share a slab cell, so concurrent workers need no locking.
-func (a *curveAccum) add(si, k int, ratio, links, unicast float64) {
-	i := si*a.K + k
-	a.ratioSum[i] += ratio
-	a.ratioSq[i] += ratio * ratio
-	a.linkSum[i] += links
-	a.unicastSum[i] += unicast
-	a.samples[i]++
+func (a *CurvePartial) add(lane, k int, ratio, links, unicast float64) {
+	i := lane*a.K + k
+	a.RatioSum[i] += ratio
+	a.RatioSq[i] += ratio * ratio
+	a.LinkSum[i] += links
+	a.UnicastSum[i] += unicast
+	a.Samples[i]++
 }
 
 // reduce aggregates the slabs into one Point per size, reducing in source
 // order for a deterministic float result.
-func (a *curveAccum) reduce(sizes []int) []Point {
-	nSource := len(a.samples) / a.K
+func (a *CurvePartial) reduce(sizes []int) []Point {
+	nSource := len(a.Samples) / a.K
 	points := make([]Point, len(sizes))
 	for k := range sizes {
 		var links, unicast, ratioSum, ratioSq float64
 		n := 0
 		for si := 0; si < nSource; si++ {
 			i := si*a.K + k
-			links += a.linkSum[i]
-			unicast += a.unicastSum[i]
-			ratioSum += a.ratioSum[i]
-			ratioSq += a.ratioSq[i]
-			n += a.samples[i]
+			links += a.LinkSum[i]
+			unicast += a.UnicastSum[i]
+			ratioSum += a.RatioSum[i]
+			ratioSq += a.RatioSq[i]
+			n += a.Samples[i]
 		}
 		points[k] = Point{Size: sizes[k], Samples: n}
 		if n > 0 {
@@ -443,7 +427,7 @@ func (sc *sourceScratch) prepare(g *graph.Graph, src, si, lane int, p Protocol, 
 //
 // si is the global source index (RNG identity); lane is the batch-slab and
 // accumulator slot (lane == si for a full sweep, si - SrcLo for a partial).
-func measureSourceIndependent(ctx context.Context, g *graph.Graph, src, si, lane int, sizes []int, mode Mode, p Protocol, bt *batchTrees, acc *curveAccum) error {
+func measureSourceIndependent(ctx context.Context, g *graph.Graph, src, si, lane int, sizes []int, mode Mode, p Protocol, bt *batchTrees, acc *CurvePartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
 	spt, err := sc.prepare(g, src, si, lane, p, bt)

@@ -38,27 +38,8 @@ func MeasureCurveNested(g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]P
 // the growth loop observes ctx between repetitions and returns its error
 // promptly after cancellation. A nil ctx means Background.
 func MeasureCurveNestedCtx(ctx context.Context, g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	ctx = orBackground(ctx)
-	p.Nested = false // normalize: routing flag only, not consumed below
-	if err := validateCurveArgs(g, sizes, mode, p); err != nil {
-		return nil, err
-	}
-	cuts := sizeCuts(sizes)
-	maxSize := cuts[len(cuts)-1].size
-	sources := drawSources(g, p)
-	bt, err := resolveBatch(g, sources, p)
-	if err != nil {
-		return nil, err
-	}
-	defer bt.release()
-	acc := newCurveAccum(p.NSource, len(sizes))
-	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceNested(ctx, g, sources[si], si, si, cuts, maxSize, mode, p, bt, acc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc.reduce(sizes), nil
+	p.Nested = true
+	return MeasureCurveCtx(ctx, g, sizes, mode, p)
 }
 
 // sizeCut maps a group size to its index in the caller's sizes slice.
@@ -87,7 +68,7 @@ func sizeCuts(sizes []int) []sizeCut {
 // counter's own, and nextCut keeps the grid read-off to one scalar compare
 // per receiver. The integers produced are exactly those of the unfused
 // loop, so the engine's results are unchanged.
-func measureSourceNested(ctx context.Context, g *graph.Graph, src, si, lane int, cuts []sizeCut, maxSize int, mode Mode, p Protocol, bt *batchTrees, acc *curveAccum) error {
+func measureSourceNested(ctx context.Context, g *graph.Graph, src, si, lane int, cuts []sizeCut, maxSize int, mode Mode, p Protocol, bt *batchTrees, acc *CurvePartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
 	spt, err := sc.prepare(g, src, si, lane, p, bt)

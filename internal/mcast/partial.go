@@ -8,15 +8,16 @@ import (
 	"mtreescale/internal/valid"
 )
 
-// This file exports the partial-reduction hooks the cluster layer shards
-// experiment grids with. Every curve engine in this package already computes
-// per-(source, size) partial sums in contiguous slabs and reduces them in
-// source order, so a sweep's float result never depends on worker
-// scheduling. The partial engines generalize that contract across process
-// boundaries: a source block [SrcLo, SrcHi) — or, for ensembles, a network
-// block [NetLo, NetHi) — can be measured alone, serialized as JSON, and
-// merged with its sibling blocks by replaying the exact source-order (or
-// network-order) reduction the single-process engine performs. Merged
+// This file holds the partial engines: the one drive loop behind every
+// curve, shared-curve and ensemble sweep. A partial engine measures a source
+// block [SrcLo, SrcHi) — or, for ensembles, a network block [NetLo, NetHi) —
+// into per-(source, size) partial sums in contiguous slabs. The
+// single-process engines (MeasureCurveCtx, MeasureSharedCurveCtx,
+// MeasureEnsembleCtx) run it over the whole block [0, N) and reduce its
+// slabs in place, in source (or network) order, so a sweep's float result
+// never depends on worker scheduling. The cluster layer runs it per shard,
+// serializes the partials as JSON, and merges sibling blocks with the
+// Reduce*Partials functions, which replay the exact same reduction. Merged
 // results are therefore byte-identical to an unsharded run, which the
 // partial_test.go equivalence matrix asserts.
 //
@@ -80,7 +81,7 @@ func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mo
 	}
 	defer bt.release()
 	nBlock := srcHi - srcLo
-	acc := newCurveAccum(nBlock, len(sizes))
+	acc := newCurvePartial(p.NSource, len(sizes), srcLo, srcHi)
 	var cuts []sizeCut
 	var maxSize int
 	if nested {
@@ -97,12 +98,7 @@ func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mo
 	if err != nil {
 		return nil, err
 	}
-	return &CurvePartial{
-		NSource: p.NSource, K: acc.K, SrcLo: srcLo, SrcHi: srcHi,
-		RatioSum: acc.ratioSum, RatioSq: acc.ratioSq,
-		LinkSum: acc.linkSum, UnicastSum: acc.unicastSum,
-		Samples: acc.samples,
-	}, nil
+	return acc, nil
 }
 
 // ReduceCurvePartials merges source-block partials into the final curve by
@@ -128,7 +124,7 @@ func ReduceCurvePartials(sizes []int, parts []*CurvePartial) ([]Point, error) {
 	if k != len(sizes) {
 		return nil, valid.Badf("mcast: partial has K=%d, want %d grid points", k, len(sizes))
 	}
-	acc := newCurveAccum(nSource, k)
+	acc := newCurvePartial(nSource, k, 0, nSource)
 	next := 0
 	for _, pt := range ordered {
 		if pt.NSource != nSource || pt.K != k {
@@ -146,11 +142,11 @@ func ReduceCurvePartials(sizes []int, parts []*CurvePartial) ([]Point, error) {
 			return nil, valid.Badf("mcast: curve partial [%d, %d) has wrong slab size", pt.SrcLo, pt.SrcHi)
 		}
 		off := pt.SrcLo * k
-		copy(acc.ratioSum[off:], pt.RatioSum)
-		copy(acc.ratioSq[off:], pt.RatioSq)
-		copy(acc.linkSum[off:], pt.LinkSum)
-		copy(acc.unicastSum[off:], pt.UnicastSum)
-		copy(acc.samples[off:], pt.Samples)
+		copy(acc.RatioSum[off:], pt.RatioSum)
+		copy(acc.RatioSq[off:], pt.RatioSq)
+		copy(acc.LinkSum[off:], pt.LinkSum)
+		copy(acc.UnicastSum[off:], pt.UnicastSum)
+		copy(acc.Samples[off:], pt.Samples)
 		next = pt.SrcHi
 	}
 	if next != nSource {
@@ -200,7 +196,7 @@ func MeasureSharedCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []i
 		return nil, err
 	}
 	defer bt.release()
-	acc := newSharedAccum(nBlock, len(sizes))
+	acc := newSharedPartial(p.NSource, len(sizes), srcLo, srcHi)
 	err = runWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
 		si := srcLo + lane
 		return measureSourceShared(ctx, g, sources[si], cores[si], si, lane, nBlock, sizes, p, bt, acc)
@@ -208,11 +204,7 @@ func MeasureSharedCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []i
 	if err != nil {
 		return nil, err
 	}
-	return &SharedPartial{
-		NSource: p.NSource, K: acc.K, SrcLo: srcLo, SrcHi: srcHi,
-		SrcSum: acc.srcSum, ShrSum: acc.shrSum, OvhSum: acc.ovhSum,
-		Samples: acc.samples,
-	}, nil
+	return acc, nil
 }
 
 // ReduceSharedPartials merges shared-curve source blocks, replaying the
@@ -234,7 +226,7 @@ func ReduceSharedPartials(sizes []int, parts []*SharedPartial) ([]SharedPoint, e
 	if k != len(sizes) {
 		return nil, valid.Badf("mcast: partial has K=%d, want %d grid points", k, len(sizes))
 	}
-	acc := newSharedAccum(nSource, k)
+	acc := newSharedPartial(nSource, k, 0, nSource)
 	next := 0
 	for _, pt := range ordered {
 		if pt.NSource != nSource || pt.K != k {
@@ -252,10 +244,10 @@ func ReduceSharedPartials(sizes []int, parts []*SharedPartial) ([]SharedPoint, e
 			return nil, valid.Badf("mcast: shared partial [%d, %d) has wrong slab size", pt.SrcLo, pt.SrcHi)
 		}
 		off := pt.SrcLo * k
-		copy(acc.srcSum[off:], pt.SrcSum)
-		copy(acc.shrSum[off:], pt.ShrSum)
-		copy(acc.ovhSum[off:], pt.OvhSum)
-		copy(acc.samples[off:], pt.Samples)
+		copy(acc.SrcSum[off:], pt.SrcSum)
+		copy(acc.ShrSum[off:], pt.ShrSum)
+		copy(acc.OvhSum[off:], pt.OvhSum)
+		copy(acc.Samples[off:], pt.Samples)
 		next = pt.SrcHi
 	}
 	if next != nSource {

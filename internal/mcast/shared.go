@@ -107,35 +107,15 @@ func MeasureSharedCurve(g *graph.Graph, sizes []int, strategy CoreStrategy, p Pr
 
 // MeasureSharedCurveCtx is MeasureSharedCurve under a cancellation context:
 // the worker pool observes ctx at grid-point granularity and returns its
-// error promptly after cancellation. A nil ctx means Background.
+// error promptly after cancellation. A nil ctx means Background. Like
+// MeasureCurveCtx, it is the partial engine over [0, NSource) reduced in
+// place.
 func MeasureSharedCurveCtx(ctx context.Context, g *graph.Graph, sizes []int, strategy CoreStrategy, p Protocol) ([]SharedPoint, error) {
-	ctx = orBackground(ctx)
-	if err := validateSharedArgs(g, sizes, p); err != nil {
-		return nil, err
-	}
-	sources, cores, err := drawSharedPairs(g, strategy, p)
+	part, err := MeasureSharedCurvePartialCtx(ctx, g, sizes, strategy, p, 0, p.NSource)
 	if err != nil {
 		return nil, err
 	}
-
-	// The batch path resolves source and core trees in one slab: lane si is
-	// sources[si], lane NSource+si is cores[si].
-	combined := make([]int, 0, 2*p.NSource)
-	combined = append(combined, sources...)
-	combined = append(combined, cores...)
-	bt, err := resolveBatch(g, combined, p)
-	if err != nil {
-		return nil, err
-	}
-	defer bt.release()
-	acc := newSharedAccum(p.NSource, len(sizes))
-	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceShared(ctx, g, sources[si], cores[si], si, si, p.NSource, sizes, p, bt, acc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc.reduce(sizes), nil
+	return part.reduce(sizes), nil
 }
 
 // validateSharedArgs is the argument check shared by the full and partial
@@ -188,47 +168,42 @@ func drawSharedPairs(g *graph.Graph, strategy CoreStrategy, p Protocol) (sources
 	return sources, cores, nil
 }
 
-// sharedAccum holds per-(source, size) partial sums of the shared-curve
-// engine in contiguous slabs indexed [si*K + k], the same lock-free layout as
-// curveAccum: distinct sources never share a cell.
-type sharedAccum struct {
-	K                      int
-	srcSum, shrSum, ovhSum []float64
-	samples                []int
-}
-
-func newSharedAccum(nSource, K int) *sharedAccum {
-	slab := make([]float64, 3*nSource*K)
-	return &sharedAccum{
-		K:       K,
-		srcSum:  slab[0 : nSource*K],
-		shrSum:  slab[nSource*K : 2*nSource*K],
-		ovhSum:  slab[2*nSource*K : 3*nSource*K],
-		samples: make([]int, nSource*K),
+// newSharedPartial allocates the shared-curve accumulator of the source
+// block [srcLo, srcHi), in the same lock-free slab layout as
+// newCurvePartial: distinct sources never share a cell.
+func newSharedPartial(nSource, k, srcLo, srcHi int) *SharedPartial {
+	cells := (srcHi - srcLo) * k
+	slab := make([]float64, 3*cells)
+	return &SharedPartial{
+		NSource: nSource, K: k, SrcLo: srcLo, SrcHi: srcHi,
+		SrcSum:  slab[0:cells],
+		ShrSum:  slab[cells : 2*cells],
+		OvhSum:  slab[2*cells : 3*cells],
+		Samples: make([]int, cells),
 	}
 }
 
-func (a *sharedAccum) add(si, k int, src, shr, overhead float64) {
-	i := si*a.K + k
-	a.srcSum[i] += src
-	a.shrSum[i] += shr
-	a.ovhSum[i] += overhead
-	a.samples[i]++
+func (a *SharedPartial) add(lane, k int, src, shr, overhead float64) {
+	i := lane*a.K + k
+	a.SrcSum[i] += src
+	a.ShrSum[i] += shr
+	a.OvhSum[i] += overhead
+	a.Samples[i]++
 }
 
 // reduce aggregates the slabs in source order for a scheduling-independent
 // float result.
-func (a *sharedAccum) reduce(sizes []int) []SharedPoint {
-	nSource := len(a.samples) / a.K
+func (a *SharedPartial) reduce(sizes []int) []SharedPoint {
+	nSource := len(a.Samples) / a.K
 	out := make([]SharedPoint, len(sizes))
 	for k := range out {
 		out[k].Size = sizes[k]
 		for si := 0; si < nSource; si++ {
 			i := si*a.K + k
-			out[k].MeanSourceTree += a.srcSum[i]
-			out[k].MeanSharedTree += a.shrSum[i]
-			out[k].MeanOverhead += a.ovhSum[i]
-			out[k].Samples += a.samples[i]
+			out[k].MeanSourceTree += a.SrcSum[i]
+			out[k].MeanSharedTree += a.ShrSum[i]
+			out[k].MeanOverhead += a.OvhSum[i]
+			out[k].Samples += a.Samples[i]
 		}
 		if out[k].Samples > 0 {
 			n := float64(out[k].Samples)
@@ -250,7 +225,7 @@ func (a *sharedAccum) reduce(sizes []int) []SharedPoint {
 // batch slab and the accumulator (lane == si for a full sweep); laneCount is
 // the number of source lanes in the batch, after which the core lanes start
 // (p.NSource for a full sweep, the block size for a partial one).
-func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, lane, laneCount int, sizes []int, p Protocol, bt *batchTrees, acc *sharedAccum) error {
+func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, lane, laneCount int, sizes []int, p Protocol, bt *batchTrees, acc *SharedPartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
 	srcSPT, coreSPT := &sc.spt, &sc.spt2

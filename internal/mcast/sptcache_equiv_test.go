@@ -8,7 +8,7 @@ import (
 
 // The SPT cache must be a pure performance lever: every engine's output with
 // SPTCache on must be byte-identical to the uncached run, because cached
-// trees come from the same routed BFS kernel the uncached path uses.
+// trees come from the same BFS kernel the uncached path uses.
 
 func curveProtocols(seed int64) (off, on Protocol) {
 	off = Protocol{NSource: 12, NRcvr: 8, Seed: seed}

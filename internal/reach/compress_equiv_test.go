@@ -21,25 +21,23 @@ func TestMeasureAveragedCompressedByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, relabel := range []bool{false, true} {
-		cg, err := g.Compress(relabel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range []bool{false, true} {
-			for _, spts := range []*graph.SPTCache{nil, graph.NewSPTCache(1 << 30)} {
-				got, err := MeasureAveragedBatch(cg, nSources, seed, spts, batch)
-				if err != nil {
-					t.Fatalf("relabel=%v batch=%v: %v", relabel, batch, err)
-				}
-				if len(got.S) != len(want.S) {
-					t.Fatalf("relabel=%v batch=%v: %d radii, want %d", relabel, batch, len(got.S), len(want.S))
-				}
-				for d := range want.S {
-					if got.S[d] != want.S[d] {
-						t.Fatalf("relabel=%v batch=%v cache=%v: S(%d) = %v, want %v",
-							relabel, batch, spts != nil, d, got.S[d], want.S[d])
-					}
+	cg, err := g.Compress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []bool{false, true} {
+		for _, spts := range []*graph.SPTCache{nil, graph.NewSPTCache(1 << 30)} {
+			got, err := MeasureAveragedBatch(cg, nSources, seed, spts, batch)
+			if err != nil {
+				t.Fatalf("batch=%v: %v", batch, err)
+			}
+			if len(got.S) != len(want.S) {
+				t.Fatalf("batch=%v: %d radii, want %d", batch, len(got.S), len(want.S))
+			}
+			for d := range want.S {
+				if got.S[d] != want.S[d] {
+					t.Fatalf("batch=%v cache=%v: S(%d) = %v, want %v",
+						batch, spts != nil, d, got.S[d], want.S[d])
 				}
 			}
 		}

@@ -74,9 +74,9 @@ func GenerateCached(name string, seed int64, scale float64) (*graph.Graph, error
 }
 
 // GenerateCachedOpt is GenerateCached with a layout choice: compress=true
-// memoizes the topology in the compressed CSR layout (graph.Compress without
-// relabeling — the degree relabeling is a traversal-locality lever that costs
-// 12 B/node and never shrinks the graph, so the memory mode skips it), keyed
+// memoizes the topology in the compressed CSR layout (graph.Compress: varint
+// delta adjacency under the original ids, traversed by the same two kernels
+// as the flat layout, so every result is byte-identical), keyed
 // separately from the flat layout so the two never alias. Compression happens
 // inside the build singleflight, and the cache budget accounts the compressed
 // footprint — well under the flat graph's — so large-graph sweeps fit more
@@ -110,7 +110,7 @@ func GenerateCachedOpt(name string, seed int64, scale float64, compress bool) (*
 	e.once.Do(func() {
 		e.g, e.err = s.Build(seed, scale)
 		if e.err == nil && compress {
-			e.g, e.err = e.g.Compress(false)
+			e.g, e.err = e.g.Compress()
 		}
 		if e.err != nil {
 			e.err = fmt.Errorf("topology: generating %q: %w", name, e.err)

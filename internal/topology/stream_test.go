@@ -139,7 +139,7 @@ func TestStreamedCompressesAndTraverses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := g.Compress(true)
+	cg, err := g.Compress()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func largeGraph(b *testing.B, n int) *mtreescale.Topology {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if g, err = g.Compress(false); err != nil {
+	if g, err = g.Compress(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(g.MemBytes())/(1<<20), "graphMB")

@@ -48,10 +48,8 @@ func TestLargeGraphSmoke(t *testing.T) {
 	t.Logf("streamed 1M-node build: CSR %.1f MB, retained heap delta %.1f MB",
 		float64(csr)/(1<<20), float64(live)/(1<<20))
 
-	// The memory mode proper: varint compression without relabeling must
-	// shrink the graph (the degree relabeling is a separate locality lever
-	// that costs 12 B/node).
-	cg, err := g.Compress(false)
+	// The memory mode proper: varint compression must shrink the graph.
+	cg, err := g.Compress()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +58,9 @@ func TestLargeGraphSmoke(t *testing.T) {
 	}
 	t.Logf("compressed: %.1f MB (%.0f%% of flat)",
 		float64(cg.MemBytes())/(1<<20), 100*float64(cg.MemBytes())/float64(csr))
-	rg, err := g.Compress(true)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// One curve point, flat vs compressed vs relabeled: the layout is a
-	// pure storage lever, so the Points must be byte-identical.
+	// One curve point, flat vs compressed: the layout is a pure storage
+	// lever, so the Points must be byte-identical.
 	sizes := []int{64}
 	p := mtreescale.Protocol{NSource: 2, NRcvr: 2, Seed: 5, BatchBFS: true}
 	want, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct, p)
@@ -76,13 +70,11 @@ func TestLargeGraphSmoke(t *testing.T) {
 	if want[0].MeanLinks <= 0 {
 		t.Fatalf("degenerate curve point %+v", want[0])
 	}
-	for name, lg := range map[string]*mtreescale.Topology{"compressed": cg, "relabeled": rg} {
-		got, err := mtreescale.MeasureCurve(lg, sizes, mtreescale.Distinct, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != want[0] {
-			t.Fatalf("%s curve point %+v != flat %+v", name, got[0], want[0])
-		}
+	got, err := mtreescale.MeasureCurve(cg, sizes, mtreescale.Distinct, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want[0] {
+		t.Fatalf("compressed curve point %+v != flat %+v", got[0], want[0])
 	}
 }
