@@ -14,8 +14,11 @@ check: build vet test race large-smoke
 build:
 	$(GO) build ./...
 
+# vet also gates formatting: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -37,7 +40,7 @@ race:
 # hangs CI instead of passing silently.
 race-robust:
 	$(GO) test -race -timeout 5m \
-		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Fence|Registry|Lease|Announce|Breaker|Backoff|TLS' \
+		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Fence|Registry|Lease|Announce|WorkerTable|Backoff|TLS' \
 		./internal/mcast/... ./internal/experiments/... ./internal/panicsafe/... \
 		./internal/atomicio/... ./internal/serve/... ./internal/graph/... \
 		./internal/cluster/... ./internal/chaos/... \

@@ -743,8 +743,8 @@ func RunClusterLocal(ctx context.Context, g ClusterGrid) (*ClusterMerged, error)
 }
 
 // ClusterCoordinator fans a grid out over mtsimd workers with bounded
-// per-worker in-flight, Retry-After-aware 429 backoff, worker quarantine
-// with shard re-queue, and an fsynced resume journal.
+// per-worker in-flight, Retry-After-aware 429 backoff, shard re-queue with
+// a backoff bench for failing workers, and an fsynced resume journal.
 type ClusterCoordinator = cluster.Coordinator
 
 // ClusterOptions tunes a ClusterCoordinator; the zero value is usable.

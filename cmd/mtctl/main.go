@@ -17,9 +17,12 @@
 //
 //   - 429 from a worker is backpressure, not failure: the slot honors
 //     Retry-After (or -backoff) and the shard re-enters the pool, costing
-//     no retry budget and no quarantine strike.
-//   - Transport errors and 5xx quarantine the worker (exponential backoff)
-//     and re-queue the shard elsewhere, up to -retries times per shard.
+//     no retry budget and no strike.
+//   - Transport errors and 5xx put the shard straight back in the pool,
+//     up to -retries times per shard, and strike the worker: its k-th
+//     consecutive failed shard benches it (no dispatch) for
+//     -backoff×2^(k-1), capped at -backoff-max and shortened by up to 30%
+//     of jitter. Its next completed shard clears the strikes.
 //   - 4xx other than 429 means the grid itself is bad: fail fast.
 //   - With -out, every completed partial is fsynced to
 //     <out>/checkpoint.jsonl; -resume replays journal entries whose grid
@@ -74,6 +77,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -119,8 +123,8 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		shards     = fs.Int("shards", 0, "number of shards to cut the grid into (0 = 2 per worker)")
 		inflight   = fs.Int("inflight", 1, "concurrent shards per worker (bounded fan-out)")
 		retries    = fs.Int("retries", 3, "worker-failure budget per shard (429s are backpressure and cost nothing)")
-		backoff    = fs.Duration("backoff", 200*time.Millisecond, "base requeue pause after a worker failure, growing exponentially per strike; also the 429 fallback when Retry-After is absent")
-		backoffMax = fs.Duration("backoff-max", 0, "cap on the exponential requeue backoff (0 = 10x -backoff)")
+		backoff    = fs.Duration("backoff", time.Second, "bench after a worker's first failed shard, doubling per consecutive failure; also the 429 pause when Retry-After is absent")
+		backoffMax = fs.Duration("backoff-max", 30*time.Second, "cap on a worker's bench")
 		token      = fs.String("token", "", "bearer token sent with every POST /shard and heartbeat probe (matches mtsimd -shard-token); also gates -register-addr")
 		tlsCA      = fs.String("tls-ca", "", "CA certificate pool (PEM) trusted for https workers (mtsimd -tls-cert)")
 
@@ -386,9 +390,13 @@ func writeMerged(g mtreescale.ClusterGrid, m *mtreescale.ClusterMerged, outDir s
 }
 
 // eventPrinter renders coordinator progress notifications as one stderr
-// line each.
+// line each. Events arrive from concurrent worker slots, so writes are
+// serialized: errw need not be safe for concurrent use.
 func eventPrinter(errw io.Writer) func(mtreescale.ClusterEvent) {
+	var mu sync.Mutex
 	return func(ev mtreescale.ClusterEvent) {
+		mu.Lock()
+		defer mu.Unlock()
 		switch ev.Kind {
 		case "resume":
 			fmt.Fprintf(errw, "mtctl: shard [%d,%d) resumed from journal\n", ev.Lo, ev.Hi)
@@ -401,7 +409,7 @@ func eventPrinter(errw io.Writer) func(mtreescale.ClusterEvent) {
 			fmt.Fprintf(errw, "mtctl: shard [%d,%d) requeued after %s failed: %v\n",
 				ev.Lo, ev.Hi, ev.Worker, ev.Err)
 		case "quarantine":
-			fmt.Fprintf(errw, "mtctl: %s quarantined for %s\n", ev.Worker, ev.RetryIn)
+			fmt.Fprintf(errw, "mtctl: %s benched for %s\n", ev.Worker, ev.RetryIn)
 		case "evict":
 			fmt.Fprintf(errw, "mtctl: %s evicted: %v\n", ev.Worker, ev.Err)
 		case "readmit":

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,36 +151,62 @@ func TestShardEndpoint(t *testing.T) {
 // against real daemons: a coordinator fans a grid over two mtsimd servers,
 // one is killed after its first completed shard, and the merged result is
 // still byte-identical to a single-process run.
+//
+// The kill is deterministic: daemon-a answers its first shard at once and
+// holds every later one until daemon-b has completed a shard, been killed,
+// and had its next dispatch fail and requeue. Daemon-a can therefore never
+// drain the grid first, and the failed-shard path always runs. Backoff
+// paces daemon-b's retries against the shard left in the pool: 50 ms
+// doubling per strike gives daemon-a about 0.75 s to take that shard
+// before its budget of 4 retries runs out.
 func TestClusterSurvivesDaemonKillMidRun(t *testing.T) {
 	cfgA, cfgB := testConfig(), testConfig()
 	cfgA.workerID, cfgB.workerID = "daemon-a", "daemon-b"
-	_, tsA := newTestServer(t, cfgA)
+	sA, err := newServer(cfgA, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sA.close() })
+	hA := sA.handler()
+	release := make(chan struct{})
+	var aShards atomic.Int32
+	tsA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == mtreescale.ClusterShardPath && aShards.Add(1) > 1 {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		hA.ServeHTTP(w, r)
+	}))
+	t.Cleanup(tsA.Close)
 	_, tsB := newTestServer(t, cfgB)
 
-	var (
-		mu     sync.Mutex
-		killed bool
-	)
-	kill := func(ev mtreescale.ClusterEvent) {
-		if ev.Kind != "complete" {
+	var killed atomic.Bool
+	var kill, unhold sync.Once
+	onEvent := func(ev mtreescale.ClusterEvent) {
+		if ev.Worker != tsB.URL {
 			return
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if !killed && ev.Worker == tsB.URL {
-			killed = true
-			tsB.CloseClientConnections()
-			tsB.Close()
+		switch ev.Kind {
+		case "complete":
+			kill.Do(func() {
+				tsB.CloseClientConnections()
+				tsB.Close()
+				killed.Store(true)
+			})
+		case "requeue":
+			unhold.Do(func() { close(release) })
 		}
 	}
 
 	coord, err := mtreescale.NewClusterCoordinator(
 		[]string{tsA.URL, tsB.URL},
 		mtreescale.ClusterOptions{
-			Retries:    4,
-			Backoff:    time.Millisecond,
-			Quarantine: mtreescale.NewQuarantine(time.Millisecond, 2*time.Millisecond),
-			OnEvent:    kill,
+			Retries: 4,
+			Backoff: 50 * time.Millisecond,
+			OnEvent: onEvent,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -188,11 +216,11 @@ func TestClusterSurvivesDaemonKillMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	wasKilled := killed
-	mu.Unlock()
-	if !wasKilled {
-		t.Skip("daemon-b never completed a shard before the run finished; nothing to kill")
+	if !killed.Load() {
+		t.Fatalf("daemon-b was never killed: %+v", stats)
+	}
+	if stats.Requeues == 0 {
+		t.Fatalf("no shard failed on the killed daemon: %+v", stats)
 	}
 	if stats.PerWorker[tsA.URL] == 0 {
 		t.Fatalf("survivor completed no shards: %+v", stats)

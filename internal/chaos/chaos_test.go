@@ -31,16 +31,16 @@ func TestParseEntries(t *testing.T) {
 		"noequals",
 		"=error",
 		"x=unknownkind",
-		"x=latency",          // missing duration
-		"x=latency:-3ms",     // non-positive
-		"x=status:200",       // not a fault status
-		"x=status:notanint",  //
-		"x=error@0",          // probability out of range
-		"x=error@1.5",        //
-		"x=error#0",          // limit must be >= 1
-		"x=error+-1",         // negative after
-		"x=short:12",         // short takes no argument
-		"x=trunc:-1",         //
+		"x=latency",         // missing duration
+		"x=latency:-3ms",    // non-positive
+		"x=status:200",      // not a fault status
+		"x=status:notanint", //
+		"x=error@0",         // probability out of range
+		"x=error@1.5",       //
+		"x=error#0",         // limit must be >= 1
+		"x=error+-1",        // negative after
+		"x=short:12",        // short takes no argument
+		"x=trunc:-1",        //
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec, 1); err == nil {

@@ -229,12 +229,16 @@ func TestCoordinatorBacksOffOn429(t *testing.T) {
 	defer srv.Close()
 
 	var sleeps []time.Duration
-	quar := serve.NewQuarantine(time.Second, 30*time.Second)
+	var quarantines atomic.Int32
 	co, err := New([]string{srv.URL}, Options{
-		Quarantine: quar,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			sleeps = append(sleeps, d) // single worker, Inflight 1: no races
 			return ctx.Err()
+		},
+		OnEvent: func(ev Event) {
+			if ev.Kind == "quarantine" {
+				quarantines.Add(1)
+			}
 		},
 	})
 	if err != nil {
@@ -253,8 +257,8 @@ func TestCoordinatorBacksOffOn429(t *testing.T) {
 	if stats.Requeues != 0 {
 		t.Fatalf("429 counted as failure: Requeues = %d", stats.Requeues)
 	}
-	if quar.Len() != 0 {
-		t.Fatalf("429 struck quarantine: %v", quar.Snapshot())
+	if n := quarantines.Load(); n != 0 {
+		t.Fatalf("429 benched the worker %d times", n)
 	}
 	found := false
 	for _, d := range sleeps {
@@ -374,8 +378,7 @@ func TestCoordinatorFailsAfterRetryBudget(t *testing.T) {
 		serve.WriteJSONError(w, http.StatusInternalServerError, "boom", 0)
 	}))
 	defer srv.Close()
-	quar := serve.NewQuarantine(time.Nanosecond, time.Nanosecond)
-	co, err := New([]string{srv.URL}, Options{Retries: 2, Quarantine: quar, Sleep: instant})
+	co, err := New([]string{srv.URL}, Options{Retries: 2, Backoff: time.Nanosecond, Sleep: instant})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"mtreescale/internal/atomicio"
 	"mtreescale/internal/chaos"
 	"mtreescale/internal/retry"
-	"mtreescale/internal/serve"
 	"mtreescale/internal/valid"
 )
 
@@ -26,7 +25,7 @@ const ShardPath = "/shard"
 // "resume" (shard satisfied from the journal), "complete" (worker returned
 // a partial), "backoff" (worker answered 429; the slot pauses RetryIn),
 // "requeue" (worker failed; the shard goes back to the pool),
-// "quarantine" (a worker slot is skipping a quarantined worker),
+// "quarantine" (that failure benched the worker for RetryIn),
 // "evict" / "readmit" (heartbeat verdicts on a worker),
 // "join" / "leave" (registry membership transitions: a worker announced
 // itself or its lease expired),
@@ -88,15 +87,14 @@ type Options struct {
 	// responses do not consume it — a saturated worker is backpressure,
 	// not failure.
 	Retries int
-	// Backoff is the base pause before a failed shard re-dispatches and the
-	// fallback 429 backoff when a worker omits Retry-After (default 200ms).
-	// Per-shard requeue pauses grow exponentially from it with each
-	// failure, capped at BackoffMax (default 10×Backoff), with
-	// deterministic jitter drawn from BackoffSeed — the same seed paces a
-	// replayed run's retries identically.
-	Backoff     time.Duration
-	BackoffMax  time.Duration
-	BackoffSeed int64
+	// Backoff and BackoffMax pace worker failures (defaults 1s and 30s). A
+	// worker's k-th consecutive failed shard benches it — no dispatch —
+	// for Backoff×2^(k-1), capped at BackoffMax and shortened by up to 30%
+	// of deterministic jitter; its next completed shard clears the
+	// strikes. The failed shard itself goes back to the pool at once.
+	// Backoff is also the 429 pause when a worker omits Retry-After.
+	Backoff    time.Duration
+	BackoffMax time.Duration
 	// JournalPath, when set, appends every completed partial to an fsynced
 	// JSONL journal; with Resume, partials already journaled for this grid
 	// and shard plan are not recomputed. The journal is epoch-fenced: each
@@ -119,17 +117,15 @@ type Options struct {
 	// LeaseTTL sets the private registry's lease length when Registry is
 	// nil (default DefaultLeaseTTL); ignored otherwise.
 	LeaseTTL time.Duration
-	// Quarantine tracks failing workers with exponential backoff; nil
-	// means a default (1s base, 30s cap). Worker URLs are the keys.
-	Quarantine *serve.Quarantine
 	// Token, when set, is sent as "Authorization: Bearer <token>" on every
 	// shard post and heartbeat probe (mtsimd -shard-token).
 	Token string
 	// Heartbeat, when positive, probes every worker's GET /healthz at this
-	// interval (plus one synchronous round before dispatch). A worker that
-	// fails HeartbeatFails consecutive probes (default 3) is evicted — its
-	// slots park and requeue instead of dispatching — and re-admitted by the
-	// next successful probe. Zero disables heartbeating.
+	// interval (plus HeartbeatFails synchronous rounds before dispatch). A
+	// worker that fails HeartbeatFails consecutive probes (default 3) is
+	// evicted — its slots hand shards back and park, one interval at a
+	// time — and re-admitted by the next successful probe. Zero disables
+	// heartbeating.
 	Heartbeat      time.Duration
 	HeartbeatFails int
 	// HeartbeatTimeout is each probe's answer deadline (default 2s),
@@ -147,7 +143,7 @@ type Options struct {
 	SpecMin    time.Duration
 	// OnEvent observes progress; called from worker goroutines.
 	OnEvent func(Event)
-	// Sleep pauses a worker slot (backoff, quarantine wait); nil means a
+	// Sleep pauses a worker slot (429 backoff, bench); nil means a
 	// ctx-aware timer sleep. Tests inject instant sleeps.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
@@ -159,7 +155,7 @@ type Options struct {
 type Coordinator struct {
 	reg     *Registry
 	opt     Options
-	backoff retry.Backoff // requeue pacing: capped exponential, seeded jitter
+	backoff retry.Backoff // bench series: capped exponential, deterministic jitter
 }
 
 // New builds a Coordinator over the given worker base URLs
@@ -191,13 +187,10 @@ func New(workers []string, opt Options) (*Coordinator, error) {
 		opt.Retries = 3
 	}
 	if opt.Backoff <= 0 {
-		opt.Backoff = 200 * time.Millisecond
+		opt.Backoff = time.Second
 	}
 	if opt.BackoffMax <= 0 {
-		opt.BackoffMax = 10 * opt.Backoff
-	}
-	if opt.Quarantine == nil {
-		opt.Quarantine = serve.NewQuarantine(time.Second, 30*time.Second)
+		opt.BackoffMax = 30 * time.Second
 	}
 	if opt.Sleep == nil {
 		opt.Sleep = sleepCtx
@@ -228,7 +221,6 @@ func New(workers []string, opt Options) (*Coordinator, error) {
 			Max:    opt.BackoffMax,
 			Factor: 2,
 			Jitter: 0.3,
-			Seed:   uint64(opt.BackoffSeed),
 		},
 	}, nil
 }
@@ -259,7 +251,7 @@ func (c *Coordinator) emit(ev Event) {
 
 // runState is the shared bookkeeping of one Run: which shards remain, how
 // often each has failed, which are in flight (and since when, for the
-// speculation deadline), and the first fatal error.
+// speculation deadline), the worker table, and the first fatal error.
 type runState struct {
 	mu         sync.Mutex
 	remaining  int
@@ -271,8 +263,9 @@ type runState struct {
 	latN       int            // speculation deadline's rolling mean
 	fatal      error
 	stats      Stats
-	health     *healthTracker // nil when heartbeating is off
-	done       chan struct{}  // closed when remaining hits 0
+	workers    map[string]*workerRow // the worker table (workers.go)
+	closed     bool                  // the run is ending: spawn no more slots
+	done       chan struct{}         // closed when remaining hits 0
 	cancel     context.CancelFunc
 }
 
@@ -356,6 +349,7 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 		parts:      make([]*Partial, len(plan)),
 		speculated: make([]bool, len(plan)),
 		inflight:   map[int]flight{},
+		workers:    map[string]*workerRow{},
 		done:       make(chan struct{}),
 		stats:      Stats{Planned: len(plan), PerWorker: map[string]int{}},
 	}
@@ -434,23 +428,10 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 	if st.remaining > 0 {
 		runCtx, cancel := context.WithCancel(ctx)
 		st.cancel = cancel
-		defer cancel()
-
-		// When the last shard settles, cancel runCtx so straggling
-		// speculation losers abort their posts instead of holding wg.Wait
-		// (and the run's wall clock) hostage.
-		go func() {
-			select {
-			case <-st.done:
-				cancel()
-			case <-runCtx.Done():
-			}
-		}()
 
 		if c.opt.Heartbeat > 0 {
-			st.health = newHealthTracker(c.opt.HeartbeatFails)
-			// One synchronous round first, so a worker that is already dead
-			// never receives the opening dispatch wave.
+			// HeartbeatFails synchronous rounds first, so a worker that is
+			// already dead is evicted before the opening dispatch wave.
 			for i := 0; i < c.opt.HeartbeatFails; i++ {
 				c.probeRound(runCtx, st)
 			}
@@ -474,24 +455,21 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 		// Membership-driven slot management: every member gets Inflight
 		// workerLoop slots, spawned on join and cancelled on leave (the
 		// cancel aborts in-flight posts, whose shards requeue without a
-		// strike — see workerLoop). The manager goroutine holds one
-		// WaitGroup slot until runCtx ends and `closed` is set, so a join
-		// arriving late can never wg.Add after wg.Wait has observed zero.
+		// strike — see workerLoop). The slots' cancel func lives in the
+		// worker's row; a retired worker loses its row.
 		var wg sync.WaitGroup
-		var slots struct {
-			sync.Mutex
-			cancels map[string]context.CancelFunc
-			closed  bool
-		}
-		slots.cancels = map[string]context.CancelFunc{}
 		startWorker := func(w string) {
-			slots.Lock()
-			defer slots.Unlock()
-			if slots.closed || slots.cancels[w] != nil {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			if st.closed {
+				return
+			}
+			r := st.row(w)
+			if r.cancel != nil {
 				return
 			}
 			wctx, wcancel := context.WithCancel(runCtx)
-			slots.cancels[w] = wcancel
+			r.cancel = wcancel
 			for s := 0; s < c.opt.Inflight; s++ {
 				wg.Add(1)
 				go func() {
@@ -500,23 +478,6 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 				}()
 			}
 		}
-		stopWorker := func(w string) {
-			slots.Lock()
-			defer slots.Unlock()
-			if cancel := slots.cancels[w]; cancel != nil {
-				cancel()
-				delete(slots.cancels, w)
-			}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-runCtx.Done()
-			slots.Lock()
-			slots.closed = true
-			slots.Unlock()
-		}()
-
 		unwatch := c.reg.Watch(func(ev MemberEvent) {
 			switch ev.Kind {
 			case "join":
@@ -528,15 +489,32 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 			case "leave":
 				st.mu.Lock()
 				st.stats.Leaves++
+				if r := st.workers[ev.Worker]; r != nil && r.cancel != nil {
+					r.cancel()
+				}
+				delete(st.workers, ev.Worker)
 				st.mu.Unlock()
 				c.emit(Event{Kind: "leave", Worker: ev.Worker})
-				stopWorker(ev.Worker)
 			}
 		})
 		defer unwatch()
 		for _, w := range c.reg.Members() {
 			startWorker(w)
 		}
+
+		// Every path out of the run ends runCtx except the last shard
+		// settling, so wait for either. Then cancel runCtx, so straggling
+		// speculation losers abort their posts instead of holding wg.Wait
+		// (and the run's wall clock) hostage, and close the table to joins,
+		// so none can wg.Add once Wait has begun.
+		select {
+		case <-st.done:
+		case <-runCtx.Done():
+		}
+		cancel()
+		st.mu.Lock()
+		st.closed = true
+		st.mu.Unlock()
 		wg.Wait()
 	} else {
 		close(st.done)
@@ -589,25 +567,23 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 			continue
 		}
 
-		// An evicted worker's slots park: hand the shard back and wait out a
-		// heartbeat interval, since only a successful probe can re-admit.
-		// The park is a real timer, never Options.Sleep — an instant test
-		// sleep would turn parked slots into hot spins that starve the very
-		// probes that could re-admit the worker.
-		if st.health != nil && !st.health.allowed(worker) {
+		// One gate decides whether this slot may dispatch now. Refused, it
+		// hands the shard back at once so other workers drain the pool, then
+		// waits. A benched worker waits out its bench through Options.Sleep.
+		// An evicted worker parks for one heartbeat interval on a real timer,
+		// never Options.Sleep: only a probe can readmit it, and an instant
+		// test sleep would turn parked slots into hot spins that starve the
+		// very probes that could.
+		switch verdict, wait := st.gate(worker, time.Now()); verdict {
+		case gateBenched:
 			pool <- idx
-			if sleepCtx(ctx, c.opt.Heartbeat) != nil {
+			if c.opt.Sleep(ctx, wait) != nil {
 				return
 			}
 			continue
-		}
-
-		// A quarantined worker hands the shard back and pauses this slot so
-		// healthy workers drain the pool meanwhile.
-		if ok, retryIn := c.opt.Quarantine.Allowed(worker); !ok {
+		case gateEvicted:
 			pool <- idx
-			c.emit(Event{Kind: "quarantine", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, RetryIn: retryIn})
-			if c.opt.Sleep(ctx, retryIn) != nil {
+			if sleepCtx(ctx, c.opt.Heartbeat) != nil {
 				return
 			}
 			continue
@@ -622,7 +598,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 		p, retryAfter, err := c.postShard(ctx, worker, spec)
 		switch {
 		case err == nil:
-			c.opt.Quarantine.Clear(worker)
+			c.observe(st, worker, shardDone, time.Now())
 			st.recordLatency(time.Since(start))
 			if st.complete(idx, p, worker) {
 				// Journal only the accepted result: the race loser's partial
@@ -646,9 +622,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 			// Backpressure, not failure: hold the shard, pause this slot for
 			// the worker's advertised Retry-After, then hand the shard back
 			// for whichever slot frees first.
-			st.mu.Lock()
-			st.stats.Backoffs429++
-			st.mu.Unlock()
+			c.observe(st, worker, shardSaturated, time.Now())
 			c.emit(Event{Kind: "backoff", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, RetryIn: retryAfter})
 			if c.opt.Sleep(ctx, retryAfter) != nil {
 				return
@@ -679,7 +653,10 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 				c.emit(Event{Kind: "requeue", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, Err: err})
 				return
 			}
-			c.opt.Quarantine.Report(worker, err)
+			// The worker takes a strike and is benched (the gate above makes
+			// its slots wait); the shard goes back to the pool at once for
+			// whichever worker is free, charged to its own retry budget.
+			benched := c.observe(st, worker, shardFailed, time.Now())
 			st.mu.Lock()
 			st.failures[idx]++
 			tries := st.failures[idx]
@@ -691,11 +668,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 			}
 			pool <- idx
 			c.emit(Event{Kind: "requeue", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, Err: err})
-			// Pacing comes from the shared retry layer: capped exponential
-			// in the shard's failure count, jitter seeded for replay.
-			if c.opt.Sleep(ctx, c.backoff.Delay(tries)) != nil {
-				return
-			}
+			c.emit(benched)
 		}
 	}
 }
@@ -724,12 +697,13 @@ func (c *Coordinator) speculator(ctx context.Context, plan []ShardSpec, pool cha
 		}
 		now := time.Now()
 		// A backup copy needs somewhere useful to land: a live member that
-		// is not the straggler itself and not evicted. Snapshot eligibility
-		// outside st.mu (the registry and health tracker have their own
-		// locks), then decide per straggler under it.
+		// is not the straggler itself and that the gate would let dispatch
+		// (neither evicted nor benched). Snapshot eligibility before taking
+		// st.mu (the registry has its own lock, the gate takes st.mu), then
+		// decide per straggler under it.
 		var eligible []string
 		for _, w := range c.reg.Members() {
-			if c.reg.Active(w) && (st.health == nil || st.health.allowed(w)) {
+			if verdict, _ := st.gate(w, now); verdict == gateOpen && c.reg.Active(w) {
 				eligible = append(eligible, w)
 			}
 		}

@@ -37,7 +37,7 @@ type MemberEvent struct {
 // the coordinator's /healthz heartbeats renew the lease of every worker
 // that answers, so a worker that stops answering ages out and is retired.
 // Static members (the classic -workers list) hold permanent leases: they
-// can be evicted by the health tracker but never retired by the sweep, so
+// can be evicted by heartbeats but never retired by the sweep, so
 // a fixed fleet behaves exactly as it did before registries existed.
 //
 // All methods are safe for concurrent use. Watchers are invoked

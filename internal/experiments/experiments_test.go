@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mtreescale/internal/plot"
+	"mtreescale/internal/topology"
 )
 
 func TestProfileByName(t *testing.T) {
@@ -326,6 +327,28 @@ func TestFig9bTimeoutCancels(t *testing.T) {
 	_, err := RunCtx(ctx, "fig9b", Medium())
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("fig9b returned after %v, want within 1s", took)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestExtSteinerDeadlineCancels: ext-steiner polls ctx once per source, not
+// once per grid point, so the large-m point — about 200 ms of KMB work at
+// the medium profile — cannot run past a 5 ms deadline. The topology is
+// warmed first so the deadline lands in the measurement loop.
+func TestExtSteinerDeadlineCancels(t *testing.T) {
+	p := Medium()
+	p.GridPoints = 2
+	if _, err := topology.GenerateCached("ts1000", 0, p.Scale); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := RunCtx(ctx, "ext-steiner", p)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("ext-steiner returned after %v, want within 100ms", took)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

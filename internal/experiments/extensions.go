@@ -115,12 +115,14 @@ func runExtSteiner(ctx context.Context, p Profile) (*Result, error) {
 	kmbYs := make([]float64, 0, len(sizes))
 	ratioAtMax := 0.0
 	for _, m := range sizes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		var sptSum, kmbSum float64
 		n := 0
 		for si := 0; si < nSource; si++ {
+			// Poll per source, not per grid point: one large-m point is
+			// hundreds of milliseconds of KMB work at the medium profile.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			source := srcRand.Intn(g.N())
 			spt, err := sptFor(g, source, p)
 			if err != nil {

@@ -1,9 +1,8 @@
-// Package retry is the shared retry policy layer: capped exponential
-// backoff with deterministic seeded jitter, and a per-target circuit
-// breaker with half-open probes. It replaces the ad-hoc doubling loops
-// that had grown independently inside the cluster coordinator, the
-// heartbeat tracker and the serve quarantine — one policy, one set of
-// tests, every consumer reading from the same clock abstraction.
+// Package retry is the shared retry policy: capped exponential backoff
+// with deterministic seeded jitter. The cluster coordinator's worker
+// benches, workers' registry announcements and the serving tier's
+// quarantine windows all draw their delays from it — one series, one set
+// of tests.
 //
 // Determinism matters here the way it does in internal/chaos: a jittered
 // delay must be a pure function of (seed, attempt), never of wall-clock
@@ -11,10 +10,7 @@
 // identically.
 package retry
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Backoff computes the delay before retry number attempt (1-based): the
 // classic capped exponential Base × Factor^(attempt-1), clamped to Max,
@@ -105,170 +101,4 @@ func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// Breaker is a per-target circuit breaker. Each target accumulates
-// consecutive failures; at Threshold the circuit opens for a window drawn
-// from Window.Delay(trip number), so a target that keeps failing backs off
-// exponentially. When the window elapses the breaker goes half-open: Allow
-// admits exactly one probe, and that probe's Success closes the circuit
-// (full reset) while its Failure re-opens it with a longer window.
-//
-// A zero-valued Window with Hold set instead opens the circuit
-// indefinitely: only a Success closes it. That is the heartbeat tracker's
-// eviction semantic — time alone never readmits a worker, a live probe
-// must succeed first.
-type Breaker struct {
-	// Threshold is the consecutive-failure count that opens the circuit
-	// (values below 1 mean 3).
-	Threshold int
-	// Window shapes the open durations per trip.
-	Window Backoff
-	// Hold, when true, keeps an opened circuit open until a Success —
-	// Allow never admits, the open window never elapses. The consumer is
-	// expected to keep probing the target out-of-band (the heartbeat
-	// loop) and report the outcome.
-	Hold bool
-
-	mu      sync.Mutex
-	now     func() time.Time
-	targets map[string]*breakerEntry
-}
-
-type breakerEntry struct {
-	fails    int // consecutive failures
-	trips    int // times the circuit has opened
-	open     bool
-	until    time.Time // open window end; meaningless under Hold
-	halfOpen bool      // a probe is in flight past an elapsed window
-}
-
-// SetClock replaces the breaker's time source; nil restores the real
-// clock. Tests drive open-window elapse without sleeping.
-func (b *Breaker) SetClock(now func() time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if now == nil {
-		now = time.Now
-	}
-	b.now = now
-}
-
-func (b *Breaker) entry(target string) *breakerEntry {
-	if b.targets == nil {
-		b.targets = make(map[string]*breakerEntry)
-	}
-	e := b.targets[target]
-	if e == nil {
-		e = &breakerEntry{}
-		b.targets[target] = e
-	}
-	return e
-}
-
-func (b *Breaker) clock() time.Time {
-	if b.now == nil {
-		return time.Now()
-	}
-	return b.now()
-}
-
-func (b *Breaker) threshold() int {
-	if b.Threshold < 1 {
-		return 3
-	}
-	return b.Threshold
-}
-
-// Allow reports whether target may be tried. While the circuit is open it
-// also returns the remaining window — a ready-made Retry-After. When the
-// window has elapsed, the first Allow admits a half-open probe and
-// subsequent ones keep refusing until that probe settles via Success or
-// Failure.
-func (b *Breaker) Allow(target string) (ok bool, retryIn time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.targets[target]
-	if e == nil || !e.open {
-		return true, 0
-	}
-	if b.Hold {
-		return false, 0
-	}
-	if remaining := e.until.Sub(b.clock()); remaining > 0 {
-		return false, remaining
-	}
-	if e.halfOpen {
-		return false, 0
-	}
-	e.halfOpen = true
-	return true, 0
-}
-
-// Success reports a successful call to target, closing its circuit and
-// forgetting its history. Returns true when the call ended an open
-// circuit — the "readmit" transition consumers log.
-func (b *Breaker) Success(target string) (reclosed bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.targets[target]
-	if e == nil {
-		return false
-	}
-	reclosed = e.open
-	delete(b.targets, target)
-	return reclosed
-}
-
-// Failure reports a failed call to target. Returns true when this failure
-// opened (or re-opened after a half-open probe) the circuit — the "evict"
-// transition consumers log.
-func (b *Breaker) Failure(target string) (opened bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.entry(target)
-	e.fails++
-	if e.open {
-		if e.halfOpen {
-			// The half-open probe failed: re-open with a longer window.
-			e.halfOpen = false
-			e.trips++
-			e.until = b.clock().Add(b.Window.Delay(e.trips))
-			return true
-		}
-		return false
-	}
-	if e.fails >= b.threshold() {
-		e.open = true
-		e.trips++
-		e.until = b.clock().Add(b.Window.Delay(e.trips))
-		return true
-	}
-	return false
-}
-
-// Open reports whether target's circuit is currently open (the window not
-// yet elapsed, or Hold still in force).
-func (b *Breaker) Open(target string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.targets[target]
-	if e == nil || !e.open {
-		return false
-	}
-	if b.Hold {
-		return true
-	}
-	return e.until.After(b.clock()) || e.halfOpen
-}
-
-// Fails reports target's current consecutive-failure count.
-func (b *Breaker) Fails(target string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.targets[target]
-	if e == nil {
-		return 0
-	}
-	return e.fails
 }

@@ -77,108 +77,3 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 		t.Fatal("jitter stream identical across seeds")
 	}
 }
-
-// fakeClock is a hand-advanced time source.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
-
-func TestBreakerOpensAtThreshold(t *testing.T) {
-	clk := newFakeClock()
-	b := &Breaker{Threshold: 3, Window: Backoff{Base: time.Second, Max: 8 * time.Second}}
-	b.SetClock(clk.now)
-
-	for i := 0; i < 2; i++ {
-		if opened := b.Failure("w"); opened {
-			t.Fatalf("opened after %d failures, threshold 3", i+1)
-		}
-		if ok, _ := b.Allow("w"); !ok {
-			t.Fatalf("refused below threshold")
-		}
-	}
-	if !b.Failure("w") {
-		t.Fatal("third failure did not open the circuit")
-	}
-	ok, retryIn := b.Allow("w")
-	if ok || retryIn != time.Second {
-		t.Fatalf("open circuit: Allow = %v, retryIn %v; want refused, 1s", ok, retryIn)
-	}
-}
-
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	clk := newFakeClock()
-	b := &Breaker{Threshold: 1, Window: Backoff{Base: time.Second, Max: 8 * time.Second}}
-	b.SetClock(clk.now)
-	b.Failure("w")
-	if ok, _ := b.Allow("w"); ok {
-		t.Fatal("allowed inside open window")
-	}
-	clk.advance(time.Second)
-	if ok, _ := b.Allow("w"); !ok {
-		t.Fatal("elapsed window did not admit the half-open probe")
-	}
-	// Only one probe until it settles.
-	if ok, _ := b.Allow("w"); ok {
-		t.Fatal("second probe admitted while half-open")
-	}
-	// Probe fails: re-open with the doubled window.
-	if !b.Failure("w") {
-		t.Fatal("half-open failure did not re-open")
-	}
-	ok, retryIn := b.Allow("w")
-	if ok || retryIn != 2*time.Second {
-		t.Fatalf("re-opened window: Allow = %v, retryIn %v; want refused, 2s", ok, retryIn)
-	}
-	clk.advance(2 * time.Second)
-	if ok, _ := b.Allow("w"); !ok {
-		t.Fatal("second half-open probe refused")
-	}
-	if reclosed := b.Success("w"); !reclosed {
-		t.Fatal("successful probe did not report reclose")
-	}
-	if ok, _ := b.Allow("w"); !ok {
-		t.Fatal("closed circuit refuses")
-	}
-	if b.Fails("w") != 0 {
-		t.Fatal("Success did not reset the failure count")
-	}
-}
-
-func TestBreakerHoldUntilSuccess(t *testing.T) {
-	clk := newFakeClock()
-	b := &Breaker{Threshold: 2, Hold: true}
-	b.SetClock(clk.now)
-	b.Failure("w")
-	if !b.Failure("w") {
-		t.Fatal("did not open at threshold")
-	}
-	clk.advance(24 * time.Hour)
-	if ok, _ := b.Allow("w"); ok {
-		t.Fatal("Hold breaker admitted on time alone")
-	}
-	if !b.Open("w") {
-		t.Fatal("Hold breaker closed on time alone")
-	}
-	if !b.Success("w") {
-		t.Fatal("Success did not report reclose")
-	}
-	if b.Open("w") {
-		t.Fatal("still open after Success")
-	}
-}
-
-func TestBreakerIndependentTargets(t *testing.T) {
-	b := &Breaker{Threshold: 1, Window: Backoff{Base: time.Minute}}
-	b.Failure("a")
-	if ok, _ := b.Allow("b"); !ok {
-		t.Fatal("target b tripped by target a's failures")
-	}
-	if b.Open("b") {
-		t.Fatal("target b open")
-	}
-	if !b.Open("a") {
-		t.Fatal("target a not open")
-	}
-}

@@ -132,7 +132,7 @@ func TestPermPrefix32MatchesIntnLoop(t *testing.T) {
 			}
 		}
 		// The generator state must also match: the next draws agree.
-		if ra.Intn(1 << 30) != rb.Intn(1<<30) {
+		if ra.Intn(1<<30) != rb.Intn(1<<30) {
 			t.Fatalf("m=%d: post-shuffle states diverge", m)
 		}
 	}
