@@ -25,12 +25,12 @@ test:
 
 # Race-detect the packages that spawn goroutines (measurement workers,
 # ensemble networks, experiment scheduler, mtsim's checkpointer, the mtsimd
-# daemon and its serve substrate) and the shared caches (SPT cache, topology
-# generation cache). race-all covers everything but takes several times
-# longer.
+# daemon and its serve substrate) and the shared caches (SPT cache and the
+# KMB solvers reading it, topology generation cache). race-all covers
+# everything but takes several times longer.
 race:
 	$(GO) test -race ./internal/graph/... ./internal/topology/... \
-		./internal/mcast/... ./internal/experiments/... ./internal/serve/... \
+		./internal/mcast/... ./internal/steiner/... ./internal/experiments/... ./internal/serve/... \
 		./internal/cluster/... ./internal/atomicio/... ./internal/chaos/... \
 		./cmd/mtsim/... ./cmd/mtsimd/... ./cmd/mtctl/...
 
@@ -177,6 +177,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCompareDocs -fuzztime 30s ./cmd/benchjson/
 	$(GO) test -fuzz FuzzParseChaosPlan -fuzztime 30s ./internal/chaos/
 	$(GO) test -fuzz FuzzChurnEquivalence -fuzztime 30s ./internal/mcast/
+	$(GO) test -fuzz FuzzKMBEquivalence -fuzztime 30s ./internal/steiner/
 
 # The CI fuzz gate: every target for a short burst, cheap enough to run on
 # each push (regressions on known-crasher corpora surface immediately; long
@@ -191,6 +192,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompareDocs -fuzztime 10s ./cmd/benchjson/
 	$(GO) test -run '^$$' -fuzz FuzzParseChaosPlan -fuzztime 10s ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz FuzzChurnEquivalence -fuzztime 10s ./internal/mcast/
+	$(GO) test -run '^$$' -fuzz FuzzKMBEquivalence -fuzztime 10s ./internal/steiner/
 
 # Regenerate every experiment at the default (medium) profile.
 results:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -334,9 +335,10 @@ func TestFig9bTimeoutCancels(t *testing.T) {
 }
 
 // TestExtSteinerDeadlineCancels: ext-steiner polls ctx once per source, not
-// once per grid point, so the large-m point — about 200 ms of KMB work at
-// the medium profile — cannot run past a 5 ms deadline. The topology is
-// warmed first so the deadline lands in the measurement loop.
+// once per grid point, so the large-m point — most of the run's ~20 ms of
+// KMB work at the medium profile on a 2 vCPU Xeon — cannot run past a 5 ms
+// deadline. The topology is warmed first so the deadline lands in the
+// measurement loop.
 func TestExtSteinerDeadlineCancels(t *testing.T) {
 	p := Medium()
 	p.GridPoints = 2
@@ -352,5 +354,36 @@ func TestExtSteinerDeadlineCancels(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestExtensionsHonourLargeGraph: with Profile.LargeGraph, ext-steiner and
+// ext-shared run on the compressed layout of ts1000 (the experiment builds
+// it, so fetching it afterwards is a cache hit) and produce the flat run's
+// result.
+func TestExtensionsHonourLargeGraph(t *testing.T) {
+	for _, id := range []string{"ext-steiner", "ext-shared"} {
+		flat := Quick()
+		large := flat
+		large.LargeGraph = true
+		topology.ResetCache()
+		want, err := Run(id, flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(id, large)
+		if err != nil {
+			t.Fatal(err)
+		}
+		misses := topology.CacheInfo().Misses
+		if _, err := topology.GenerateCachedOpt("ts1000", 0, large.Scale, true); err != nil {
+			t.Fatal(err)
+		}
+		if topology.CacheInfo().Misses != misses {
+			t.Errorf("%s with LargeGraph did not build the compressed ts1000", id)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: compressed result differs from flat:\n%+v\n%+v", id, got, want)
+		}
 	}
 }

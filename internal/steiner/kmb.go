@@ -10,193 +10,297 @@
 // minimum spanning tree, (3) expand MST edges into shortest paths, (4) take
 // a spanning tree of the expanded subgraph, (5) prune non-terminal leaves.
 // The result is within 2× (in fact 2−2/|Z|) of the optimal Steiner tree.
+//
+// The metric closure is the terminals' shortest-path trees, read from a
+// graph.SPTCache that fills its misses in 64-lane multi-source BFS groups,
+// or, without a cache, computed in one pooled multi-source batch. Both give
+// the canonical parents of graph.BFS, so a tree is a pure function of
+// (graph, source, receivers) whichever source the closure came from.
 package steiner
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mtreescale/internal/graph"
 )
 
 // MaxTerminals bounds the number of distinct terminals per tree; the metric
-// closure costs one BFS and one distance row per terminal.
+// closure holds one shortest-path tree (a distance and a parent row over
+// every node) per terminal.
 const MaxTerminals = 4096
 
 // TreeSize returns the number of links in the KMB approximate Steiner tree
 // spanning the source and all receivers. Duplicate receivers are fine. All
 // terminals must be mutually reachable.
 func TreeSize(g *graph.Graph, source int, receivers []int32) (int, error) {
-	edges, err := Tree(g, source, receivers)
-	if err != nil {
-		return 0, err
-	}
-	return len(edges), nil
+	return NewSolver(g, nil).TreeSize(source, receivers)
 }
 
 // Edge is an undirected link with U < V.
 type Edge struct{ U, V int32 }
 
 // Tree returns the edge set of the KMB approximate Steiner tree spanning
-// the source and all receivers.
+// the source and all receivers, sorted by (U, V).
 func Tree(g *graph.Graph, source int, receivers []int32) ([]Edge, error) {
-	if source < 0 || source >= g.N() {
-		return nil, fmt.Errorf("steiner: source %d out of range [0,%d)", source, g.N())
+	return NewSolver(g, nil).Tree(source, receivers)
+}
+
+// Solver computes KMB trees on one graph, keeping its scratch between
+// calls. A Solver is not safe for concurrent use; solvers on different
+// goroutines may share one SPT cache.
+type Solver struct {
+	g    *graph.Graph
+	spts *graph.SPTCache
+
+	// node is the per-node state of the current call. A node's terminal
+	// mark counts only when it equals epoch, and its other fields only when
+	// its union mark does, so starting a call is one increment rather than
+	// a clear of every node.
+	node  []nodeState
+	epoch uint32
+
+	terminals []int
+	dist      [][]int32 // closure: terminal i's distance row
+	parent    [][]int32 // closure: terminal i's canonical parent row
+	bestDist  []int32   // Prim's scratch, indexed like terminals
+	bestFrom  []int32
+	rem       []int32
+	keys      []uint64 // union edges, U<<32 | V, sorted and compacted
+	nodes     []int32  // union nodes in first-touch order
+	nbrs      []int32  // union adjacency, each node's run ascending
+	order     []int32  // spanning-tree BFS order
+}
+
+type nodeState struct {
+	terminal uint32 // == epoch: a terminal of the current call
+	union    uint32 // == epoch: on a union edge, and the fields below are set
+	deg, end int32  // union neighbours are nbrs[end-deg : end]
+	parent   int32  // spanning-tree parent, -1 until the BFS reaches the node
+	keep     bool   // the node's spanning subtree holds a terminal
+}
+
+// NewSolver returns a solver for g. With spts non-nil the metric closure is
+// read from that cache, filling it with the misses; with nil, every call
+// computes its closure in one pooled multi-source batch.
+func NewSolver(g *graph.Graph, spts *graph.SPTCache) *Solver {
+	return &Solver{g: g, spts: spts, node: make([]nodeState, g.N())}
+}
+
+// TreeSize returns the number of links Tree would return, without building
+// the edge list.
+func (s *Solver) TreeSize(source int, receivers []int32) (int, error) {
+	return s.solve(source, receivers)
+}
+
+// Tree returns the edge set of the KMB approximate Steiner tree spanning
+// the source and all receivers, sorted by (U, V).
+func (s *Solver) Tree(source int, receivers []int32) ([]Edge, error) {
+	size, err := s.solve(source, receivers)
+	if err != nil || size == 0 {
+		return nil, err
 	}
+	// The kept tree edges are a subset of the sorted union keys, so emitting
+	// them in key order needs no sort.
+	out := make([]Edge, 0, size)
+	for _, k := range s.keys {
+		u, v := int32(k>>32), int32(uint32(k))
+		if nu, nv := &s.node[u], &s.node[v]; nv.parent == u && nv.keep || nu.parent == v && nu.keep {
+			out = append(out, Edge{u, v})
+		}
+	}
+	return out, nil
+}
+
+// nextEpoch starts a call. On the wrap every mark is cleared: a mark left
+// 2^32 calls ago would otherwise match again.
+func (s *Solver) nextEpoch() {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.node)
+		s.epoch = 1
+	}
+}
+
+// solve runs KMB and returns the tree's link count. The union keys and the
+// node states stay valid for Tree until the next call.
+func (s *Solver) solve(source int, receivers []int32) (int, error) {
+	n := s.g.N()
+	if source < 0 || source >= n {
+		return 0, fmt.Errorf("steiner: source %d out of range [0,%d)", source, n)
+	}
+	s.nextEpoch()
+	ep, node := s.epoch, s.node
 	// Deduplicate terminals.
-	seen := map[int32]bool{int32(source): true}
-	terminals := []int32{int32(source)}
+	node[source].terminal = ep
+	s.terminals = append(s.terminals[:0], source)
 	for _, r := range receivers {
-		if r < 0 || int(r) >= g.N() {
-			return nil, fmt.Errorf("steiner: receiver %d out of range [0,%d)", r, g.N())
+		if r < 0 || int(r) >= n {
+			return 0, fmt.Errorf("steiner: receiver %d out of range [0,%d)", r, n)
 		}
-		if !seen[r] {
-			seen[r] = true
-			terminals = append(terminals, r)
+		if node[r].terminal != ep {
+			node[r].terminal = ep
+			s.terminals = append(s.terminals, int(r))
 		}
 	}
-	if len(terminals) > MaxTerminals {
-		return nil, fmt.Errorf("steiner: %d terminals exceed limit %d", len(terminals), MaxTerminals)
+	terms := s.terminals
+	t := len(terms)
+	if t > MaxTerminals {
+		return 0, fmt.Errorf("steiner: %d terminals exceed limit %d", t, MaxTerminals)
 	}
-	if len(terminals) == 1 {
-		return nil, nil
-	}
-
-	// 1. Metric closure: one BFS per terminal.
-	spts := make([]*graph.SPT, len(terminals))
-	for i, t := range terminals {
-		spt, err := g.BFS(int(t))
-		if err != nil {
-			return nil, err
-		}
-		spts[i] = spt
-		if i > 0 && spt.Dist[terminals[0]] == graph.Unreachable {
-			return nil, fmt.Errorf("steiner: terminal %d unreachable from source", t)
-		}
+	if t == 1 {
+		return 0, nil
 	}
 
-	// 2. Prim's MST over the terminal closure (O(t²)).
-	t := len(terminals)
-	inMST := make([]bool, t)
-	bestDist := make([]int32, t)
-	bestFrom := make([]int, t)
-	for i := range bestDist {
+	// 1. Metric closure: every terminal's shortest-path tree. Rows from the
+	// pooled batch are read only before this call returns it.
+	s.dist = slices.Grow(s.dist[:0], t)[:t]
+	s.parent = slices.Grow(s.parent[:0], t)[:t]
+	if s.spts == nil {
+		batch := graph.AcquireSPTBatch()
+		defer graph.ReleaseSPTBatch(batch)
+		if err := s.g.BatchSPTsInto(terms, batch); err != nil {
+			return 0, err
+		}
+		for i := range terms {
+			s.dist[i], s.parent[i] = batch.DistRow(i), batch.ParentRow(i)
+		}
+	} else {
+		if err := s.spts.FillBatch(s.g, terms); err != nil {
+			return 0, err
+		}
+		for i, v := range terms {
+			// A miss here (evicted since the fill) recomputes the same tree.
+			spt, err := s.spts.Get(s.g, v)
+			if err != nil {
+				return 0, err
+			}
+			s.dist[i], s.parent[i] = spt.Dist, spt.Parent
+		}
+	}
+	for i := 1; i < t; i++ {
+		if s.dist[i][source] == graph.Unreachable {
+			return 0, fmt.Errorf("steiner: terminal %d unreachable from source", terms[i])
+		}
+	}
+
+	// 2. Prim's MST over the terminal closure (O(t²)), the lowest index
+	// winning ties. One pass per spanned terminal folds its distance row
+	// into bestDist and picks the next terminal; rem holds the unspanned
+	// terminals in ascending order. 3. Each MST edge is expanded into its
+	// shortest path in the tree of the terminal already spanned, collecting
+	// the edge union.
+	bestDist := slices.Grow(s.bestDist[:0], t)[:t]
+	bestFrom := slices.Grow(s.bestFrom[:0], t)[:t]
+	s.bestDist, s.bestFrom = bestDist, bestFrom
+	rem := s.rem[:0]
+	for i := 1; i < t; i++ {
+		rem = append(rem, int32(i))
 		bestDist[i] = math.MaxInt32
 	}
-	inMST[0] = true
-	for i := 1; i < t; i++ {
-		bestDist[i] = spts[0].Dist[terminals[i]]
-		bestFrom[i] = 0
-	}
-	type mstEdge struct{ a, b int } // indices into terminals
-	mst := make([]mstEdge, 0, t-1)
-	for added := 1; added < t; added++ {
-		next := -1
-		for i := 0; i < t; i++ {
-			if !inMST[i] && (next == -1 || bestDist[i] < bestDist[next]) {
-				next = i
+	keys := s.keys[:0]
+	for next := int32(0); ; {
+		row := s.dist[next]
+		pick, k := int32(-1), 0
+		for _, i := range rem {
+			if i == next {
+				continue
+			}
+			rem[k] = i
+			k++
+			if d := row[terms[i]]; d != graph.Unreachable && d < bestDist[i] {
+				bestDist[i] = d
+				bestFrom[i] = next
+			}
+			if pick == -1 || bestDist[i] < bestDist[pick] {
+				pick = i
 			}
 		}
-		if next == -1 || bestDist[next] == math.MaxInt32 {
-			return nil, fmt.Errorf("steiner: terminals not mutually reachable")
+		rem = rem[:k]
+		if pick == -1 {
+			break
 		}
-		inMST[next] = true
-		mst = append(mst, mstEdge{bestFrom[next], next})
-		for i := 0; i < t; i++ {
-			if !inMST[i] {
-				if d := spts[next].Dist[terminals[i]]; d != graph.Unreachable && d < bestDist[i] {
-					bestDist[i] = d
-					bestFrom[i] = next
-				}
-			}
+		if bestDist[pick] == math.MaxInt32 {
+			return 0, fmt.Errorf("steiner: terminals not mutually reachable")
 		}
-	}
-
-	// 3. Expand MST edges into shortest paths; collect the edge union.
-	edgeSet := map[Edge]bool{}
-	for _, e := range mst {
-		// Walk from terminals[e.b] toward terminals[e.a] in e.a's SPT.
-		spt := spts[e.a]
-		v := terminals[e.b]
-		for v != terminals[e.a] {
-			p := spt.Parent[v]
-			edgeSet[canon(v, p)] = true
+		from := bestFrom[pick]
+		par, root := s.parent[from], int32(terms[from])
+		for v := int32(terms[pick]); v != root; {
+			p := par[v]
+			keys = append(keys, edgeKey(v, p))
 			v = p
 		}
+		next = pick
 	}
+	s.rem = rem
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	s.keys = keys
 
-	// 4+5. The expanded union is connected and spans all terminals; take a
-	// spanning tree of it (BFS from the source over union edges) and prune
-	// non-terminal leaves.
-	adj := map[int32][]int32{}
-	for e := range edgeSet {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
+	// 4. Spanning tree of the union: BFS from the source, neighbours in
+	// ascending order. Filling the adjacency from the sorted keys leaves
+	// every node's run ascending: its lower neighbours arrive first, from
+	// keys (u, v) in ascending u, then its higher ones in ascending v.
+	s.nodes = s.nodes[:0]
+	for _, k := range keys {
+		for _, x := range [2]int32{int32(k >> 32), int32(uint32(k))} {
+			if node[x].union != ep {
+				node[x] = nodeState{terminal: node[x].terminal, union: ep, parent: -1}
+				s.nodes = append(s.nodes, x)
+			}
+			node[x].deg++
+		}
 	}
-	parent := map[int32]int32{int32(source): int32(source)}
-	order := []int32{int32(source)}
+	sum := int32(0)
+	for _, x := range s.nodes {
+		node[x].end = sum
+		sum += node[x].deg
+	}
+	nbrs := slices.Grow(s.nbrs[:0], int(sum))[:sum]
+	s.nbrs = nbrs
+	for _, k := range keys {
+		u, v := int32(k>>32), int32(uint32(k))
+		nbrs[node[u].end] = v
+		node[u].end++
+		nbrs[node[v].end] = u
+		node[v].end++
+	}
+	order := append(s.order[:0], int32(source))
+	node[source].parent = int32(source)
 	for head := 0; head < len(order); head++ {
 		u := order[head]
-		ns := adj[u]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] }) // deterministic
-		for _, w := range ns {
-			if _, ok := parent[w]; !ok {
-				parent[w] = u
+		for _, w := range nbrs[node[u].end-node[u].deg : node[u].end] {
+			if node[w].parent == -1 {
+				node[w].parent = u
 				order = append(order, w)
 			}
 		}
 	}
-	// Children counts for pruning.
-	childCount := map[int32]int{}
-	for v, p := range parent {
-		if v != p {
-			childCount[p]++
+	s.order = order
+
+	// 5. Prune non-terminal leaves until none is left: a node stays exactly
+	// when its spanning subtree holds a terminal, which one pass in reverse
+	// BFS order (children before parents) decides.
+	size := 0
+	for i := len(order) - 1; i > 0; i-- {
+		v := order[i]
+		if node[v].keep || node[v].terminal == ep {
+			node[v].keep = true
+			node[node[v].parent].keep = true
+			size++
 		}
 	}
-	removed := map[int32]bool{}
-	// Iteratively remove non-terminal leaves.
-	queue := make([]int32, 0)
-	for v := range parent {
-		if childCount[v] == 0 && !seen[v] {
-			queue = append(queue, v)
-		}
-	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if removed[v] || seen[v] || childCount[v] != 0 {
-			continue
-		}
-		removed[v] = true
-		p := parent[v]
-		childCount[p]--
-		if childCount[p] == 0 && !seen[p] && p != parent[p] {
-			queue = append(queue, p)
-		}
-	}
-	var out []Edge
-	for v, p := range parent {
-		if v == p || removed[v] {
-			continue
-		}
-		out = append(out, canon(v, p))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out, nil
+	return size, nil
 }
 
-func canon(a, b int32) Edge {
+// edgeKey packs the undirected edge {a, b} as U<<32 | V with U < V, so
+// sorting keys sorts edges by (U, V).
+func edgeKey(a, b int32) uint64 {
 	if a > b {
 		a, b = b, a
 	}
-	return Edge{a, b}
+	return uint64(a)<<32 | uint64(b)
 }
 
 // Validate checks that the edge list forms a tree spanning the source and

@@ -1,6 +1,9 @@
 package steiner
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -241,4 +244,166 @@ func TestTreeDeterministic(t *testing.T) {
 			t.Fatal("nondeterministic edges")
 		}
 	}
+}
+
+// referenceTree is a plain map-based KMB — one BFS per terminal for the
+// closure, maps for the union, the spanning tree and the prune — that the
+// equivalence tests hold Solver to, edge for edge and error for error.
+func referenceTree(g *graph.Graph, source int, receivers []int32) ([]Edge, error) {
+	if source < 0 || source >= g.N() {
+		return nil, fmt.Errorf("steiner: source %d out of range [0,%d)", source, g.N())
+	}
+	// Deduplicate terminals.
+	seen := map[int32]bool{int32(source): true}
+	terminals := []int32{int32(source)}
+	for _, r := range receivers {
+		if r < 0 || int(r) >= g.N() {
+			return nil, fmt.Errorf("steiner: receiver %d out of range [0,%d)", r, g.N())
+		}
+		if !seen[r] {
+			seen[r] = true
+			terminals = append(terminals, r)
+		}
+	}
+	if len(terminals) > MaxTerminals {
+		return nil, fmt.Errorf("steiner: %d terminals exceed limit %d", len(terminals), MaxTerminals)
+	}
+	if len(terminals) == 1 {
+		return nil, nil
+	}
+
+	// 1. Metric closure: one BFS per terminal.
+	spts := make([]*graph.SPT, len(terminals))
+	for i, t := range terminals {
+		spt, err := g.BFS(int(t))
+		if err != nil {
+			return nil, err
+		}
+		spts[i] = spt
+		if i > 0 && spt.Dist[terminals[0]] == graph.Unreachable {
+			return nil, fmt.Errorf("steiner: terminal %d unreachable from source", t)
+		}
+	}
+
+	// 2. Prim's MST over the terminal closure (O(t²)).
+	t := len(terminals)
+	inMST := make([]bool, t)
+	bestDist := make([]int32, t)
+	bestFrom := make([]int, t)
+	for i := range bestDist {
+		bestDist[i] = math.MaxInt32
+	}
+	inMST[0] = true
+	for i := 1; i < t; i++ {
+		bestDist[i] = spts[0].Dist[terminals[i]]
+		bestFrom[i] = 0
+	}
+	type mstEdge struct{ a, b int } // indices into terminals
+	mst := make([]mstEdge, 0, t-1)
+	for added := 1; added < t; added++ {
+		next := -1
+		for i := 0; i < t; i++ {
+			if !inMST[i] && (next == -1 || bestDist[i] < bestDist[next]) {
+				next = i
+			}
+		}
+		if next == -1 || bestDist[next] == math.MaxInt32 {
+			return nil, fmt.Errorf("steiner: terminals not mutually reachable")
+		}
+		inMST[next] = true
+		mst = append(mst, mstEdge{bestFrom[next], next})
+		for i := 0; i < t; i++ {
+			if !inMST[i] {
+				if d := spts[next].Dist[terminals[i]]; d != graph.Unreachable && d < bestDist[i] {
+					bestDist[i] = d
+					bestFrom[i] = next
+				}
+			}
+		}
+	}
+
+	// 3. Expand MST edges into shortest paths; collect the edge union.
+	edgeSet := map[Edge]bool{}
+	for _, e := range mst {
+		// Walk from terminals[e.b] toward terminals[e.a] in e.a's SPT.
+		spt := spts[e.a]
+		v := terminals[e.b]
+		for v != terminals[e.a] {
+			p := spt.Parent[v]
+			edgeSet[canon(v, p)] = true
+			v = p
+		}
+	}
+
+	// 4+5. The expanded union is connected and spans all terminals; take a
+	// spanning tree of it (BFS from the source over union edges) and prune
+	// non-terminal leaves.
+	adj := map[int32][]int32{}
+	for e := range edgeSet {
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	parent := map[int32]int32{int32(source): int32(source)}
+	order := []int32{int32(source)}
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		ns := adj[u]
+		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] }) // deterministic
+		for _, w := range ns {
+			if _, ok := parent[w]; !ok {
+				parent[w] = u
+				order = append(order, w)
+			}
+		}
+	}
+	// Children counts for pruning.
+	childCount := map[int32]int{}
+	for v, p := range parent {
+		if v != p {
+			childCount[p]++
+		}
+	}
+	removed := map[int32]bool{}
+	// Iteratively remove non-terminal leaves.
+	queue := make([]int32, 0)
+	for v := range parent {
+		if childCount[v] == 0 && !seen[v] {
+			queue = append(queue, v)
+		}
+	}
+	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		if removed[v] || seen[v] || childCount[v] != 0 {
+			continue
+		}
+		removed[v] = true
+		p := parent[v]
+		childCount[p]--
+		if childCount[p] == 0 && !seen[p] && p != parent[p] {
+			queue = append(queue, p)
+		}
+	}
+	var out []Edge
+	for v, p := range parent {
+		if v == p || removed[v] {
+			continue
+		}
+		out = append(out, canon(v, p))
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].U != out[j].U {
+			return out[i].U < out[j].U
+		}
+		return out[i].V < out[j].V
+	})
+	return out, nil
+}
+
+func canon(a, b int32) Edge {
+	if a > b {
+		a, b = b, a
+	}
+	return Edge{a, b}
 }
