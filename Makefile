@@ -177,6 +177,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCompareDocs -fuzztime 30s ./cmd/benchjson/
 	$(GO) test -fuzz FuzzParseChaosPlan -fuzztime 30s ./internal/chaos/
 	$(GO) test -fuzz FuzzChurnEquivalence -fuzztime 30s ./internal/mcast/
+	$(GO) test -fuzz FuzzDenseEquivalence -fuzztime 30s ./internal/mcast/
 	$(GO) test -fuzz FuzzKMBEquivalence -fuzztime 30s ./internal/steiner/
 
 # The CI fuzz gate: every target for a short burst, cheap enough to run on
@@ -192,6 +193,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompareDocs -fuzztime 10s ./cmd/benchjson/
 	$(GO) test -run '^$$' -fuzz FuzzParseChaosPlan -fuzztime 10s ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz FuzzChurnEquivalence -fuzztime 10s ./internal/mcast/
+	$(GO) test -run '^$$' -fuzz FuzzDenseEquivalence -fuzztime 10s ./internal/mcast/
 	$(GO) test -run '^$$' -fuzz FuzzKMBEquivalence -fuzztime 10s ./internal/steiner/
 
 # Regenerate every experiment at the default (medium) profile.

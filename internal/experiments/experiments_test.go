@@ -357,12 +357,12 @@ func TestExtSteinerDeadlineCancels(t *testing.T) {
 	}
 }
 
-// TestExtensionsHonourLargeGraph: with Profile.LargeGraph, ext-steiner and
-// ext-shared run on the compressed layout of ts1000 (the experiment builds
-// it, so fetching it afterwards is a cache hit) and produce the flat run's
-// result.
+// TestExtensionsHonourLargeGraph: with Profile.LargeGraph, ext-steiner,
+// ext-shared, table1 and the churn experiments run on the compressed layout
+// of ts1000 (the experiment builds it, so fetching it afterwards is a cache
+// hit) and produce the flat run's result.
 func TestExtensionsHonourLargeGraph(t *testing.T) {
-	for _, id := range []string{"ext-steiner", "ext-shared"} {
+	for _, id := range []string{"ext-steiner", "ext-shared", "table1", "churn-steady", "churn-repair"} {
 		flat := Quick()
 		large := flat
 		large.LargeGraph = true

@@ -348,24 +348,28 @@ func runWorkersN(ctx context.Context, workers, nJobs int, job func(i int) error)
 // the receiver buffer. Pooling it means steady-state measurement performs no
 // per-source allocation beyond the RNG stream.
 type sourceScratch struct {
-	spt     graph.SPT
-	spt2    graph.SPT // core-rooted tree for the shared-curve engine
-	view    graph.SPT // batch lane view; aliases a slab, never fed to BFSInto
-	view2   graph.SPT // core lane view for the shared-curve batch path
-	pd, pd2 []int64   // packed (dist, parent) words for the fused loops
-	counter *TreeCounter
-	smp     Sampler
-	recv    []int32
-	// ar backs pd/pd2 and the sampler scratch with recycled slabs, so
-	// sweeping graphs of different scales (the large-graph regime's 1M/10M
-	// interleavings) re-slabs instead of re-allocating. The counter keeps
-	// plain make: its epoch array must be zeroed on growth either way.
+	spt         graph.SPT
+	spt2        graph.SPT // core-rooted tree for the shared-curve engine
+	view        graph.SPT // batch lane view; aliases a slab, never fed to BFSInto
+	view2       graph.SPT // core lane view for the shared-curve batch path
+	pd, pd2     []int64   // packed (dist, parent) words for the climbs
+	rows, rows2 rankRows  // BFS-rank rows of the same trees for the dense sweep
+	counter     *TreeCounter
+	smp         Sampler
+	recv        []int32
+	// ar backs pd/pd2, the rank rows and the sampler scratch with recycled
+	// slabs, so sweeping graphs of different scales (the large-graph
+	// regime's 1M/10M interleavings) re-slabs instead of re-allocating. The
+	// counter keeps plain make: its epoch array must be zeroed on growth
+	// either way.
 	ar *arena.Arena
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	sc := &sourceScratch{ar: arena.New()}
 	sc.smp.ar = sc.ar
+	sc.rows.ar = sc.ar
+	sc.rows2.ar = sc.ar
 	return sc
 }}
 
@@ -423,7 +427,8 @@ func (sc *sourceScratch) prepare(g *graph.Graph, src, si, lane int, p Protocol, 
 // source: an independent receiver set per (size, repetition), observing ctx
 // at every grid point so cancellation interrupts even a single huge source.
 // The tree is packed once per source and every sample measured through the
-// fused packed walk (exact-integer equivalent of counter.Measure).
+// fused counters (exact-integer equivalents of counter.Measure): climbs for
+// small groups, the dense rank sweep from the crossover up (packed.go).
 //
 // si is the global source index (RNG identity); lane is the batch-slab and
 // accumulator slot (lane == si for a full sweep, si - SrcLo for a partial).
@@ -435,6 +440,7 @@ func measureSourceIndependent(ctx context.Context, g *graph.Graph, src, si, lane
 		return err
 	}
 	sc.pd = packTree(spt, sc.growPacked(sc.pd, len(spt.Parent)))
+	sc.rows.use(spt)
 	for k, size := range sizes {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -451,7 +457,7 @@ func measureSourceIndependent(ctx context.Context, g *graph.Graph, src, si, lane
 			if err != nil {
 				return err
 			}
-			meas := sc.counter.measurePacked(int32(spt.Source), sc.pd, sc.recv)
+			meas := sc.counter.measurePacked(int32(spt.Source), sc.pd, &sc.rows, sc.recv)
 			if meas.Receivers == 0 {
 				continue // source in a tiny component; skip sample
 			}

@@ -1,29 +1,57 @@
 package mcast
 
 import (
+	"mtreescale/internal/arena"
 	"mtreescale/internal/graph"
 )
 
-// This file holds the packed-tree fast paths of the measurement loops. An
-// SPT stores Dist and Parent as two parallel int32 arrays, so every step of
-// a tree climb costs two random loads. The engines instead pack both into
-// one int64 word per node,
+// This file holds the tree-counting fast paths of the measurement loops. A
+// delivery tree is the Steiner subtree of the source's SPT: the nodes with a
+// receiver in their subtree, each contributing the link to its parent. The
+// engines count it in one of two ways, chosen by group size alone.
+//
+// Climbs, for small groups. An SPT stores Dist and Parent as two parallel
+// int32 arrays, so every step of a tree climb would cost two random loads.
+// The engines instead pack both into one int64 word per node,
 //
 //	pd[v] = int64(Dist[v])<<32 | int64(uint32(Parent[v]))
 //
-// and the hot loops do one load per step: the distance is pd[v]>>32
-// (arithmetic shift, so the -1 of an unreachable node survives — pd[v] < 0
-// iff v is unreachable) and the parent is int32(uint32(pd[v])). Packing is
-// O(N) once per source and is repaid over NRcvr×GridPoints climbs.
+// and climb from each receiver towards the source, one load per step, until
+// a node already in the tree: O(L) dependent random loads per group. The
+// distance is pd[v]>>32 (arithmetic shift, so the -1 of an unreachable node
+// survives — pd[v] < 0 iff v is unreachable) and the parent is
+// int32(uint32(pd[v])). Packing is O(N) once per source and is repaid over
+// NRcvr×GridPoints climbs.
 //
-// The packed walks compute exactly the integers (links, hop sums, receiver
-// counts) of TreeCounter.Measure / Add / SharedTreeSize — same visited-epoch
-// scheme, same climb order — so engine results are byte-identical whether or
-// not these paths run. They are unconditional: not gated on Protocol.BatchBFS.
+// A dense sweep, for large groups. The same tree renumbered into BFS rank
+// (rankRows) puts every parent at a lower rank than its children, so one
+// pass from the last rank to the first, mark[prank[k]] |= mark[k], marks
+// exactly the nodes with a marked descendant (Guillemin and Robert,
+// cs/0702156) and counts them on the way. The pass costs one streaming step
+// per reachable node whatever the group; the climbs cost one dependent
+// random load per tree node, several times dearer each, and the tree grows
+// towards N with the group's density m/N. So the crossover is a density,
+// size*denseCrossover >= N, and a constant rather than an option: it is set
+// by the ratio of a random load to a streaming step, a property of the host's
+// memory hierarchy, not of the run. BenchmarkTreeSizeCrossover re-derives it
+// (EXPERIMENTS.md has the table); near the crossover the two cost about the
+// same, so a host whose best value differs a little loses little, and only
+// at the one or two log-spaced grid points nearest it.
+//
+// Both strategies compute exactly the integers (links, hop sums, receiver
+// counts) of TreeCounter.Measure / TreeSize / SharedTreeSize, so engine
+// results are byte-identical whichever runs. The nested engine keeps
+// climbing: it grows one tree per repetition and reads it off at every grid
+// size, so its climbs already total O(L(maxM)) per repetition, no more than
+// one sweep, where sweeping would cost one pass per grid size.
 //
 // Receiver slices come from the Sampler, whose site population is built from
-// node IDs in [0, N), so the loops index pd without range guards; the
+// node IDs in [0, N), so the loops index pd and rd without range guards; the
 // unreachable check doubles as the only per-receiver branch.
+
+// denseCrossover is the group density at which the dense sweep replaces
+// climbs: groups of size m with m*denseCrossover >= N are swept.
+const denseCrossover = 16
 
 // packTree packs spt's Dist and Parent into one int64-per-node array,
 // reusing dst's storage when large enough.
@@ -87,11 +115,152 @@ func climb4(pd []int64, visited []int32, epoch int32, r0, r1, r2, r3 int32) int 
 	}
 }
 
-// measurePacked is the fused packed equivalent of Measure: one pass over the
-// receivers computes the delivery-tree size, the unicast hop sum and the
-// reachable count together. Receivers are climbed four at a time (climb4);
-// the short tail falls back to the one-at-a-time loop.
-func (c *TreeCounter) measurePacked(source int32, pd []int64, receivers []int32) Measurement {
+// rankRows is one SPT renumbered into BFS rank for the dense sweep. The
+// rank of a node is its position in a nondecreasing-distance order with the
+// source at rank 0, so every parent ranks below its children. The rows are
+// built from the tree on first use (rank), so a source whose groups all stay
+// below the crossover never pays for them, and live in the owning scratch's
+// arena.
+type rankRows struct {
+	spt *graph.SPT // the tree still to rank; nil once the rows hold its ranks
+	ar  *arena.Arena
+
+	rd    []int64 // rd[v] = dist<<32 | rank(v); negative when v is unreachable
+	prank []int32 // prank[k] = rank of the parent of rank k; prank[0] = 0
+	mark  []int32 // mark[k] = 1 when rank k has a group member below it; all 0 between counts
+}
+
+// use points the rows at a new source tree; they are ranked on first use.
+func (rr *rankRows) use(spt *graph.SPT) { rr.spt = spt }
+
+// rank builds the rows from spt.Order or, for a batch lane view (nil
+// Order), from a counting sort of Dist that puts one level's nodes in index
+// order. Either order gives the same counts: the sweep needs only that
+// parents rank below children.
+func (rr *rankRows) rank() {
+	t, ar := rr.spt, rr.ar
+	rr.spt = nil
+	rd := ar.GrowInt64(rr.rd, len(t.Dist))
+	reach := len(t.Order)
+	if t.Order != nil {
+		for v := range rd {
+			rd[v] = -1
+		}
+		for k, v := range t.Order {
+			rd[v] = int64(t.Dist[v])<<32 | int64(k)
+		}
+	} else {
+		depth := int32(-1)
+		for _, d := range t.Dist {
+			depth = max(depth, d)
+		}
+		level := ar.Int32(int(depth) + 1)
+		clear(level)
+		for _, d := range t.Dist {
+			if d >= 0 {
+				level[d]++
+			}
+		}
+		for d, c := range level {
+			level[d] = int32(reach)
+			reach += int(c)
+		}
+		for v, d := range t.Dist {
+			if d < 0 {
+				rd[v] = -1
+				continue
+			}
+			rd[v] = int64(d)<<32 | int64(level[d])
+			level[d]++
+		}
+		ar.PutInt32(level)
+	}
+	prank := ar.GrowInt32(rr.prank, reach)
+	for v, w := range rd {
+		if w >= 0 {
+			prank[uint32(w)] = int32(uint32(rd[t.Parent[v]]))
+		}
+	}
+	mark := ar.GrowInt32(rr.mark, reach)
+	clear(mark)
+	rr.rd, rr.prank, rr.mark = rd, prank, mark
+}
+
+// countDense is the dense routine behind all three counters: it marks the
+// rank of extra (the shared tree's source; -1 for none) and of every
+// reachable receiver, one load per receiver that also yields its hop count,
+// then sweeps the ranks once from last to first, counting each rank with a
+// marked descendant and clearing the marks for the next group. Rank 0, the
+// root, is never counted, just as a climb stops at it.
+func (rr *rankRows) countDense(extra int32, receivers []int32) Measurement {
+	if rr.spt != nil {
+		rr.rank()
+	}
+	rd, prank, mark := rr.rd, rr.prank, rr.mark
+	var m Measurement
+	if extra >= 0 && int(extra) < len(rd) && rd[extra] >= 0 {
+		mark[uint32(rd[extra])] = 1
+	}
+	for _, r := range receivers {
+		w := rd[r]
+		if w < 0 {
+			continue
+		}
+		m.UnicastHops += w >> 32
+		m.Receivers++
+		mark[uint32(w)] = 1
+	}
+	prank = prank[:len(mark)]
+	links := int32(0)
+	for k := len(mark) - 1; k > 0; k-- {
+		mk := mark[k]
+		links += mk
+		mark[prank[k]] |= mk
+		mark[k] = 0
+	}
+	mark[0] = 0
+	m.Links = int(links)
+	return m
+}
+
+// dense reports whether a group of size receivers on an n-node graph is
+// counted by the sweep rather than by climbs.
+func dense(size, n int) bool { return size*denseCrossover >= n }
+
+// measurePacked is the fused equivalent of Measure: the tree size, the
+// unicast hop sum and the reachable count of one group, counted by the dense
+// sweep over rows at or above the crossover and by climbs on pd below it.
+func (c *TreeCounter) measurePacked(source int32, pd []int64, rows *rankRows, receivers []int32) Measurement {
+	if dense(len(receivers), len(pd)) {
+		return rows.countDense(-1, receivers)
+	}
+	return c.measureClimb(source, pd, receivers)
+}
+
+// treeSizePacked is the fused equivalent of TreeSize, dispatched like
+// measurePacked.
+func (c *TreeCounter) treeSizePacked(source int32, pd []int64, rows *rankRows, receivers []int32) int {
+	if dense(len(receivers), len(pd)) {
+		return rows.countDense(-1, receivers).Links
+	}
+	return c.treeSizeClimb(source, pd, receivers)
+}
+
+// sharedTreeSizePacked is the fused equivalent of SharedTreeSize on the
+// core-rooted tree (pd, rows): the group's source is a member alongside the
+// receivers. Dispatched like measurePacked.
+func (c *TreeCounter) sharedTreeSizePacked(core int32, pd []int64, rows *rankRows, source int32, receivers []int32) int {
+	if dense(len(receivers), len(pd)) {
+		return rows.countDense(source, receivers).Links
+	}
+	return c.sharedTreeSizeClimb(core, pd, source, receivers)
+}
+
+// measureClimb is measurePacked's climbing path: one pass over the receivers
+// computes the delivery-tree size, the unicast hop sum and the reachable
+// count together. Receivers are climbed four at a time (climb4); the short
+// tail falls back to the one-at-a-time loop.
+func (c *TreeCounter) measureClimb(source int32, pd []int64, receivers []int32) Measurement {
 	if len(pd) > len(c.visited) {
 		c.visited = make([]int32, len(pd))
 		c.epoch = 0
@@ -149,9 +318,9 @@ func (c *TreeCounter) measurePacked(source int32, pd []int64, receivers []int32)
 	return m
 }
 
-// treeSizePacked is the packed equivalent of TreeSize, with the same
-// four-wide climb as measurePacked.
-func (c *TreeCounter) treeSizePacked(source int32, pd []int64, receivers []int32) int {
+// treeSizeClimb is treeSizePacked's climbing path, with the same four-wide
+// climb as measureClimb.
+func (c *TreeCounter) treeSizeClimb(source int32, pd []int64, receivers []int32) int {
 	if len(pd) > len(c.visited) {
 		c.visited = make([]int32, len(pd))
 		c.epoch = 0
@@ -191,10 +360,10 @@ func (c *TreeCounter) treeSizePacked(source int32, pd []int64, receivers []int32
 	return links
 }
 
-// sharedTreeSizePacked is the packed equivalent of SharedTreeSize: the
+// sharedTreeSizeClimb is sharedTreeSizePacked's climbing path: the
 // core-rooted tree is climbed from the group's source and from every
 // receiver under one epoch.
-func (c *TreeCounter) sharedTreeSizePacked(core int32, pd []int64, source int32, receivers []int32) int {
+func (c *TreeCounter) sharedTreeSizeClimb(core int32, pd []int64, source int32, receivers []int32) int {
 	if len(pd) > len(c.visited) {
 		c.visited = make([]int32, len(pd))
 		c.epoch = 0

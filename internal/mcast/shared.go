@@ -218,7 +218,7 @@ func (a *SharedPartial) reduce(sizes []int) []SharedPoint {
 // measureSourceShared runs the shared-curve inner loop for one source: both
 // trees resolved (lane views when the batch path is engaged, else from the
 // SPT cache when enabled, else per-source BFS), packed, then every
-// (size, rep) sample measured against each through the fused packed walks.
+// (size, rep) sample measured against each through the fused counters.
 // ctx is polled at every grid point.
 //
 // si is the global source index (RNG identity); lane is the slot in the
@@ -251,6 +251,8 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, 
 	}
 	sc.pd = packTree(srcSPT, sc.growPacked(sc.pd, len(srcSPT.Parent)))
 	sc.pd2 = packTree(coreSPT, sc.growPacked(sc.pd2, len(coreSPT.Parent)))
+	sc.rows.use(srcSPT)
+	sc.rows2.use(coreSPT)
 	// Receivers always exclude the source here (the shared-tree comparison
 	// keeps the paper's receiver model regardless of IncludeSource).
 	if err := sc.smp.Reset(g.N(), source, rng.NewChild(p.Seed, int64(si))); err != nil {
@@ -266,8 +268,8 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, 
 			if err != nil {
 				return err
 			}
-			src := sc.counter.treeSizePacked(int32(srcSPT.Source), sc.pd, sc.recv)
-			shr := sc.counter.sharedTreeSizePacked(int32(coreSPT.Source), sc.pd2, int32(source), sc.recv)
+			src := sc.counter.treeSizePacked(int32(srcSPT.Source), sc.pd, &sc.rows, sc.recv)
+			shr := sc.counter.sharedTreeSizePacked(int32(coreSPT.Source), sc.pd2, &sc.rows2, int32(source), sc.recv)
 			if src == 0 {
 				continue
 			}
