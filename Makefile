@@ -166,7 +166,7 @@ membership-smoke:
 		./internal/cluster/... ./internal/atomicio/... ./internal/retry/...
 	./scripts/membership_smoke.sh
 
-# Short fuzzing passes over the parsers.
+# Short fuzzing passes over the parsers and the equivalence gates.
 fuzz:
 	$(GO) test -fuzz FuzzRead$$ -fuzztime 30s ./internal/graph/
 	$(GO) test -fuzz FuzzAdjCodec -fuzztime 30s ./internal/graph/
@@ -179,6 +179,7 @@ fuzz:
 	$(GO) test -fuzz FuzzChurnEquivalence -fuzztime 30s ./internal/mcast/
 	$(GO) test -fuzz FuzzDenseEquivalence -fuzztime 30s ./internal/mcast/
 	$(GO) test -fuzz FuzzKMBEquivalence -fuzztime 30s ./internal/steiner/
+	$(GO) test -fuzz FuzzChainEquivalence -fuzztime 30s ./internal/affinity/
 
 # The CI fuzz gate: every target for a short burst, cheap enough to run on
 # each push (regressions on known-crasher corpora surface immediately; long
@@ -195,6 +196,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChurnEquivalence -fuzztime 10s ./internal/mcast/
 	$(GO) test -run '^$$' -fuzz FuzzDenseEquivalence -fuzztime 10s ./internal/mcast/
 	$(GO) test -run '^$$' -fuzz FuzzKMBEquivalence -fuzztime 10s ./internal/steiner/
+	$(GO) test -run '^$$' -fuzz FuzzChainEquivalence -fuzztime 10s ./internal/affinity/
 
 # Regenerate every experiment at the default (medium) profile.
 results:

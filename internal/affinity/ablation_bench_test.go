@@ -5,6 +5,7 @@ package affinity
 // tree size from scratch (what a naive sampler would do after every move).
 
 import (
+	"fmt"
 	"testing"
 
 	"mtreescale/internal/graph"
@@ -24,6 +25,35 @@ func BenchmarkAblationMCMCIncremental(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Step()
+	}
+}
+
+// BenchmarkChainStep times one Metropolis move on Figure 9's binary trees
+// at its smallest and largest group sizes, uniform (β = 0) and strongly
+// clustered (β = 10). Each chain runs 20 sweeps before the clock starts.
+func BenchmarkChainStep(b *testing.B) {
+	for _, depth := range []int{8, 10, 12} {
+		m, err := NewTreeModel(2, depth)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, n := range []int{40, 10000} {
+			for _, beta := range []float64{0, 10} {
+				b.Run(fmt.Sprintf("D=%d/n=%d/beta=%g", depth, n, beta), func(b *testing.B) {
+					c, err := m.NewChain(n, beta, rng.New(1))
+					if err != nil {
+						b.Fatal(err)
+					}
+					for s := 0; s < 20; s++ {
+						c.Sweep()
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.Step()
+					}
+				})
+			}
+		}
 	}
 }
 

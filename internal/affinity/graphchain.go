@@ -2,7 +2,6 @@ package affinity
 
 import (
 	"fmt"
-	"math"
 
 	"mtreescale/internal/graph"
 	"mtreescale/internal/mcast"
@@ -227,33 +226,29 @@ func (c *GraphChain) Step() {
 		c.accepted++
 		return
 	}
-	// Δ(Σ_j d(r_i, r_j)) when moving receiver i.
+	// Δ(Σ_j d(r_i, r_j)) when moving receiver i. The rows and slices are
+	// read into locals once; indexed through c, each would be loaded and
+	// bounds-checked again for every receiver.
+	pos, rowTo := c.positions, c.dist[to]
 	var newSum int64
-	for j := 0; j < c.n; j++ {
+	for j, p := range pos {
 		if j != i {
-			newSum += int64(c.dist[to][c.positions[j]])
+			newSum += int64(rowTo[p])
 		}
 	}
 	delta := newSum - c.sumTo[i]
-	accept := true
-	if c.beta != 0 && c.n >= 2 {
-		pairs := float64(int64(c.n) * int64(c.n-1) / 2)
-		deltaD := float64(delta) / pairs
-		if (c.beta > 0 && deltaD > 0) || (c.beta < 0 && deltaD < 0) {
-			accept = c.rand.Float64() < math.Exp(-c.beta*deltaD)
-		}
-	}
-	if !accept {
+	if !accepts(c.rand, c.beta, delta, c.n) {
 		return
 	}
 	c.accepted++
 	// Update sums: every other receiver's load changes by d(to,·)−d(from,·).
-	for j := 0; j < c.n; j++ {
+	rowFrom, sumTo := c.dist[from], c.sumTo[:len(pos)]
+	for j, p := range pos {
 		if j != i {
-			c.sumTo[j] += int64(c.dist[to][c.positions[j]]) - int64(c.dist[from][c.positions[j]])
+			sumTo[j] += int64(rowTo[p]) - int64(rowFrom[p])
 		}
 	}
-	c.sumTo[i] = newSum
+	sumTo[i] = newSum
 	c.pairSum += delta
 	c.positions[i] = to
 }

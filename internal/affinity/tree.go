@@ -9,14 +9,24 @@
 // chain and reports the weighted mean delivery-tree size L̄_β(n) plotted in
 // Figure 9.
 //
-// On k-ary trees every move is O(depth): receiver counts are maintained per
+// On k-ary trees every move is O(depth): receiver counts c are kept per
 // link, which gives both the pairwise-distance sum (Σ_links c·(n−c)) and the
-// tree size (#links with c > 0) incrementally.
+// tree size (#links with c > 0). A move walks the two root paths it touches
+// and updates both sums once per walk with integer arithmetic: a +1 at count
+// c adds n−2c−1 to the pair sum, a −1 adds 2c−n−1. Nodes are numbered in
+// level order, so each ancestor is computed, parent(v) = (v−1)/K, rather
+// than loaded from a table.
+//
+// Both chains accept an uphill move (x = −β·Δd̂ < 0) when a uniform u falls
+// below e^x. The bounds 1+x ≤ e^x ≤ 1+x+x²/2 decide most draws; math.Exp
+// runs only for the u between them, so every decision is the one
+// u < math.Exp(x) would make.
 package affinity
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mtreescale/internal/valid"
 )
@@ -25,14 +35,19 @@ import (
 // non-root nodes by default, matching §5.4 ("for the simulations ... we
 // allow receivers to be at all sites"); NewLeafChain restricts sites to the
 // leaves, the setting of the §5.2-5.3 closed forms.
+//
+// Nodes are numbered in level order, the layout of topology.NewKAryTree, so
+// the model keeps no per-node table: the parent of node v > 0 is (v−1)/K.
 type TreeModel struct {
 	K, Depth int
-	// parent[v] is the tree parent of node v (parent[0] = -1).
-	parent []int32
-	// depth[v] is the level of node v.
-	depth []int32
+	// nodes is the node count, root included; the constructor caps it at
+	// 2²⁸.
+	nodes int
 	// firstLeaf is the id of the first depth-D node.
 	firstLeaf int
+	// recip is ⌊(2⁶⁴−1)/K⌋+1, so that parentOf divides by K with one
+	// multiply.
+	recip uint64
 }
 
 // NewTreeModel builds the complete k-ary tree of the given shape.
@@ -52,44 +67,44 @@ func NewTreeModel(k, depth int) (*TreeModel, error) {
 		}
 		levelSize *= k
 	}
-	m := &TreeModel{K: k, Depth: depth, parent: make([]int32, total), depth: make([]int32, total)}
-	// Leaves are the last k^D nodes in level order.
-	leaves := 1
-	for i := 0; i < depth; i++ {
-		leaves *= k
-	}
-	m.firstLeaf = total - leaves
-	m.parent[0] = -1
-	// Level-order layout identical to topology.NewKAryTree.
-	levelStart := 0
-	levelSize = 1
-	for l := 0; l < depth; l++ {
-		nextStart := levelStart + levelSize
-		for i := 0; i < levelSize; i++ {
-			p := levelStart + i
-			for c := 0; c < k; c++ {
-				child := nextStart + i*k + c
-				m.parent[child] = int32(p)
-				m.depth[child] = int32(l + 1)
-			}
-		}
-		levelStart = nextStart
-		levelSize *= k
-	}
-	return m, nil
+	// The last level holds k^D = levelSize/k nodes: the leaves.
+	return &TreeModel{
+		K:         k,
+		Depth:     depth,
+		nodes:     total,
+		firstLeaf: total - levelSize/k,
+		recip:     math.MaxUint64/uint64(k) + 1,
+	}, nil
+}
+
+// parentOf returns (v−1)/K for a non-root node v, where recip is the
+// model's ⌊(2⁶⁴−1)/K⌋+1: the high word of (v−1)·recip. The quotient is exact
+// whenever (v−1)·K < 2⁶⁴, which every id below the 2²⁸ node cap satisfies.
+func parentOf(v, recip uint64) uint64 {
+	hi, _ := bits.Mul64(v-1, recip)
+	return hi
 }
 
 // Nodes returns the total node count, root included.
-func (m *TreeModel) Nodes() int { return len(m.parent) }
+func (m *TreeModel) Nodes() int { return m.nodes }
 
 // Sites returns the number of receiver sites (all non-root nodes).
-func (m *TreeModel) Sites() int { return len(m.parent) - 1 }
+func (m *TreeModel) Sites() int { return m.nodes - 1 }
 
-// Parent returns the parent of node v (-1 for the root).
-func (m *TreeModel) Parent(v int) int { return int(m.parent[v]) }
+// Parent returns the parent of node v (-1 for the root). It panics if v is
+// not a node of the model.
+func (m *TreeModel) Parent(v int) int {
+	if v < 0 || v >= m.nodes {
+		panic(fmt.Sprintf("affinity: node %d outside the %d-node tree", v, m.nodes))
+	}
+	if v == 0 {
+		return -1
+	}
+	return int(parentOf(uint64(v), m.recip))
+}
 
 // Leaves returns the number of leaf sites, k^D.
-func (m *TreeModel) Leaves() int { return len(m.parent) - m.firstLeaf }
+func (m *TreeModel) Leaves() int { return m.nodes - m.firstLeaf }
 
 // Chain is a Metropolis sampler over receiver configurations on a TreeModel.
 // It is not safe for concurrent use.
@@ -163,23 +178,27 @@ func (m *TreeModel) newChain(n int, beta float64, r randSource, siteBase, siteCo
 	return c, nil
 }
 
-// addPath walks from site to the root adjusting link counts by delta,
-// keeping pairSum and treeLinks consistent.
-func (c *Chain) addPath(site int32, delta int32) {
-	n64 := int64(c.n)
-	for v := site; v > 0; v = c.m.parent[v] {
-		old := int64(c.cnt[v])
-		c.pairSum -= old * (n64 - old)
-		c.cnt[v] += delta
-		now := int64(c.cnt[v])
-		c.pairSum += now * (n64 - now)
-		switch {
-		case old == 0 && now > 0:
-			c.treeLinks++
-		case old > 0 && now == 0:
-			c.treeLinks--
-		}
+// addPath moves the count of every link from site to the root by d (±1)
+// and updates pairSum and treeLinks once for the whole walk. A +1 at count c
+// changes c·(n−c) by n−2c−1 and a −1 by 2c−n−1, so a path of `links` links
+// whose old counts sum to sum adds d·(links·(n−d) − 2·sum). The tree gains
+// (loses) one link per count that leaves (reaches) 0, that is per link
+// whose smaller count old+low is 0.
+func (c *Chain) addPath(site int32, d int32) {
+	cnt, recip := c.cnt, c.m.recip
+	low := (d - 1) >> 1 // 0 for +1, −1 for −1
+	var sum int64
+	links, zeros := 0, 0
+	for v := uint64(site); v != 0; v = parentOf(v, recip) {
+		old := cnt[v]
+		cnt[v] = old + d
+		sum += int64(old)
+		links++
+		zeros += int(uint32(old+low-1) >> 31) // 1 iff old+low == 0
 	}
+	d64 := int64(d)
+	c.pairSum += d64 * (int64(links)*(int64(c.n)-d64) - 2*sum)
+	c.treeLinks += int(d) * zeros
 }
 
 // TreeSize returns the current delivery-tree size L(α).
@@ -221,28 +240,48 @@ func (c *Chain) Step() {
 		c.accepted++
 		return
 	}
+	// Commit the move, then revert it if rejected.
 	oldPair := c.pairSum
 	c.addPath(from, -1)
 	c.addPath(to, +1)
+	if !accepts(c.rand, c.beta, c.pairSum-oldPair, c.n) {
+		c.addPath(to, -1)
+		c.addPath(from, +1)
+		return
+	}
 	c.positions[i] = to
-	if c.beta == 0 || c.n < 2 {
-		c.accepted++
-		return
+	c.accepted++
+}
+
+// acceptMargin pads both cheap bounds in metropolis. Near 1 it is 2¹³ ulps,
+// far above the rounding error of evaluating the bounds (under 2⁻⁵⁰ where
+// they can decide) and of math.Exp, so neither bound can contradict
+// u < math.Exp(x).
+const acceptMargin = 0x1p-40
+
+// accepts is the Metropolis rule min(1, e^{−β·Δd̂}) for a move that changes
+// the pair-distance sum of n receivers by delta, so Δd̂ = delta/C(n, 2). A
+// move that is downhill or flat for β is accepted without a draw; an uphill
+// one draws one uniform from r.
+func accepts(r randSource, beta float64, delta int64, n int) bool {
+	if delta == 0 || beta == 0 || (delta > 0) != (beta > 0) {
+		return true
 	}
-	pairs := float64(int64(c.n) * int64(c.n-1) / 2)
-	deltaD := float64(c.pairSum-oldPair) / pairs
-	if deltaD <= 0 && c.beta > 0 || deltaD >= 0 && c.beta < 0 {
-		c.accepted++ // downhill for this β: always accept
-		return
+	pairs := float64(int64(n) * int64(n-1) / 2)
+	return metropolis(r.Float64(), -beta*(float64(delta)/pairs))
+}
+
+// metropolis reports u < math.Exp(x) for x ≤ 0. There 1+x ≤ e^x ≤ 1+x+x²/2,
+// so u below the lower bound accepts and u above the upper bound rejects;
+// only u inside the window, of width about x²/2, pays for math.Exp.
+func metropolis(u, x float64) bool {
+	if u < 1+x-acceptMargin {
+		return true
 	}
-	if c.rand.Float64() < math.Exp(-c.beta*deltaD) {
-		c.accepted++
-		return
+	if u >= 1+x+x*x/2+acceptMargin {
+		return false
 	}
-	// Reject: revert.
-	c.addPath(to, -1)
-	c.addPath(from, +1)
-	c.positions[i] = from
+	return u < math.Exp(x)
 }
 
 // Sweep performs n Steps (one proposal per receiver on average).
@@ -258,7 +297,7 @@ func (c *Chain) Sweep() {
 func (c *Chain) CheckInvariants() error {
 	cnt := make([]int32, c.m.Nodes())
 	for _, site := range c.positions {
-		for v := site; v > 0; v = c.m.parent[v] {
+		for v := uint64(site); v != 0; v = parentOf(v, c.m.recip) {
 			cnt[v]++
 		}
 	}

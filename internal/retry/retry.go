@@ -1,13 +1,12 @@
 // Package retry is the shared retry policy: capped exponential backoff
-// with deterministic seeded jitter. The cluster coordinator's worker
+// with deterministic jitter. The cluster coordinator's worker
 // benches, workers' registry announcements and the serving tier's
 // quarantine windows all draw their delays from it — one series, one set
 // of tests.
 //
 // Determinism matters here the way it does in internal/chaos: a jittered
-// delay must be a pure function of (seed, attempt), never of wall-clock
-// entropy, so a soak replayed under the same seed paces its retries
-// identically.
+// delay must be a pure function of the attempt number, never of
+// wall-clock entropy, so a replayed soak paces its retries identically.
 package retry
 
 import "time"
@@ -30,11 +29,9 @@ type Backoff struct {
 	// Jitter, in [0, 1), spreads each delay uniformly over
 	// [(1-Jitter)×d, d]: jitter only ever shrinks a delay, so Max stays a
 	// hard ceiling and an unjittered consumer (Jitter = 0) sees the exact
-	// deterministic series its tests pin.
+	// deterministic series its tests pin. The same attempt always draws
+	// the same jitter.
 	Jitter float64
-	// Seed feeds the jitter stream. The same (Seed, attempt) pair always
-	// yields the same delay — seeded replay, not crypto.
-	Seed uint64
 }
 
 const (
@@ -85,8 +82,8 @@ func (b Backoff) Delay(attempt int) time.Duration {
 		d = b.Max
 	}
 	if b.Jitter > 0 {
-		// One splitmix64 scramble of (Seed, attempt) → uniform in [0, 1).
-		u := float64(mix(b.Seed^uint64(attempt)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
+		// One splitmix64 scramble of the attempt → uniform in [0, 1).
+		u := float64(mix(uint64(attempt)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
 		d = time.Duration(float64(d) * (1 - b.Jitter*u))
 		if d < 1 {
 			d = 1
