@@ -23,14 +23,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detect the packages that spawn goroutines (measurement workers,
-# ensemble networks, experiment scheduler, mtsim's checkpointer, the mtsimd
-# daemon and its serve substrate) and the shared caches (SPT cache and the
-# KMB solvers reading it, topology generation cache). race-all covers
+# Race-detect the packages that spawn goroutines (the panicsafe job pool
+# and what runs on it: measurement workers, ensemble networks, Figure 9's
+# chains; the experiment scheduler, mtsim's checkpointer, the mtsimd daemon
+# and its serve substrate) and the shared caches (SPT cache and the KMB
+# solvers reading it, topology generation cache). race-all covers
 # everything but takes several times longer.
 race:
 	$(GO) test -race ./internal/graph/... ./internal/topology/... \
-		./internal/mcast/... ./internal/steiner/... ./internal/experiments/... ./internal/serve/... \
+		./internal/panicsafe/... ./internal/mcast/... ./internal/affinity/... \
+		./internal/steiner/... ./internal/experiments/... ./internal/serve/... \
 		./internal/cluster/... ./internal/atomicio/... ./internal/chaos/... \
 		./cmd/mtsim/... ./cmd/mtsimd/... ./cmd/mtctl/...
 
@@ -41,7 +43,7 @@ race:
 race-robust:
 	$(GO) test -race -timeout 5m \
 		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Fence|Registry|Lease|Announce|WorkerTable|Backoff|TLS' \
-		./internal/mcast/... ./internal/experiments/... ./internal/panicsafe/... \
+		./internal/mcast/... ./internal/affinity/... ./internal/experiments/... ./internal/panicsafe/... \
 		./internal/atomicio/... ./internal/serve/... ./internal/graph/... \
 		./internal/cluster/... ./internal/chaos/... \
 		./cmd/mtsim/... ./cmd/mtsimd/... ./cmd/mtctl/...

@@ -5,10 +5,12 @@ package affinity
 // tree size from scratch (what a naive sampler would do after every move).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"mtreescale/internal/graph"
+	"mtreescale/internal/mcast"
 	"mtreescale/internal/rng"
 )
 
@@ -53,6 +55,24 @@ func BenchmarkChainStep(b *testing.B) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkSweep9 times one whole Figure 9 panel in perfbench's shape:
+// K = 2, D = 10, Figure 9's seven βs over a 16-point grid to n = 10000,
+// 40 burn-in and 80 sample sweeps per chain. Its chains run on GOMAXPROCS
+// workers, so compare -cpu 1,2.
+func BenchmarkSweep9(b *testing.B) {
+	m, err := NewTreeModel(2, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ns := mcast.LogSpacedSizes(10000, 16)
+	p := Params{BurnInSweeps: 40, SampleSweeps: 80, Seed: 1}
+	for i := 0; i < b.N; i++ {
+		if _, err := Sweep9(context.Background(), m, fig9Betas, ns, p); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

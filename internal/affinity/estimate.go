@@ -3,7 +3,10 @@ package affinity
 import (
 	"context"
 	"math"
+	"runtime"
+	"sort"
 
+	"mtreescale/internal/panicsafe"
 	"mtreescale/internal/rng"
 	"mtreescale/internal/stats"
 	"mtreescale/internal/valid"
@@ -69,6 +72,14 @@ func checkBeta(beta float64) error {
 	return nil
 }
 
+// checkGroupSize rejects a receiver count no chain can hold.
+func checkGroupSize(n int) error {
+	if n < 1 {
+		return valid.Badf("affinity: chain needs n >= 1, got %d", n)
+	}
+	return nil
+}
+
 // EstimateTreeSize samples L̄_β(n) on a k-ary tree with receivers at all
 // non-root sites (Figure 9's setup). It polls ctx once per sweep and returns
 // ctx's error promptly after cancellation.
@@ -117,22 +128,54 @@ func EstimateTreeSize(ctx context.Context, m *TreeModel, n int, beta float64, p 
 }
 
 // Sweep9 runs the Figure 9 protocol: for each β and each group size n,
-// estimate L̄_β(n)/n. Returns estimates indexed [beta][n]. Every chain polls
-// ctx once per sweep, so cancellation stops the whole protocol within one
-// sweep's work.
+// estimate L̄_β(n)/n. Returns estimates indexed [beta][n].
+//
+// It validates p, every β and every n before any chain starts, then runs
+// the len(betas)·len(ns) chains on panicsafe.RunJobs with GOMAXPROCS
+// workers, the curve engines' default. Every (β, n) chain has its own seed,
+// so the estimates do not depend on the schedule. A chain costs ∝ n·depth
+// per sweep, so the largest groups go first and the short chains fill in
+// behind them. Every chain polls ctx once per sweep, so cancellation stops
+// the whole protocol within one sweep's work.
 func Sweep9(ctx context.Context, m *TreeModel, betas []float64, ns []int, p Params) ([][]Estimate, error) {
-	out := make([][]Estimate, len(betas))
-	for bi, beta := range betas {
-		out[bi] = make([]Estimate, len(ns))
-		for ni, n := range ns {
-			q := p
-			q.Seed = rng.Split(p.Seed, int64(bi*1000003+ni))
-			est, err := EstimateTreeSize(ctx, m, n, beta, q)
-			if err != nil {
-				return nil, err
-			}
-			out[bi][ni] = est
+	if err := p.normalize(); err != nil {
+		return nil, err
+	}
+	for _, beta := range betas {
+		if err := checkBeta(beta); err != nil {
+			return nil, err
 		}
+	}
+	for _, n := range ns {
+		if err := checkGroupSize(n); err != nil {
+			return nil, err
+		}
+	}
+	type chain struct{ bi, ni int }
+	chains := make([]chain, 0, len(betas)*len(ns))
+	for bi := range betas {
+		for ni := range ns {
+			chains = append(chains, chain{bi, ni})
+		}
+	}
+	sort.SliceStable(chains, func(a, b int) bool { return ns[chains[a].ni] > ns[chains[b].ni] })
+	out := make([][]Estimate, len(betas))
+	for bi := range out {
+		out[bi] = make([]Estimate, len(ns))
+	}
+	err := panicsafe.RunJobs(ctx, runtime.GOMAXPROCS(0), len(chains), func(j int) error {
+		bi, ni := chains[j].bi, chains[j].ni
+		q := p
+		q.Seed = rng.Split(p.Seed, int64(bi*1000003+ni))
+		est, err := EstimateTreeSize(ctx, m, ns[ni], betas[bi], q)
+		if err != nil {
+			return err
+		}
+		out[bi][ni] = est
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -70,8 +70,8 @@ func NewGraphChainBatch(g *graph.Graph, source, n int, beta float64, r randSourc
 	if source < 0 || source >= g.N() {
 		return nil, valid.Badf("affinity: source %d out of range", source)
 	}
-	if n < 1 {
-		return nil, valid.Badf("affinity: chain needs n >= 1, got %d", n)
+	if err := checkGroupSize(n); err != nil {
+		return nil, err
 	}
 	if err := checkBeta(beta); err != nil {
 		return nil, err

@@ -151,8 +151,8 @@ func (m *TreeModel) NewLeafChain(n int, beta float64, r randSource) (*Chain, err
 }
 
 func (m *TreeModel) newChain(n int, beta float64, r randSource, siteBase, siteCount int) (*Chain, error) {
-	if n < 1 {
-		return nil, valid.Badf("affinity: chain needs n >= 1, got %d", n)
+	if err := checkGroupSize(n); err != nil {
+		return nil, err
 	}
 	if err := checkBeta(beta); err != nil {
 		return nil, err

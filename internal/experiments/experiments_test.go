@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -331,6 +333,31 @@ func TestFig9bTimeoutCancels(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestFig9CSVIndependentOfGOMAXPROCS: fig9's chains run on a pool sized
+// by GOMAXPROCS, and every chain has its own seed, so the rendered CSV is
+// the same bytes at any worker count.
+func TestFig9CSVIndependentOfGOMAXPROCS(t *testing.T) {
+	for _, id := range []string{"fig9a", "fig9b"} {
+		var csvs [][]byte
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			res, err := Run(id, Quick())
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS=%d: %v", id, procs, err)
+			}
+			var buf bytes.Buffer
+			if err := plot.WriteCSV(&buf, res.Figure); err != nil {
+				t.Fatal(err)
+			}
+			csvs = append(csvs, buf.Bytes())
+		}
+		if !bytes.Equal(csvs[0], csvs[1]) {
+			t.Fatalf("%s CSV differs between GOMAXPROCS 1 and 4", id)
+		}
 	}
 }
 

@@ -461,7 +461,7 @@ func MeasureChurnCtx(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Pro
 	}
 	defer bt.release()
 	slots := make([]churnSlot, p.NSource)
-	runErr := runSourceWorkers(ctx, p, func(si int) error {
+	runErr := runWorkersN(ctx, p.EffectiveWorkers(), p.NSource, func(si int) error {
 		return churnOneSource(ctx, g, cfg, p, si, roots[si], sources[si], bt, &slots[si])
 	})
 	if runErr != nil && runErr != context.Canceled && runErr != context.DeadlineExceeded {

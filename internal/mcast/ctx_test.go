@@ -3,10 +3,13 @@ package mcast
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"mtreescale/internal/chaos"
 	"mtreescale/internal/graph"
 	"mtreescale/internal/panicsafe"
 	"mtreescale/internal/topology"
@@ -67,51 +70,6 @@ func TestMeasureCurveCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestRunSourceWorkersRecoversPanic: a panicking source job must surface as
-// a *panicsafe.PanicError from the pool instead of crashing the process,
-// and the pool must still drain cleanly.
-func TestRunSourceWorkersRecoversPanic(t *testing.T) {
-	ran := make([]bool, 64)
-	err := runSourceWorkers(context.Background(), Protocol{NSource: 64, NRcvr: 1, Workers: 4}, func(si int) error {
-		ran[si] = true
-		if si == 3 {
-			panic("injected worker panic")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("panic must surface as an error")
-	}
-	var pe *panicsafe.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want *panicsafe.PanicError, got %T: %v", err, err)
-	}
-	if !strings.Contains(err.Error(), "injected worker panic") {
-		t.Fatalf("error lacks panic value: %v", err)
-	}
-	if !ran[3] {
-		t.Fatal("panicking job never ran")
-	}
-}
-
-func TestRunSourceWorkersCancelStopsPickup(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var count int
-	err := runSourceWorkers(ctx, Protocol{NSource: 100, NRcvr: 1, Workers: 1}, func(si int) error {
-		count++
-		if si == 0 {
-			cancel() // cancel from inside the first job
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if count != 1 {
-		t.Fatalf("ran %d jobs after cancellation, want 1", count)
-	}
-}
-
 func TestMeasureEnsembleCtxRecoversGeneratorPanic(t *testing.T) {
 	p := Protocol{NSource: 2, NRcvr: 2, Seed: 3, Workers: 2}
 	_, err := MeasureEnsembleCtx(context.Background(), func(seed int64) (*graph.Graph, error) {
@@ -120,5 +78,55 @@ func TestMeasureEnsembleCtxRecoversGeneratorPanic(t *testing.T) {
 	var pe *panicsafe.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *panicsafe.PanicError, got %T: %v", err, err)
+	}
+}
+
+// TestChaosWorkerPanicRecovered: a panic rule at failpoint "mcast.worker"
+// must surface from the engine as a *panicsafe.PanicError, like any other
+// panicking source job, and the pool must drain: every worker exits, and
+// the next sweep (the rule fires once) matches a run without chaos.
+func TestChaosWorkerPanicRecovered(t *testing.T) {
+	g, err := topology.GenerateSeeded("ts1000", 0, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{1, 4, 16}
+	p := Protocol{NSource: 8, NRcvr: 4, Seed: 7, Workers: 4}
+	want, err := MeasureCurveCtx(context.Background(), g, sizes, Distinct, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := chaos.Parse("mcast.worker=panic#1", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	chaos.Enable(plan)
+	defer chaos.Disable()
+
+	_, err = MeasureCurveCtx(context.Background(), g, sizes, Distinct, p)
+	var pe *panicsafe.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("want *panicsafe.PanicError, got %T: %v", err, err)
+	}
+	if !strings.Contains(err.Error(), "injected panic at mcast.worker") {
+		t.Fatalf("error lacks the injected panic: %v", err)
+	}
+	if n := len(plan.Events()); n != 1 {
+		t.Fatalf("failpoint fired %d times, want 1", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after the failed sweep, %d before", n, baseline)
+	}
+	got, err := MeasureCurveCtx(context.Background(), g, sizes, Distinct, p)
+	if err != nil {
+		t.Fatalf("sweep after the spent rule: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sweep after the spent rule differs from a clean run:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"mtreescale/internal/graph"
 	"mtreescale/internal/panicsafe"
@@ -54,62 +53,29 @@ func measureEnsembleNets(ctx context.Context, gen func(seed int64) (*graph.Graph
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	netWorkers := budget
-	if netWorkers > nNets {
-		netWorkers = nNets
-	}
-	inner := budget / netWorkers
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(budget/min(budget, nNets), 1)
 	perNet := make([][]Point, nNets)
-	netErrs := make([]error, nNets)
-	nets := make(chan int, nNets)
-	for i := 0; i < nNets; i++ {
-		nets <- i
-	}
-	close(nets)
-	var wg sync.WaitGroup
-	for w := 0; w < netWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range nets {
-				net := netLo + i
-				if err := ctx.Err(); err != nil {
-					netErrs[i] = err
-					return
-				}
-				err := panicsafe.Do(func() error {
-					g, err := gen(rng.Split(p.Seed, int64(net)))
-					if err != nil {
-						return fmt.Errorf("mcast: generating network %d: %w", net, err)
-					}
-					q := p
-					q.Seed = rng.Split(p.Seed, int64(1000000+net))
-					q.Workers = inner
-					// Ensemble networks are transient: caching their SPTs
-					// would pin dead topologies in the process-wide cache.
-					q.SPTCache = false
-					pts, err := MeasureCurveCtx(ctx, g, sizes, mode, q)
-					if err != nil {
-						return fmt.Errorf("mcast: measuring network %d: %w", net, err)
-					}
-					perNet[i] = pts
-					return nil
-				})
-				if err != nil {
-					netErrs[i] = err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range netErrs {
+	err := panicsafe.RunJobs(ctx, budget, nNets, func(i int) error {
+		net := netLo + i
+		g, err := gen(rng.Split(p.Seed, int64(net)))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("mcast: generating network %d: %w", net, err)
 		}
+		q := p
+		q.Seed = rng.Split(p.Seed, int64(1000000+net))
+		q.Workers = inner
+		// Ensemble networks are transient: caching their SPTs would pin
+		// dead topologies in the process-wide cache.
+		q.SPTCache = false
+		pts, err := MeasureCurveCtx(ctx, g, sizes, mode, q)
+		if err != nil {
+			return fmt.Errorf("mcast: measuring network %d: %w", net, err)
+		}
+		perNet[i] = pts
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return perNet, nil
 }

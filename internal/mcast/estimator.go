@@ -271,76 +271,21 @@ func (a *CurvePartial) reduce(sizes []int) []Point {
 	return points
 }
 
-// runSourceWorkers fans p.NSource source jobs out over the protocol's worker
-// pool. The jobs channel is buffered to NSource so a worker that returns
-// early on error can never strand the feed loop mid-send (the deadlock a
-// failing source used to cause with an unbuffered channel).
-//
-// Robustness: workers check ctx before picking up each source job (the inner
-// measurement loops additionally poll it at grid-point granularity), and
-// every job runs under panicsafe.Do, so a panicking source job surfaces as
-// an ordinary error from the engine instead of killing the process.
-func runSourceWorkers(ctx context.Context, p Protocol, job func(si int) error) error {
-	return runWorkersN(ctx, p.EffectiveWorkers(), p.NSource, job)
-}
-
-// runWorkersN is the worker pool behind runSourceWorkers, generalized to an
-// arbitrary job count so the partial (source-block) engines can fan out over
-// just their block. workers is clamped to nJobs.
+// runWorkersN runs nJobs source (or block-lane) jobs on panicsafe.RunJobs.
+// Workers check ctx before picking up each job (the inner measurement loops
+// additionally poll it at grid-point granularity), and a panicking job
+// surfaces as an ordinary error from the engine instead of killing the
+// process. Each job first passes failpoint "mcast.worker" inside the pool's
+// recovered closure: latency rules stall a source job (a straggling
+// worker), error rules abort the engine like a failing measurement, and
+// panic rules surface as a *panicsafe.PanicError.
 func runWorkersN(ctx context.Context, workers, nJobs int, job func(i int) error) error {
-	if workers > nJobs {
-		workers = nJobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int, nJobs)
-	for si := 0; si < nJobs; si++ {
-		jobs <- si
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for si := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				// Failpoint "mcast.worker": latency rules stall a source job
-				// (a straggling worker), error rules abort the engine like a
-				// failing measurement, panic rules exercise panicsafe below.
-				if err := chaos.Maybe("mcast.worker"); err != nil {
-					errs[w] = err
-					return
-				}
-				if err := panicsafe.Do(func() error { return job(si) }); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Prefer a real measurement failure over a bare cancellation error so
-	// the caller sees the root cause when both raced.
-	var ctxErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	return panicsafe.RunJobs(ctx, workers, nJobs, func(i int) error {
+		if err := chaos.Maybe("mcast.worker"); err != nil {
+			return err
 		}
-		if err == context.Canceled || err == context.DeadlineExceeded {
-			ctxErr = err
-			continue
-		}
-		return err
-	}
-	// ctxErr is nil when every job completed before cancellation was
-	// observed — the sweep is whole, so report success.
-	return ctxErr
+		return job(i)
+	})
 }
 
 // sourceScratch is the per-worker reusable state of the curve engines: the

@@ -1,11 +1,8 @@
 package mcast
 
 import (
-	"context"
-	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"mtreescale/internal/topology"
 )
@@ -167,30 +164,5 @@ func TestNestedErrors(t *testing.T) {
 	}
 	if _, err := MeasureCurveNested(g, []int{1}, Mode(99), Protocol{NSource: 1, NRcvr: 1}); err == nil {
 		t.Fatal("unknown mode must error")
-	}
-}
-
-// TestRunSourceWorkersErrorNoDeadlock is the regression test for the feed
-// deadlock: with an unbuffered jobs channel, a worker returning early on a
-// failing source left the `jobs <- si` loop blocked forever. The buffered
-// channel must surface the error promptly instead.
-func TestRunSourceWorkersErrorNoDeadlock(t *testing.T) {
-	boom := errors.New("injected source failure")
-	done := make(chan error, 1)
-	go func() {
-		done <- runSourceWorkers(context.Background(), Protocol{NSource: 200, NRcvr: 1, Workers: 2}, func(si int) error {
-			if si < 2 {
-				return boom // fail every worker's first job
-			}
-			return nil
-		})
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want injected failure", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("runSourceWorkers deadlocked after worker error")
 	}
 }
