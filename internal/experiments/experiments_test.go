@@ -336,28 +336,39 @@ func TestFig9bTimeoutCancels(t *testing.T) {
 	}
 }
 
-// TestFig9CSVIndependentOfGOMAXPROCS: fig9's chains run on a pool sized
-// by GOMAXPROCS, and every chain has its own seed, so the rendered CSV is
-// the same bytes at any worker count.
-func TestFig9CSVIndependentOfGOMAXPROCS(t *testing.T) {
-	for _, id := range []string{"fig9a", "fig9b"} {
-		var csvs [][]byte
-		for _, procs := range []int{1, 4} {
-			prev := runtime.GOMAXPROCS(procs)
-			res, err := Run(id, Quick())
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				t.Fatalf("%s at GOMAXPROCS=%d: %v", id, procs, err)
-			}
-			var buf bytes.Buffer
+// TestRegistryIndependentOfGOMAXPROCS runs every registered experiment at
+// the quick profile at GOMAXPROCS 1 and 4 and requires the same figure CSV
+// bytes, or the same table rows: worker pools size themselves by GOMAXPROCS,
+// and no schedule may change an output. It iterates the registry, so an
+// experiment gets the check by being registered.
+func TestRegistryIndependentOfGOMAXPROCS(t *testing.T) {
+	render := func(t *testing.T, id string, procs int) []byte {
+		t.Helper()
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := Run(id, Quick())
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		var buf bytes.Buffer
+		if res.Figure != nil {
 			if err := plot.WriteCSV(&buf, res.Figure); err != nil {
 				t.Fatal(err)
 			}
-			csvs = append(csvs, buf.Bytes())
 		}
-		if !bytes.Equal(csvs[0], csvs[1]) {
-			t.Fatalf("%s CSV differs between GOMAXPROCS 1 and 4", id)
+		fmt.Fprintf(&buf, "%q\n", res.Header)
+		for _, row := range res.Rows {
+			fmt.Fprintf(&buf, "%q\n", row)
 		}
+		return buf.Bytes()
+	}
+	for _, info := range List() {
+		t.Run(info.ID, func(t *testing.T) {
+			one, four := render(t, info.ID, 1), render(t, info.ID, 4)
+			if !bytes.Equal(one, four) {
+				t.Fatalf("output differs between GOMAXPROCS 1 and 4:\n%s\n---\n%s", one, four)
+			}
+		})
 	}
 }
 

@@ -89,7 +89,8 @@ func RunMany(ids []string, p Profile, parallel int) ([]RunStats, error) {
 // running, and already-finished stats are kept — the partial stats slice is
 // always returned. A panicking experiment is isolated: its recovered value
 // and stack land in its RunStats.Err as a *panicsafe.PanicError while
-// sibling experiments complete normally.
+// sibling experiments complete normally. A panic in one of its Replay,
+// Quarantine or OnComplete callbacks is isolated the same way.
 func RunManyCtx(ctx context.Context, ids []string, p Profile, opts ScheduleOptions) ([]RunStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -120,28 +121,11 @@ func RunManyCtx(ctx context.Context, ids []string, p Profile, opts ScheduleOptio
 			defer wg.Done()
 			for i := range jobs {
 				id := ids[i]
-				if err := ctx.Err(); err != nil {
+				if err := panicsafe.Do(func() error {
+					stats[i] = runScheduled(ctx, id, p, opts)
+					return nil
+				}); err != nil {
 					stats[i] = RunStats{ID: id, Err: err}
-					continue
-				}
-				if opts.Replay != nil {
-					if res, ok := opts.Replay(id); ok {
-						stats[i] = RunStats{ID: id, Result: res, Replayed: true}
-						continue
-					}
-				}
-				if opts.Quarantine != nil {
-					if ok, retry := opts.Quarantine.Allowed(id); !ok {
-						stats[i] = RunStats{ID: id, Err: fmt.Errorf("%w (retry in %s)", serve.ErrQuarantined, retry.Round(time.Millisecond))}
-						continue
-					}
-				}
-				stats[i] = runGuarded(ctx, id, p, opts.MaxHeapBytes)
-				if opts.Quarantine != nil {
-					reportToQuarantine(opts.Quarantine, id, stats[i].Err)
-				}
-				if opts.OnComplete != nil && stats[i].Err == nil {
-					opts.OnComplete(stats[i])
 				}
 			}
 		}()
@@ -153,6 +137,35 @@ func RunManyCtx(ctx context.Context, ids []string, p Profile, opts ScheduleOptio
 		}
 	}
 	return stats, nil
+}
+
+// runScheduled is one job of RunManyCtx: it consults the context, Replay
+// and the quarantine, runs the experiment and reports the outcome to the
+// quarantine and OnComplete. The caller runs it under panicsafe.Do, so a
+// panicking callback fails this experiment alone, like a panicking
+// experiment.
+func runScheduled(ctx context.Context, id string, p Profile, opts ScheduleOptions) RunStats {
+	if err := ctx.Err(); err != nil {
+		return RunStats{ID: id, Err: err}
+	}
+	if opts.Replay != nil {
+		if res, ok := opts.Replay(id); ok {
+			return RunStats{ID: id, Result: res, Replayed: true}
+		}
+	}
+	if opts.Quarantine != nil {
+		if ok, retry := opts.Quarantine.Allowed(id); !ok {
+			return RunStats{ID: id, Err: fmt.Errorf("%w (retry in %s)", serve.ErrQuarantined, retry.Round(time.Millisecond))}
+		}
+	}
+	st := runGuarded(ctx, id, p, opts.MaxHeapBytes)
+	if opts.Quarantine != nil {
+		reportToQuarantine(opts.Quarantine, id, st.Err)
+	}
+	if opts.OnComplete != nil && st.Err == nil {
+		opts.OnComplete(st)
+	}
+	return st
 }
 
 // reportToQuarantine translates one run outcome into quarantine state: only

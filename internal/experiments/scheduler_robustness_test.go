@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mtreescale/internal/panicsafe"
+	"mtreescale/internal/serve"
 )
 
 // registerTemp installs a throwaway runner for one test and removes it on
@@ -302,6 +303,47 @@ func TestRunManyCtxReplaySkipsExecution(t *testing.T) {
 	// checkpointed.
 	if len(completed) != 1 || completed[0] != "zz-fresh" {
 		t.Fatalf("OnComplete saw %v, want [zz-fresh]", completed)
+	}
+}
+
+// TestRunManyCtxIsolatesCallbackPanics: a panic in Replay, in the
+// quarantine's check or in OnComplete fails that one experiment with a
+// *panicsafe.PanicError, as a panicking experiment does, instead of killing
+// the process; the sibling still runs and succeeds.
+func TestRunManyCtxIsolatesCallbackPanics(t *testing.T) {
+	ids := []string{"zz-cb-replay", "zz-cb-quarantine", "zz-cb-complete", "zz-cb-sibling"}
+	for _, id := range ids {
+		registerTemp(t, okRunner(id, 0))
+	}
+	q := serve.NewQuarantine(time.Minute, time.Hour)
+	q.Report("zz-cb-quarantine", errors.New("earlier strike"))
+	q.SetClock(func() time.Time { panic("quarantine clock boom") })
+	stats, err := RunManyCtx(context.Background(), ids, Quick(), ScheduleOptions{
+		Parallel:   2,
+		Quarantine: q,
+		Replay: func(id string) (*Result, bool) {
+			if id == "zz-cb-replay" {
+				panic("replay boom")
+			}
+			return nil, false
+		},
+		OnComplete: func(s RunStats) {
+			if s.ID == "zz-cb-complete" {
+				panic("on-complete boom")
+			}
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "zz-cb-replay") {
+		t.Fatalf("err = %v, want the replay panic of zz-cb-replay", err)
+	}
+	for i, want := range []string{"replay boom", "quarantine clock boom", "on-complete boom"} {
+		var pe *panicsafe.PanicError
+		if !errors.As(stats[i].Err, &pe) || pe.Value != want || stats[i].Result != nil {
+			t.Fatalf("%s: stats %+v, want a PanicError of %q and no result", ids[i], stats[i], want)
+		}
+	}
+	if sib := stats[3]; sib.Err != nil || sib.Result == nil {
+		t.Fatalf("sibling stats = %+v, want success", sib)
 	}
 }
 

@@ -1,7 +1,9 @@
 package mcast
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mtreescale/internal/arena"
@@ -10,13 +12,16 @@ import (
 	"mtreescale/internal/topology"
 )
 
-// diffDense counts one group on the source tree srcT and the core tree
-// coreT at all three counter call sites — measure, tree size and shared
-// tree size — by the dense sweep and by climbs, checks both against the
-// unpacked reference counters, and checks the sweep left every mark clear.
-// It returns "" when everything agrees. Receivers must be node ids, as the
+// diffDense counts up to sweepLanes groups on the source tree srcT and the
+// core tree coreT at all three counter call sites — measure, tree size and
+// shared tree size. It marks group j in lane j of both trees (the shared
+// tree with the source as extra member) and sweeps each tree once, then does
+// it again with the lanes reversed on the same rows, and counts every group
+// by climbs too. It checks every lane and every climb against the unpacked
+// reference counters, and checks each sweep left every mark clear. It
+// returns "" when everything agrees. Receivers must be node ids, as the
 // Sampler draws them.
-func diffDense(srcT, coreT *graph.SPT, recv []int32) string {
+func diffDense(srcT, coreT *graph.SPT, groups [][]int32) string {
 	n := len(srcT.Dist)
 	c := NewTreeCounter(n)
 	ar := arena.New()
@@ -26,36 +31,51 @@ func diffDense(srcT, coreT *graph.SPT, recv []int32) string {
 	rows2.use(coreT)
 	source, core := int32(srcT.Source), int32(coreT.Source)
 
-	want := c.Measure(srcT, recv)
-	if got := c.measureClimb(source, pd, recv); got != want {
-		return fmt.Sprintf("measure: climb %+v, reference %+v", got, want)
+	want := make([]Measurement, len(groups))
+	shr := make([]int, len(groups))
+	for j, recv := range groups {
+		want[j] = c.Measure(srcT, recv)
+		if got := c.measureClimb(source, pd, recv); got != want[j] {
+			return fmt.Sprintf("group %d measure: climb %+v, reference %+v", j, got, want[j])
+		}
+		if got := c.treeSizeClimb(source, pd, recv); got != want[j].Links {
+			return fmt.Sprintf("group %d tree size: climb %d, reference %d", j, got, want[j].Links)
+		}
+		shr[j] = c.SharedTreeSize(coreT, source, recv)
+		if got := c.sharedTreeSizeClimb(core, pd2, source, recv); got != shr[j] {
+			return fmt.Sprintf("group %d shared: climb %d, reference %d", j, got, shr[j])
+		}
 	}
-	if got := rows.countDense(-1, recv); got != want {
-		return fmt.Sprintf("measure: dense %+v, reference %+v", got, want)
-	}
-	if got := c.measurePacked(source, pd, rows, recv); got != want {
-		return fmt.Sprintf("measurePacked %+v, reference %+v", got, want)
-	}
-	if got := c.treeSizeClimb(source, pd, recv); got != want.Links {
-		return fmt.Sprintf("tree size: climb %d, reference %d", got, want.Links)
-	}
-	if got := c.treeSizePacked(source, pd, rows, recv); got != want.Links {
-		return fmt.Sprintf("treeSizePacked %d, reference %d", got, want.Links)
-	}
-	shr := c.SharedTreeSize(coreT, source, recv)
-	if got := c.sharedTreeSizeClimb(core, pd2, source, recv); got != shr {
-		return fmt.Sprintf("shared: climb %d, reference %d", got, shr)
-	}
-	if got := rows2.countDense(source, recv).Links; got != shr {
-		return fmt.Sprintf("shared: dense %d, reference %d", got, shr)
-	}
-	if got := c.sharedTreeSizePacked(core, pd2, rows2, source, recv); got != shr {
-		return fmt.Sprintf("sharedTreeSizePacked %d, reference %d", got, shr)
-	}
-	for _, rr := range []*rankRows{rows, rows2} {
-		for k, m := range rr.mark {
-			if m != 0 {
-				return fmt.Sprintf("mark[%d] = %d left set after the sweep", k, m)
+	for _, reversed := range []bool{false, true} {
+		ms := make([]Measurement, len(groups))
+		shrMs := make([]Measurement, len(groups))
+		lane := func(j int) int {
+			if reversed {
+				return len(groups) - 1 - j
+			}
+			return j
+		}
+		for j, recv := range groups {
+			l := lane(j)
+			ms[l].UnicastHops, ms[l].Receivers = rows.markSet(l, -1, recv)
+			rows2.markSet(l, source, recv)
+		}
+		rows.sweep(ms)
+		rows2.sweep(shrMs)
+		for j := range groups {
+			l := lane(j)
+			if ms[l] != want[j] {
+				return fmt.Sprintf("group %d in lane %d measure: sweep %+v, reference %+v", j, l, ms[l], want[j])
+			}
+			if shrMs[l].Links != shr[j] {
+				return fmt.Sprintf("group %d in lane %d shared: sweep %d, reference %d", j, l, shrMs[l].Links, shr[j])
+			}
+		}
+		for _, rr := range []*rankRows{rows, rows2} {
+			for k, m := range rr.mark {
+				if m != 0 {
+					return fmt.Sprintf("mark[%d] = %#x left set after the sweep", k, m)
+				}
 			}
 		}
 	}
@@ -125,9 +145,12 @@ func draw(t testing.TB, g *graph.Graph, exclude, size int, replace bool) []int32
 
 // TestDenseMatchesClimb checks the dense sweep against the climbs, and both
 // against the reference counters, at all three call sites: links, unicast
-// hops and receiver counts must match exactly. Every case runs on the
-// cached tree and on the batch lane view of the same source, whose rows come
-// from a counting sort of Dist instead of Order.
+// hops and receiver counts must match exactly. Cases with several groups
+// sweep them together, one lane each, so a lane must not disturb its
+// neighbours; the 600-node path and star put more than 255 marked ranks
+// below one node, past what one byte counter holds between flushes. Every
+// case runs on the cached tree and on the batch lane view of the same
+// source, whose rows come from a counting sort of Dist instead of Order.
 func TestDenseMatchesClimb(t *testing.T) {
 	path := pathGraph(t, 10)
 	star := buildGraph(t, 9, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {0, 8}})
@@ -139,26 +162,54 @@ func TestDenseMatchesClimb(t *testing.T) {
 	})
 	split := buildGraph(t, 9, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 7}, {7, 8}})
 	rnd := randGraph(7, 60, 40)
+	longPath := pathGraph(t, 600)
+	var spokes [][2]int
+	for v := 1; v <= 600; v++ {
+		spokes = append(spokes, [2]int{0, v})
+	}
+	bigStar := buildGraph(t, 601, spokes)
 	cases := []struct {
 		name      string
 		g         *graph.Graph
 		src, core int
-		recv      []int32
+		groups    [][]int32
 	}{
-		{"path from an end", path, 0, 5, []int32{9, 3, 7}},
-		{"path from the middle", path, 4, 9, []int32{0, 9, 2, 6}},
-		{"star from a leaf", star, 3, 0, []int32{1, 2, 4, 5, 6, 7, 8}},
-		{"star from the hub", star, 0, 5, []int32{8, 1}},
-		{"4-cycle tie", cycle, 0, 2, []int32{2, 3}},
-		{"ladder", ladder, 0, 11, []int32{5, 11, 8, 3}},
-		{"two components, unreachable receivers", split, 1, 6, []int32{4, 6, 8, 0, 5}},
-		{"core in the other component", split, 2, 7, []int32{0, 1, 3, 4}},
-		{"empty group", rnd, 3, 9, nil},
-		{"duplicate receivers", rnd, 3, 9, draw(t, rnd, 3, 150, true)},
-		{"source as receiver", rnd, 3, 9, draw(t, rnd, -1, 60, false)},
-		{"shared source is the core", rnd, 3, 3, draw(t, rnd, 3, 30, false)},
-		{"m = 1", rnd, 3, 9, draw(t, rnd, 3, 1, false)},
-		{"m = P", rnd, 3, 9, draw(t, rnd, 3, 59, false)},
+		{"path from an end", path, 0, 5, [][]int32{{9, 3, 7}}},
+		{"path from the middle", path, 4, 9, [][]int32{{0, 9, 2, 6}}},
+		{"star from a leaf", star, 3, 0, [][]int32{{1, 2, 4, 5, 6, 7, 8}}},
+		{"star from the hub", star, 0, 5, [][]int32{{8, 1}}},
+		{"4-cycle tie", cycle, 0, 2, [][]int32{{2, 3}}},
+		{"ladder", ladder, 0, 11, [][]int32{{5, 11, 8, 3}}},
+		{"two components, unreachable receivers", split, 1, 6, [][]int32{{4, 6, 8, 0, 5}}},
+		{"core in the other component", split, 2, 7, [][]int32{{0, 1, 3, 4}}},
+		{"empty group", rnd, 3, 9, [][]int32{nil}},
+		{"duplicate receivers", rnd, 3, 9, [][]int32{draw(t, rnd, 3, 150, true)}},
+		{"source as receiver", rnd, 3, 9, [][]int32{draw(t, rnd, -1, 60, false)}},
+		{"shared source is the core", rnd, 3, 3, [][]int32{draw(t, rnd, 3, 30, false)}},
+		{"m = 1", rnd, 3, 9, [][]int32{draw(t, rnd, 3, 1, false)}},
+		{"m = P", rnd, 3, 9, [][]int32{draw(t, rnd, 3, 59, false)}},
+		{"two lanes on a path", path, 0, 5, [][]int32{{9}, {2, 3}}},
+		{"eight mixed groups", rnd, 3, 9, [][]int32{
+			nil,
+			draw(t, rnd, 3, 150, true),
+			draw(t, rnd, -1, 60, false),
+			draw(t, rnd, 3, 1, false),
+			draw(t, rnd, 3, 59, false),
+			{3, 3, 3},
+			draw(t, rnd, 3, 7, true),
+			draw(t, rnd, 3, 20, false),
+		}},
+		{"three groups, shared source is the core", rnd, 3, 3, [][]int32{
+			draw(t, rnd, 3, 30, false), nil, draw(t, rnd, -1, 5, true),
+		}},
+		{"five groups over two components", split, 1, 6, [][]int32{
+			{4, 6, 8, 0, 5}, {5, 6, 7, 8}, nil, {0, 1, 2, 3, 4}, {8, 8, 1, 1},
+		}},
+		{"600-node path", longPath, 0, 599, [][]int32{{599}, {1, 2}, {599, 0, 300}, {450}, nil, {598, 599}}},
+		{"600-leaf star", bigStar, 0, 7, [][]int32{
+			draw(t, bigStar, 0, 600, false), draw(t, bigStar, 0, 300, false), {1}, draw(t, bigStar, -1, 601, false),
+			draw(t, bigStar, 0, 900, true), nil, draw(t, bigStar, 0, 256, false), draw(t, bigStar, 0, 599, false),
+		}},
 	}
 	for _, tc := range cases {
 		for _, lane := range []bool{false, true} {
@@ -168,7 +219,7 @@ func TestDenseMatchesClimb(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				srcT, coreT := denseTrees(t, tc.g, tc.src, tc.core, lane)
-				if d := diffDense(srcT, coreT, tc.recv); d != "" {
+				if d := diffDense(srcT, coreT, tc.groups); d != "" {
 					t.Fatal(d)
 				}
 			})
@@ -177,9 +228,10 @@ func TestDenseMatchesClimb(t *testing.T) {
 }
 
 // decodeDenseInput builds a graph of at most 64 nodes, a source, a core and
-// a receiver group from fuzz bytes. Receivers are node ids, duplicates
+// one to sweepLanes receiver groups from fuzz bytes: each later byte pair
+// adds one receiver to one group. Receivers are node ids, duplicates
 // allowed, as the Sampler draws them.
-func decodeDenseInput(data []byte) (g *graph.Graph, src, core int, recv []int32) {
+func decodeDenseInput(data []byte) (g *graph.Graph, src, core int, groups [][]int32) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -194,37 +246,194 @@ func decodeDenseInput(data []byte) (g *graph.Graph, src, core int, recv []int32)
 		_ = b.AddEdge(next()%n, next()%n) // in range; self-loops are dropped
 	}
 	src, core = next()%n, next()%n
-	for len(data) > 0 {
-		recv = append(recv, int32(next()%n))
+	groups = make([][]int32, next()%sweepLanes+1)
+	for len(data) >= 2 {
+		j := next() % len(groups)
+		groups[j] = append(groups[j], int32(next()%n))
 	}
-	return b.Build(), src, core, recv
+	return b.Build(), src, core, groups
 }
 
 // FuzzDenseEquivalence runs diffDense on arbitrary small graphs, sources,
-// cores and groups — disconnected graphs, duplicate receivers and the
-// source among them included — on both the cached tree and the lane view.
+// cores and batches of groups — disconnected graphs, empty groups,
+// duplicate receivers and the source among them included — on both the
+// cached tree and the lane view.
 func FuzzDenseEquivalence(f *testing.F) {
-	f.Add([]byte{10, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 1, 5, 9, 3, 3})
-	f.Add([]byte{5, 4, 0, 1, 0, 2, 0, 3, 0, 4, 2, 0, 3, 4, 2})
-	f.Add([]byte{4, 4, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 2, 3})
-	f.Add([]byte{9, 3, 0, 1, 1, 2, 5, 6, 0, 6, 2, 5, 6, 8, 0})
+	f.Add([]byte{10, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 1, 5, 2, 0, 9, 1, 3, 0, 3, 2, 1})
+	f.Add([]byte{5, 4, 0, 1, 0, 2, 0, 3, 0, 4, 2, 0, 0, 0, 3, 0, 4, 0, 2})
+	f.Add([]byte{4, 4, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 7, 0, 2, 7, 3, 3, 1, 5, 0})
+	f.Add([]byte{9, 3, 0, 1, 1, 2, 5, 6, 0, 6, 3, 0, 2, 1, 5, 2, 6, 3, 8, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, src, core, recv := decodeDenseInput(data)
+		g, src, core, groups := decodeDenseInput(data)
 		for _, lane := range []bool{false, true} {
 			srcT, coreT := denseTrees(t, g, src, core, lane)
-			if d := diffDense(srcT, coreT, recv); d != "" {
+			if d := diffDense(srcT, coreT, groups); d != "" {
 				t.Fatalf("lane=%v: %s", lane, d)
 			}
 		}
 	})
 }
 
+// perSetCurve is the curve engine's per-source loop as it was before sets
+// were swept in batches, kept as a test oracle: every (size, rep) set of the
+// source block [lo, hi) is drawn from its source's stream and counted alone
+// by the reference counter, Measure.
+func perSetCurve(t *testing.T, g *graph.Graph, sizes []int, mode Mode, p Protocol, lo, hi int) *CurvePartial {
+	t.Helper()
+	acc := newCurvePartial(p.NSource, len(sizes), lo, hi)
+	c := NewTreeCounter(g.N())
+	sources := drawSources(g, p)
+	for si := lo; si < hi; si++ {
+		spt, err := g.BFS(sources[si])
+		if err != nil {
+			t.Fatal(err)
+		}
+		exclude := sources[si]
+		if p.IncludeSource {
+			exclude = -1
+		}
+		smp, err := NewSampler(g.N(), exclude, rng.NewChild(p.Seed, int64(si)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recv []int32
+		for k, size := range sizes {
+			for rep := 0; rep < p.NRcvr; rep++ {
+				if mode == Distinct {
+					recv, err = smp.Distinct(size, recv)
+				} else {
+					recv, err = smp.WithReplacement(size, recv)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				meas := c.Measure(spt, recv)
+				if meas.Receivers == 0 {
+					continue
+				}
+				acc.add(si-lo, k, meas.Ratio(), float64(meas.Links), meas.AvgUnicast())
+			}
+		}
+	}
+	return acc
+}
+
+// perSetShared is perSetCurve for the shared-curve engine: each set is
+// counted alone on the source tree by TreeSize and on the core tree by
+// SharedTreeSize.
+func perSetShared(t *testing.T, g *graph.Graph, sizes []int, strategy CoreStrategy, p Protocol, lo, hi int) *SharedPartial {
+	t.Helper()
+	acc := newSharedPartial(p.NSource, len(sizes), lo, hi)
+	c := NewTreeCounter(g.N())
+	sources, cores, err := drawSharedPairs(g, strategy, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := lo; si < hi; si++ {
+		srcT, err := g.BFS(sources[si])
+		if err != nil {
+			t.Fatal(err)
+		}
+		coreT, err := g.BFS(cores[si])
+		if err != nil {
+			t.Fatal(err)
+		}
+		smp, err := NewSampler(g.N(), sources[si], rng.NewChild(p.Seed, int64(si)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recv []int32
+		for k, size := range sizes {
+			for rep := 0; rep < p.NRcvr; rep++ {
+				if recv, err = smp.Distinct(size, recv); err != nil {
+					t.Fatal(err)
+				}
+				src := c.TreeSize(srcT, recv)
+				shr := c.SharedTreeSize(coreT, int32(sources[si]), recv)
+				if src == 0 {
+					continue
+				}
+				acc.add(si-lo, k, float64(src), float64(shr), float64(shr)/float64(src))
+			}
+		}
+	}
+	return acc
+}
+
+// TestBatchedCurvesMatchPerSet checks the curve engine (both modes) and the
+// shared-curve engine, which sweep up to sweepLanes sets per pass from the
+// crossover up, against perSetCurve and perSetShared: the partial slabs must
+// be equal, float for float. NRcvr covers one set, a batch one short, one
+// full batch, one set over and five batches with a short tail; the trees are
+// cached (ranked from Order) or batch lane views (ranked by counting sort);
+// the block starts past source 0, so lanes and source indices differ; and a
+// second component leaves some sets with no reachable receiver, which both
+// loops must skip alike.
+func TestBatchedCurvesMatchPerSet(t *testing.T) {
+	r := rng.New(5)
+	b := graph.NewBuilder(400)
+	for v := 1; v < 400; v++ {
+		if v != 300 {
+			lo := 0
+			if v > 300 {
+				lo = 300
+			}
+			_ = b.AddEdge(v, lo+r.Intn(v-lo))
+		}
+	}
+	for i := 0; i < 150; i++ {
+		u := r.Intn(300)
+		_ = b.AddEdge(u, r.Intn(300))
+	}
+	g := b.Build()
+	n := g.N()
+	sizes := LogSpacedSizes(n-1, 16)
+	ctx := context.Background()
+	skipped := 0
+	for _, nrcvr := range []int{1, 7, 8, 9, 41} {
+		lanes := min(nrcvr, sweepLanes)
+		if dense(sizes[0], lanes, n) || !dense(sizes[len(sizes)-1], lanes, n) {
+			t.Fatalf("NRcvr=%d: sizes %v do not straddle the crossover", nrcvr, sizes)
+		}
+		for _, tree := range []string{"cached", "lane"} {
+			p := Protocol{NSource: 6, NRcvr: nrcvr, Seed: int64(nrcvr), SPTCache: tree == "cached", BatchBFS: tree == "lane"}
+			lo, hi := 1, p.NSource
+			t.Run(fmt.Sprintf("NRcvr=%d/%s", nrcvr, tree), func(t *testing.T) {
+				for _, mode := range []Mode{Distinct, WithReplacement} {
+					got, err := MeasureCurvePartialCtx(ctx, g, sizes, mode, p, lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := perSetCurve(t, g, sizes, mode, p, lo, hi); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v: batched partial\n%+v\nper-set partial\n%+v", mode, got, want)
+					}
+					for _, c := range got.Samples {
+						skipped += p.NRcvr - c
+					}
+				}
+				got, err := MeasureSharedCurvePartialCtx(ctx, g, sizes, CoreRandom, p, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := perSetShared(t, g, sizes, CoreRandom, p, lo, hi); !reflect.DeepEqual(got, want) {
+					t.Fatalf("shared: batched partial\n%+v\nper-set partial\n%+v", got, want)
+				}
+			})
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no set was skipped: the skip rule went untested")
+	}
+}
+
 // BenchmarkTreeSizeCrossover times one group count by climbs and by the
-// dense rank sweep at m = N/1000, N/64, N/16, N/4 and N-1 on the internet
-// map at half and full scale, so denseCrossover can be derived again on a
-// new host (EXPERIMENTS.md records the table). ns/op is per receiver set;
-// the rows sub-benchmark is the once-per-source cost of ranking the tree.
-// It stays out of `make bench`'s recorded set.
+// dense rank sweep at m = N/1000, N/256, N/64, N/16, N/4 and N-1 on the
+// internet map at half and full scale, so denseCrossover can be derived
+// again on a new host (EXPERIMENTS.md records the table). ns/op is per
+// receiver set: dense marks one set and sweeps it alone, as a grid point
+// with NRcvr = 1 does, and dense8 marks eight sets and sweeps them together,
+// as every larger NRcvr does. The rows sub-benchmark is the once-per-source
+// cost of ranking the tree. It stays out of `make bench`'s recorded set.
 func BenchmarkTreeSizeCrossover(b *testing.B) {
 	for _, scale := range []float64{0.5, 1} {
 		g, err := topology.GenerateCached("internet", 0, scale)
@@ -238,6 +447,7 @@ func BenchmarkTreeSizeCrossover(b *testing.B) {
 		}
 		pd := packTree(spt, nil)
 		rows := &rankRows{ar: arena.New()}
+		rows.use(spt)
 		b.Run(fmt.Sprintf("N=%d/rows", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rows.use(spt)
@@ -245,7 +455,7 @@ func BenchmarkTreeSizeCrossover(b *testing.B) {
 			}
 		})
 		c := NewTreeCounter(n)
-		for _, m := range []int{n / 1000, n / 64, n / 16, n / 4, n - 1} {
+		for _, m := range []int{n / 1000, n / 256, n / 64, n / 16, n / 4, n - 1} {
 			smp, err := NewSampler(n, 0, rng.New(int64(m)))
 			if err != nil {
 				b.Fatal(err)
@@ -261,11 +471,23 @@ func BenchmarkTreeSizeCrossover(b *testing.B) {
 					sinkLinks += c.measureClimb(0, pd, sets[i%len(sets)]).Links
 				}
 			})
-			b.Run(fmt.Sprintf("N=%d/m=%d/dense", n, m), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sinkLinks += rows.countDense(-1, sets[i%len(sets)]).Links
+			for _, lanes := range []int{1, sweepLanes} {
+				name := "dense"
+				if lanes > 1 {
+					name = fmt.Sprintf("dense%d", lanes)
 				}
-			})
+				b.Run(fmt.Sprintf("N=%d/m=%d/%s", n, m, name), func(b *testing.B) {
+					var ms [sweepLanes]Measurement
+					for i := 0; i < b.N; i += lanes {
+						batch := ms[:min(lanes, b.N-i)]
+						for j := range batch {
+							batch[j].UnicastHops, batch[j].Receivers = rows.markSet(j, -1, sets[(i+j)%len(sets)])
+						}
+						rows.sweep(batch)
+						sinkLinks += batch[0].Links
+					}
+				})
+			}
 		}
 	}
 }

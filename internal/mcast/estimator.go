@@ -368,12 +368,28 @@ func (sc *sourceScratch) prepare(g *graph.Graph, src, si, lane int, p Protocol, 
 	return spt, nil
 }
 
+// draw fills sc.recv with the source's next receiver set of the given size.
+func (sc *sourceScratch) draw(mode Mode, size int) (err error) {
+	switch mode {
+	case Distinct:
+		sc.recv, err = sc.smp.Distinct(size, sc.recv)
+	case WithReplacement:
+		sc.recv, err = sc.smp.WithReplacement(size, sc.recv)
+	default:
+		err = fmt.Errorf("mcast: unknown mode %v", mode)
+	}
+	return err
+}
+
 // measureSourceIndependent runs the paper-faithful §2 inner loop for one
 // source: an independent receiver set per (size, repetition), observing ctx
 // at every grid point so cancellation interrupts even a single huge source.
 // The tree is packed once per source and every sample measured through the
-// fused counters (exact-integer equivalents of counter.Measure): climbs for
-// small groups, the dense rank sweep from the crossover up (packed.go).
+// fused counters (exact-integer equivalents of counter.Measure), chosen once
+// per grid point (packed.go): climbs for small groups, and from the
+// crossover up the dense rank sweep, which counts up to sweepLanes sets per
+// pass. The sets are drawn, and their samples added, in repetition order
+// either way.
 //
 // si is the global source index (RNG identity); lane is the batch-slab and
 // accumulator slot (lane == si for a full sweep, si - SrcLo for a partial).
@@ -384,29 +400,37 @@ func measureSourceIndependent(ctx context.Context, g *graph.Graph, src, si, lane
 	if err != nil {
 		return err
 	}
+	source := int32(spt.Source)
 	sc.pd = packTree(spt, sc.growPacked(sc.pd, len(spt.Parent)))
 	sc.rows.use(spt)
+	perSweep := min(p.NRcvr, sweepLanes)
+	var buf [sweepLanes]Measurement
 	for k, size := range sizes {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for rep := 0; rep < p.NRcvr; rep++ {
-			switch mode {
-			case Distinct:
-				sc.recv, err = sc.smp.Distinct(size, sc.recv)
-			case WithReplacement:
-				sc.recv, err = sc.smp.WithReplacement(size, sc.recv)
-			default:
-				err = fmt.Errorf("mcast: unknown mode %v", mode)
+		swept := dense(size, perSweep, len(sc.pd))
+		for rep := 0; rep < p.NRcvr; rep += perSweep {
+			ms := buf[:min(perSweep, p.NRcvr-rep)]
+			for j := range ms {
+				if err := sc.draw(mode, size); err != nil {
+					return err
+				}
+				if swept {
+					ms[j].UnicastHops, ms[j].Receivers = sc.rows.markSet(j, -1, sc.recv)
+				} else {
+					ms[j] = sc.counter.measureClimb(source, sc.pd, sc.recv)
+				}
 			}
-			if err != nil {
-				return err
+			if swept {
+				sc.rows.sweep(ms)
 			}
-			meas := sc.counter.measurePacked(int32(spt.Source), sc.pd, &sc.rows, sc.recv)
-			if meas.Receivers == 0 {
-				continue // source in a tiny component; skip sample
+			for _, meas := range ms {
+				if meas.Receivers == 0 {
+					continue // source in a tiny component; skip sample
+				}
+				acc.add(lane, k, meas.Ratio(), float64(meas.Links), meas.AvgUnicast())
 			}
-			acc.add(lane, k, meas.Ratio(), float64(meas.Links), meas.AvgUnicast())
 		}
 	}
 	return nil

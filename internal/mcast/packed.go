@@ -27,31 +27,54 @@ import (
 // (rankRows) puts every parent at a lower rank than its children, so one
 // pass from the last rank to the first, mark[prank[k]] |= mark[k], marks
 // exactly the nodes with a marked descendant (Guillemin and Robert,
-// cs/0702156) and counts them on the way. The pass costs one streaming step
-// per reachable node whatever the group; the climbs cost one dependent
+// cs/0702156) and counts them on the way. A mark is one byte per rank and
+// each bit of it is one receiver set, so one pass counts up to eight sets
+// drawn on the same source tree: the protocol's NRcvr sets per (source, m)
+// are marked one after another (markSet) and swept eight at a time (sweep).
+// The pass costs one streaming step per reachable node whatever the group
+// and is shared by the sets of one batch; the climbs cost one dependent
 // random load per tree node, several times dearer each, and the tree grows
-// towards N with the group's density m/N. So the crossover is a density,
-// size*denseCrossover >= N, and a constant rather than an option: it is set
-// by the ratio of a random load to a streaming step, a property of the host's
-// memory hierarchy, not of the run. BenchmarkTreeSizeCrossover re-derives it
-// (EXPERIMENTS.md has the table); near the crossover the two cost about the
-// same, so a host whose best value differs a little loses little, and only
-// at the one or two log-spaced grid points nearest it.
+// towards N with the group's density m/N. So the crossover is a density per
+// set swept, size*batch*denseCrossover >= N with batch = min(NRcvr, 8), and
+// a constant rather than an option: it is set by the ratio of a random load
+// to a streaming step, a property of the host's memory hierarchy, not of the
+// run. BenchmarkTreeSizeCrossover re-derives it (EXPERIMENTS.md has the
+// table); near the crossover the two cost about the same, so a host whose
+// best value differs a little loses little, and only at the one or two
+// log-spaced grid points nearest it.
 //
 // Both strategies compute exactly the integers (links, hop sums, receiver
-// counts) of TreeCounter.Measure / TreeSize / SharedTreeSize, so engine
-// results are byte-identical whichever runs. The nested engine keeps
-// climbing: it grows one tree per repetition and reads it off at every grid
-// size, so its climbs already total O(L(maxM)) per repetition, no more than
-// one sweep, where sweeping would cost one pass per grid size.
+// counts) of TreeCounter.Measure / TreeSize / SharedTreeSize, and the
+// engines add each set's sample in draw order either way, so engine results
+// are byte-identical whichever runs. The engines choose once per grid
+// point. The nested engine keeps climbing: it grows one tree per repetition
+// and reads it off at every grid size, so its climbs already total
+// O(L(maxM)) per repetition, no more than one sweep, where sweeping would
+// cost one pass per grid size.
 //
 // Receiver slices come from the Sampler, whose site population is built from
 // node IDs in [0, N), so the loops index pd and rd without range guards; the
 // unreachable check doubles as the only per-receiver branch.
 
-// denseCrossover is the group density at which the dense sweep replaces
-// climbs: groups of size m with m*denseCrossover >= N are swept.
+// denseCrossover is the group density per swept set at which the dense
+// sweep replaces climbs: a grid point whose sets are swept batch at a time
+// is swept when size*batch*denseCrossover >= N (dense).
 const denseCrossover = 16
+
+// sweepLanes is the number of receiver sets one sweep counts: one per bit of
+// a mark byte.
+const sweepLanes = 8
+
+// spread[mk] holds bit j of the mark byte mk in byte j, so adding it to a
+// uint64 advances eight byte counters at once, one per set.
+var spread = func() (t [256]uint64) {
+	for mk := range t {
+		for j := 0; j < sweepLanes; j++ {
+			t[mk] |= uint64(mk>>j&1) << (8 * j)
+		}
+	}
+	return t
+}()
 
 // packTree packs spt's Dist and Parent into one int64-per-node array,
 // reusing dst's storage when large enough.
@@ -119,15 +142,16 @@ func climb4(pd []int64, visited []int32, epoch int32, r0, r1, r2, r3 int32) int 
 // rank of a node is its position in a nondecreasing-distance order with the
 // source at rank 0, so every parent ranks below its children. The rows are
 // built from the tree on first use (rank), so a source whose groups all stay
-// below the crossover never pays for them, and live in the owning scratch's
-// arena.
+// below the crossover never pays for them. rd and prank live in the owning
+// scratch's arena; mark is plain make, as it is cleared on every ranking
+// anyway.
 type rankRows struct {
 	spt *graph.SPT // the tree still to rank; nil once the rows hold its ranks
 	ar  *arena.Arena
 
 	rd    []int64 // rd[v] = dist<<32 | rank(v); negative when v is unreachable
 	prank []int32 // prank[k] = rank of the parent of rank k; prank[0] = 0
-	mark  []int32 // mark[k] = 1 when rank k has a group member below it; all 0 between counts
+	mark  []uint8 // bit j of mark[k] is set when set j has a member at or below rank k; all 0 between sweeps
 }
 
 // use points the rows at a new source tree; they are ranked on first use.
@@ -181,84 +205,79 @@ func (rr *rankRows) rank() {
 			prank[uint32(w)] = int32(uint32(rd[t.Parent[v]]))
 		}
 	}
-	mark := ar.GrowInt32(rr.mark, reach)
+	if cap(rr.mark) < reach {
+		rr.mark = make([]uint8, reach)
+	}
+	mark := rr.mark[:reach]
 	clear(mark)
 	rr.rd, rr.prank, rr.mark = rd, prank, mark
 }
 
-// countDense is the dense routine behind all three counters: it marks the
-// rank of extra (the shared tree's source; -1 for none) and of every
-// reachable receiver, one load per receiver that also yields its hop count,
-// then sweeps the ranks once from last to first, counting each rank with a
-// marked descendant and clearing the marks for the next group. Rank 0, the
-// root, is never counted, just as a climb stops at it.
-func (rr *rankRows) countDense(extra int32, receivers []int32) Measurement {
+// markSet marks set j, bit j of the mark bytes, at the rank of extra (the
+// shared tree's source; -1 for none) and of every reachable receiver, one
+// load per receiver that also yields its hop count. It returns the set's
+// unicast hop sum and reachable receiver count; the next sweep counts its
+// links.
+func (rr *rankRows) markSet(j int, extra int32, receivers []int32) (hops int64, reach int) {
 	if rr.spt != nil {
 		rr.rank()
 	}
-	rd, prank, mark := rr.rd, rr.prank, rr.mark
-	var m Measurement
+	rd, mark := rr.rd, rr.mark
+	bit := uint8(1) << j
 	if extra >= 0 && int(extra) < len(rd) && rd[extra] >= 0 {
-		mark[uint32(rd[extra])] = 1
+		mark[uint32(rd[extra])] |= bit
 	}
 	for _, r := range receivers {
 		w := rd[r]
 		if w < 0 {
 			continue
 		}
-		m.UnicastHops += w >> 32
-		m.Receivers++
-		mark[uint32(w)] = 1
+		hops += w >> 32
+		reach++
+		mark[uint32(w)] |= bit
 	}
-	prank = prank[:len(mark)]
-	links := int32(0)
-	for k := len(mark) - 1; k > 0; k-- {
-		mk := mark[k]
-		links += mk
-		mark[prank[k]] |= mk
-		mark[k] = 0
+	return hops, reach
+}
+
+// sweep counts the sets marked since the last sweep in one pass over the
+// ranks from last to first: each rank adds its mark byte to eight byte
+// counters (spread), passes the byte to its parent and clears it for the
+// next batch. A byte counter holds at most 255, so the counters are flushed
+// every 255 ranks. Rank 0, the root, is never counted, just as a climb stops
+// at it. ms[j].Links is set to set j's tree size, for every set j < len(ms);
+// every marked set must have its slot.
+func (rr *rankRows) sweep(ms []Measurement) {
+	mark := rr.mark
+	prank := rr.prank[:len(mark)]
+	var links [sweepLanes]int
+	for hi := len(mark); hi > 1; {
+		lo := max(hi-255, 1)
+		var acc uint64
+		for k := hi - 1; k >= lo; k-- {
+			mk := mark[k]
+			acc += spread[mk]
+			mark[prank[k]] |= mk
+			mark[k] = 0
+		}
+		for j := range links {
+			links[j] += int(acc >> (8 * j) & 0xff)
+		}
+		hi = lo
 	}
 	mark[0] = 0
-	m.Links = int(links)
-	return m
-}
-
-// dense reports whether a group of size receivers on an n-node graph is
-// counted by the sweep rather than by climbs.
-func dense(size, n int) bool { return size*denseCrossover >= n }
-
-// measurePacked is the fused equivalent of Measure: the tree size, the
-// unicast hop sum and the reachable count of one group, counted by the dense
-// sweep over rows at or above the crossover and by climbs on pd below it.
-func (c *TreeCounter) measurePacked(source int32, pd []int64, rows *rankRows, receivers []int32) Measurement {
-	if dense(len(receivers), len(pd)) {
-		return rows.countDense(-1, receivers)
+	for j := range ms {
+		ms[j].Links = links[j]
 	}
-	return c.measureClimb(source, pd, receivers)
 }
 
-// treeSizePacked is the fused equivalent of TreeSize, dispatched like
-// measurePacked.
-func (c *TreeCounter) treeSizePacked(source int32, pd []int64, rows *rankRows, receivers []int32) int {
-	if dense(len(receivers), len(pd)) {
-		return rows.countDense(-1, receivers).Links
-	}
-	return c.treeSizeClimb(source, pd, receivers)
-}
+// dense reports whether a grid point of size-receiver sets on an n-node
+// graph, swept batch sets at a time, is counted by the sweep rather than by
+// climbs.
+func dense(size, batch, n int) bool { return size*batch*denseCrossover >= n }
 
-// sharedTreeSizePacked is the fused equivalent of SharedTreeSize on the
-// core-rooted tree (pd, rows): the group's source is a member alongside the
-// receivers. Dispatched like measurePacked.
-func (c *TreeCounter) sharedTreeSizePacked(core int32, pd []int64, rows *rankRows, source int32, receivers []int32) int {
-	if dense(len(receivers), len(pd)) {
-		return rows.countDense(source, receivers).Links
-	}
-	return c.sharedTreeSizeClimb(core, pd, source, receivers)
-}
-
-// measureClimb is measurePacked's climbing path: one pass over the receivers
-// computes the delivery-tree size, the unicast hop sum and the reachable
-// count together. Receivers are climbed four at a time (climb4); the short
+// measureClimb is the climbing equivalent of Measure: one pass over the
+// receivers computes the delivery-tree size, the unicast hop sum and the
+// reachable count together. Receivers are climbed four at a time (climb4); the short
 // tail falls back to the one-at-a-time loop.
 func (c *TreeCounter) measureClimb(source int32, pd []int64, receivers []int32) Measurement {
 	if len(pd) > len(c.visited) {
@@ -318,8 +337,8 @@ func (c *TreeCounter) measureClimb(source int32, pd []int64, receivers []int32) 
 	return m
 }
 
-// treeSizeClimb is treeSizePacked's climbing path, with the same four-wide
-// climb as measureClimb.
+// treeSizeClimb is the climbing equivalent of TreeSize, with the same
+// four-wide climb as measureClimb.
 func (c *TreeCounter) treeSizeClimb(source int32, pd []int64, receivers []int32) int {
 	if len(pd) > len(c.visited) {
 		c.visited = make([]int32, len(pd))
@@ -360,9 +379,9 @@ func (c *TreeCounter) treeSizeClimb(source int32, pd []int64, receivers []int32)
 	return links
 }
 
-// sharedTreeSizeClimb is sharedTreeSizePacked's climbing path: the
-// core-rooted tree is climbed from the group's source and from every
-// receiver under one epoch.
+// sharedTreeSizeClimb is the climbing equivalent of SharedTreeSize on the
+// core-rooted tree pd: the tree is climbed from the group's source and from
+// every receiver under one epoch.
 func (c *TreeCounter) sharedTreeSizeClimb(core int32, pd []int64, source int32, receivers []int32) int {
 	if len(pd) > len(c.visited) {
 		c.visited = make([]int32, len(pd))

@@ -218,8 +218,10 @@ func (a *SharedPartial) reduce(sizes []int) []SharedPoint {
 // measureSourceShared runs the shared-curve inner loop for one source: both
 // trees resolved (lane views when the batch path is engaged, else from the
 // SPT cache when enabled, else per-source BFS), packed, then every
-// (size, rep) sample measured against each through the fused counters.
-// ctx is polled at every grid point.
+// (size, rep) sample measured against each through the fused counters,
+// chosen once per grid point as in measureSourceIndependent: a swept batch
+// marks each set on both trees and sweeps each tree once. ctx is polled at
+// every grid point.
 //
 // si is the global source index (RNG identity); lane is the slot in the
 // batch slab and the accumulator (lane == si for a full sweep); laneCount is
@@ -258,22 +260,38 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, 
 	if err := sc.smp.Reset(g.N(), source, rng.NewChild(p.Seed, int64(si))); err != nil {
 		return err
 	}
-	var err error
+	perSweep := min(p.NRcvr, sweepLanes)
+	var srcMs, shrMs [sweepLanes]Measurement
 	for k, size := range sizes {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for rep := 0; rep < p.NRcvr; rep++ {
-			sc.recv, err = sc.smp.Distinct(size, sc.recv)
-			if err != nil {
-				return err
+		swept := dense(size, perSweep, len(sc.pd))
+		for rep := 0; rep < p.NRcvr; rep += perSweep {
+			b := min(perSweep, p.NRcvr-rep)
+			for j := 0; j < b; j++ {
+				if err := sc.draw(Distinct, size); err != nil {
+					return err
+				}
+				if swept {
+					sc.rows.markSet(j, -1, sc.recv)
+					sc.rows2.markSet(j, int32(source), sc.recv)
+				} else {
+					srcMs[j].Links = sc.counter.treeSizeClimb(int32(srcSPT.Source), sc.pd, sc.recv)
+					shrMs[j].Links = sc.counter.sharedTreeSizeClimb(int32(coreSPT.Source), sc.pd2, int32(source), sc.recv)
+				}
 			}
-			src := sc.counter.treeSizePacked(int32(srcSPT.Source), sc.pd, &sc.rows, sc.recv)
-			shr := sc.counter.sharedTreeSizePacked(int32(coreSPT.Source), sc.pd2, &sc.rows2, int32(source), sc.recv)
-			if src == 0 {
-				continue
+			if swept {
+				sc.rows.sweep(srcMs[:b])
+				sc.rows2.sweep(shrMs[:b])
 			}
-			acc.add(lane, k, float64(src), float64(shr), float64(shr)/float64(src))
+			for j := 0; j < b; j++ {
+				src, shr := srcMs[j].Links, shrMs[j].Links
+				if src == 0 {
+					continue
+				}
+				acc.add(lane, k, float64(src), float64(shr), float64(shr)/float64(src))
+			}
 		}
 	}
 	return nil
