@@ -180,6 +180,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseChaosPlan -fuzztime 30s ./internal/chaos/
 	$(GO) test -fuzz FuzzChurnEquivalence -fuzztime 30s ./internal/mcast/
 	$(GO) test -fuzz FuzzDenseEquivalence -fuzztime 30s ./internal/mcast/
+	$(GO) test -fuzz FuzzCurveMatchesPerSet -fuzztime 30s ./internal/mcast/
 	$(GO) test -fuzz FuzzKMBEquivalence -fuzztime 30s ./internal/steiner/
 	$(GO) test -fuzz FuzzChainEquivalence -fuzztime 30s ./internal/affinity/
 
@@ -197,6 +198,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseChaosPlan -fuzztime 10s ./internal/chaos/
 	$(GO) test -run '^$$' -fuzz FuzzChurnEquivalence -fuzztime 10s ./internal/mcast/
 	$(GO) test -run '^$$' -fuzz FuzzDenseEquivalence -fuzztime 10s ./internal/mcast/
+	$(GO) test -run '^$$' -fuzz FuzzCurveMatchesPerSet -fuzztime 10s ./internal/mcast/
 	$(GO) test -run '^$$' -fuzz FuzzKMBEquivalence -fuzztime 10s ./internal/steiner/
 	$(GO) test -run '^$$' -fuzz FuzzChainEquivalence -fuzztime 10s ./internal/affinity/
 

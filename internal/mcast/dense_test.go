@@ -227,31 +227,45 @@ func TestDenseMatchesClimb(t *testing.T) {
 	}
 }
 
+// fuzzBytes hands out fuzz input one byte at a time, and 0 once it runs
+// out.
+type fuzzBytes []byte
+
+func (in *fuzzBytes) next() int {
+	if len(*in) == 0 {
+		return 0
+	}
+	b := (*in)[0]
+	*in = (*in)[1:]
+	return int(b)
+}
+
+// graph decodes a graph of at most 64 nodes: a node count, an edge count,
+// then one byte pair per edge while two bytes remain.
+func (in *fuzzBytes) graph() *graph.Graph {
+	n := in.next()%64 + 1
+	b := graph.NewBuilder(n)
+	for e := in.next(); e > 0 && len(*in) >= 2; e-- {
+		_ = b.AddEdge(in.next()%n, in.next()%n) // in range; self-loops are dropped
+	}
+	return b.Build()
+}
+
 // decodeDenseInput builds a graph of at most 64 nodes, a source, a core and
 // one to sweepLanes receiver groups from fuzz bytes: each later byte pair
 // adds one receiver to one group. Receivers are node ids, duplicates
 // allowed, as the Sampler draws them.
 func decodeDenseInput(data []byte) (g *graph.Graph, src, core int, groups [][]int32) {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b)
+	in := fuzzBytes(data)
+	g = in.graph()
+	n := g.N()
+	src, core = in.next()%n, in.next()%n
+	groups = make([][]int32, in.next()%sweepLanes+1)
+	for len(in) >= 2 {
+		j := in.next() % len(groups)
+		groups[j] = append(groups[j], int32(in.next()%n))
 	}
-	n := next()%64 + 1
-	b := graph.NewBuilder(n)
-	for e := next(); e > 0 && len(data) >= 2; e-- {
-		_ = b.AddEdge(next()%n, next()%n) // in range; self-loops are dropped
-	}
-	src, core = next()%n, next()%n
-	groups = make([][]int32, next()%sweepLanes+1)
-	for len(data) >= 2 {
-		j := next() % len(groups)
-		groups[j] = append(groups[j], int32(next()%n))
-	}
-	return b.Build(), src, core, groups
+	return g, src, core, groups
 }
 
 // FuzzDenseEquivalence runs diffDense on arbitrary small graphs, sources,
@@ -360,15 +374,54 @@ func perSetShared(t *testing.T, g *graph.Graph, sizes []int, strategy CoreStrate
 	return acc
 }
 
+// matchPerSet runs the curve engine in both modes and the shared-curve
+// engine over the source block [lo, hi) and fails t unless every partial
+// equals perSetCurve's or perSetShared's, float for float. The shared engine
+// keeps the source out of the population whatever IncludeSource says, so it
+// runs sizes with N capped to N − 1. It returns the number of sets the curve
+// engine skipped.
+func matchPerSet(t *testing.T, g *graph.Graph, sizes []int, p Protocol, lo, hi int) (skipped int) {
+	t.Helper()
+	ctx := context.Background()
+	for _, mode := range []Mode{Distinct, WithReplacement} {
+		got, err := MeasureCurvePartialCtx(ctx, g, sizes, mode, p, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := perSetCurve(t, g, sizes, mode, p, lo, hi); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v, sizes %v, %+v: engine partial\n%+v\nper-set partial\n%+v", mode, sizes, p, got, want)
+		}
+		for _, c := range got.Samples {
+			skipped += p.NRcvr - c
+		}
+	}
+	shared := make([]int, len(sizes))
+	for i, size := range sizes {
+		shared[i] = min(size, g.N()-1)
+	}
+	got, err := MeasureSharedCurvePartialCtx(ctx, g, shared, CoreRandom, p, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := perSetShared(t, g, shared, CoreRandom, p, lo, hi); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shared, sizes %v, %+v: engine partial\n%+v\nper-set partial\n%+v", shared, p, got, want)
+	}
+	return skipped
+}
+
 // TestBatchedCurvesMatchPerSet checks the curve engine (both modes) and the
 // shared-curve engine, which sweep up to sweepLanes sets per pass from the
-// crossover up, against perSetCurve and perSetShared: the partial slabs must
+// crossover up and count a grid point the size of the whole population once
+// per source, against perSetCurve and perSetShared: the partial slabs must
 // be equal, float for float. NRcvr covers one set, a batch one short, one
 // full batch, one set over and five batches with a short tail; the trees are
 // cached (ranked from Order) or batch lane views (ranked by counting sort);
 // the block starts past source 0, so lanes and source indices differ; and a
 // second component leaves some sets with no reachable receiver, which both
-// loops must skip alike.
+// loops must skip alike. The grids put the population size P last (the
+// log-spaced grid), first, mid-grid and repeated, so the draws the engines
+// skip there must be taken before every later size. P is N − 1, or N with
+// IncludeSource.
 func TestBatchedCurvesMatchPerSet(t *testing.T) {
 	r := rng.New(5)
 	b := graph.NewBuilder(400)
@@ -387,36 +440,36 @@ func TestBatchedCurvesMatchPerSet(t *testing.T) {
 	}
 	g := b.Build()
 	n := g.N()
-	sizes := LogSpacedSizes(n-1, 16)
-	ctx := context.Background()
+	grids := []struct {
+		name  string
+		sizes func(pop int) []int
+	}{
+		{"P last", func(pop int) []int { return LogSpacedSizes(pop, 16) }},
+		{"P first", func(pop int) []int { return []int{pop, 2, 40, 250} }},
+		{"P mid-grid", func(pop int) []int { return []int{5, 120, pop, 30, 260} }},
+		{"P repeated", func(pop int) []int { return []int{pop, 60, pop, pop, 9} }},
+	}
 	skipped := 0
 	for _, nrcvr := range []int{1, 7, 8, 9, 41} {
 		lanes := min(nrcvr, sweepLanes)
-		if dense(sizes[0], lanes, n) || !dense(sizes[len(sizes)-1], lanes, n) {
-			t.Fatalf("NRcvr=%d: sizes %v do not straddle the crossover", nrcvr, sizes)
+		if sizes := grids[0].sizes(n - 1); dense(sizes[0], lanes, n) || !dense(sizes[len(sizes)-2], lanes, n) {
+			t.Fatalf("NRcvr=%d: sizes %v do not straddle the crossover below P", nrcvr, sizes)
 		}
 		for _, tree := range []string{"cached", "lane"} {
-			p := Protocol{NSource: 6, NRcvr: nrcvr, Seed: int64(nrcvr), SPTCache: tree == "cached", BatchBFS: tree == "lane"}
-			lo, hi := 1, p.NSource
 			t.Run(fmt.Sprintf("NRcvr=%d/%s", nrcvr, tree), func(t *testing.T) {
-				for _, mode := range []Mode{Distinct, WithReplacement} {
-					got, err := MeasureCurvePartialCtx(ctx, g, sizes, mode, p, lo, hi)
-					if err != nil {
-						t.Fatal(err)
+				for _, include := range []bool{false, true} {
+					p := Protocol{NSource: 6, NRcvr: nrcvr, Seed: int64(nrcvr), SPTCache: tree == "cached", BatchBFS: tree == "lane", IncludeSource: include}
+					pop := n - 1
+					if include {
+						pop = n
 					}
-					if want := perSetCurve(t, g, sizes, mode, p, lo, hi); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v: batched partial\n%+v\nper-set partial\n%+v", mode, got, want)
+					lo, hi := 1, p.NSource
+					for _, grid := range grids {
+						sizes := grid.sizes(pop)
+						t.Run(fmt.Sprintf("IncludeSource=%v/%s", include, grid.name), func(t *testing.T) {
+							skipped += matchPerSet(t, g, sizes, p, lo, hi)
+						})
 					}
-					for _, c := range got.Samples {
-						skipped += p.NRcvr - c
-					}
-				}
-				got, err := MeasureSharedCurvePartialCtx(ctx, g, sizes, CoreRandom, p, lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := perSetShared(t, g, sizes, CoreRandom, p, lo, hi); !reflect.DeepEqual(got, want) {
-					t.Fatalf("shared: batched partial\n%+v\nper-set partial\n%+v", got, want)
 				}
 			})
 		}
@@ -424,6 +477,42 @@ func TestBatchedCurvesMatchPerSet(t *testing.T) {
 	if skipped == 0 {
 		t.Fatal("no set was skipped: the skip rule went untested")
 	}
+}
+
+// FuzzCurveMatchesPerSet runs matchPerSet on arbitrary small graphs, as
+// TestBatchedCurvesMatchPerSet does on one: after the graph (decoded as
+// decodeDenseInput decodes it) come NRcvr (1 to 9), a flag byte
+// (IncludeSource, batch lane views or per-source trees), the seed and a grid
+// of one to eight sizes, in which the population size P may appear anywhere
+// and any number of times. It checks the source block [1, 3).
+func FuzzCurveMatchesPerSet(f *testing.F) {
+	f.Add([]byte{10, 9, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 3, 0, 1, 3, 0, 2, 9, 0})
+	f.Add([]byte{9, 8, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 8, 3, 7, 4, 5, 0, 4, 0, 0})
+	f.Add([]byte{9, 3, 0, 1, 1, 2, 5, 6, 1, 1, 2, 2, 0, 3, 4})
+	f.Add([]byte{2, 1, 0, 1, 4, 1, 0, 2, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		g := in.graph()
+		n := g.N()
+		if n < 2 {
+			return
+		}
+		nrcvr, flags := in.next()%9+1, in.next()
+		p := Protocol{NSource: 3, NRcvr: nrcvr, Seed: int64(in.next()), IncludeSource: flags&1 != 0, BatchBFS: flags&2 != 0}
+		pop := n - 1
+		if p.IncludeSource {
+			pop = n
+		}
+		sizes := make([]int, in.next()%8+1)
+		for i := range sizes {
+			if b := in.next(); b%4 == 0 {
+				sizes[i] = pop
+			} else {
+				sizes[i] = b%pop + 1
+			}
+		}
+		matchPerSet(t, g, sizes, p, 1, 3)
+	})
 }
 
 // BenchmarkTreeSizeCrossover times one group count by climbs and by the

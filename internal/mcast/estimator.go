@@ -389,7 +389,11 @@ func (sc *sourceScratch) draw(mode Mode, size int) (err error) {
 // per grid point (packed.go): climbs for small groups, and from the
 // crossover up the dense rank sweep, which counts up to sweepLanes sets per
 // pass. The sets are drawn, and their samples added, in repetition order
-// either way.
+// either way. A Distinct grid point the size of the whole population (the
+// paper's m = N − 1) has one set, the population itself, in every
+// repetition: it is marked and swept once, its sample added NRcvr times,
+// and the NRcvr draws are left owed to the sampler (Sampler.whole), which
+// takes them only if the source draws again.
 //
 // si is the global source index (RNG identity); lane is the batch-slab and
 // accumulator slot (lane == si for a full sweep, si - SrcLo for a partial).
@@ -408,6 +412,15 @@ func measureSourceIndependent(ctx context.Context, g *graph.Graph, src, si, lane
 	for k, size := range sizes {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if mode == Distinct && size == sc.smp.Population() {
+			ms := buf[:1]
+			ms[0].UnicastHops, ms[0].Receivers = sc.rows.markSet(0, -1, sc.smp.whole(p.NRcvr))
+			sc.rows.sweep(ms)
+			for rep := 0; rep < p.NRcvr && ms[0].Receivers > 0; rep++ {
+				acc.add(lane, k, ms[0].Ratio(), float64(ms[0].Links), ms[0].AvgUnicast())
+			}
+			continue
 		}
 		swept := dense(size, perSweep, len(sc.pd))
 		for rep := 0; rep < p.NRcvr; rep += perSweep {

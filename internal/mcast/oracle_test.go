@@ -53,14 +53,36 @@ func exactTreeSize(spt *graph.SPT, sites, size int, mode Mode) float64 {
 	return e
 }
 
+// exactUnicast is the exact expectation of ū, a sample's mean unicast
+// distance, given the SPT: the mean distance over the reachable sites, in
+// both modes. Given how many receivers are reachable, those receivers are a
+// uniform draw from the reachable sites, so each one's expected distance is
+// that mean, and a sample counts when at least one receiver is reachable.
+// It is computed as AvgUnicast computes a sample's ū, so a sample of every
+// site equals it exactly.
+func exactUnicast(spt *graph.SPT) float64 {
+	var all Measurement
+	for _, d := range spt.Dist {
+		if d > 0 { // reachable, and not the source
+			all.UnicastHops += int64(d)
+			all.Receivers++
+		}
+	}
+	return all.AvgUnicast()
+}
+
 // TestCurveMatchesExactExpectation checks the curve engine's fixed-seed
-// per-source mean tree sizes against exactTreeSize in both modes, at sizes
-// on both sides of the dense crossover for the protocol's sweep batch:
-// |z| < 4 against the sample standard error, and exact equality at m = P in
-// Distinct mode, where every site is a receiver. The test replays each
-// source's receiver draws to get the per-sample spread, and requires the
-// replay's link sums to equal the engine's partial sums exactly, so the
-// means tested are the engine's own.
+// per-source means of the tree size and of ū against exactTreeSize and
+// exactUnicast in both modes, at sizes on both sides of the dense crossover
+// for the protocol's sweep batch: |z| < 4 against the sample standard
+// error. At m = P in Distinct mode, where every site is a receiver, the
+// mean tree size must equal the exact one and every sample's ū the exact
+// mean distance, with no tolerance. m = P comes twice, mid-grid and last,
+// so the engine counts it once per source and leaves the draws it skips
+// owed to the sampler, which must take them before the next size. The test
+// replays each source's receiver draws to get the per-sample spread, and
+// requires the replay's link and unicast sums to equal the engine's partial
+// sums exactly, so the means tested are the engine's own.
 func TestCurveMatchesExactExpectation(t *testing.T) {
 	for _, topo := range []struct {
 		name  string
@@ -78,7 +100,7 @@ func TestCurveMatchesExactExpectation(t *testing.T) {
 		if swept < 2 || dense(swept-1, lanes, n) || !dense(swept, lanes, n) {
 			t.Fatalf("%s: N=%d puts no size below the crossover (first swept size %d)", topo.name, n, swept)
 		}
-		sizes := []int{swept / 2, swept - 1, swept, n / 16, n / 4, sites}
+		sizes := []int{swept / 2, sites, swept - 1, swept, n / 16, n / 4, sites}
 		for _, mode := range []Mode{Distinct, WithReplacement} {
 			part, err := MeasureCurvePartialCtx(context.Background(), g, sizes, mode, p, 0, p.NSource)
 			if err != nil {
@@ -94,9 +116,11 @@ func TestCurveMatchesExactExpectation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				exactU := exactUnicast(spt)
 				var recv []int32
 				for k, m := range sizes {
-					var sum, sq float64
+					whole := mode == Distinct && m == sites
+					var sum, sq, uSum, uSq float64
 					for rep := 0; rep < p.NRcvr; rep++ {
 						if mode == Distinct {
 							recv, err = smp.Distinct(m, recv)
@@ -106,27 +130,38 @@ func TestCurveMatchesExactExpectation(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						l := float64(c.TreeSize(spt, recv))
+						meas := c.Measure(spt, recv)
+						l, u := float64(meas.Links), meas.AvgUnicast()
+						if whole && u != exactU {
+							t.Fatalf("%s source %d m=P: sample ū %v, exact %v", topo.name, src, u, exactU)
+						}
 						sum += l
 						sq += l * l
+						uSum += u
+						uSq += u * u
 					}
 					cell := si*len(sizes) + k
-					if sum != part.LinkSum[cell] || part.Samples[cell] != p.NRcvr {
-						t.Fatalf("%s %v source %d m=%d: replayed link sum %v over %d, engine %v over %d",
-							topo.name, mode, src, m, sum, p.NRcvr, part.LinkSum[cell], part.Samples[cell])
+					if sum != part.LinkSum[cell] || uSum != part.UnicastSum[cell] || part.Samples[cell] != p.NRcvr {
+						t.Fatalf("%s %v source %d m=%d: replayed link and ū sums %v, %v over %d; engine %v, %v over %d",
+							topo.name, mode, src, m, sum, uSum, p.NRcvr, part.LinkSum[cell], part.UnicastSum[cell], part.Samples[cell])
 					}
 					exact := exactTreeSize(spt, sites, m, mode)
-					mean := sum / float64(p.NRcvr)
-					if mode == Distinct && m == sites {
-						if mean != exact {
+					if whole {
+						if mean := sum / float64(p.NRcvr); mean != exact {
 							t.Errorf("%s source %d m=P: mean %v, exact %v", topo.name, src, mean, exact)
 						}
 						continue
 					}
-					se := math.Sqrt((sq/float64(p.NRcvr) - mean*mean) / float64(p.NRcvr-1))
-					if z := (mean - exact) / se; math.Abs(z) >= 4 {
-						t.Errorf("%s %v source %d m=%d (dense %v): mean %.3f, exact %.3f, z = %.2f",
-							topo.name, mode, src, m, dense(m, lanes, n), mean, exact, z)
+					for _, q := range []struct {
+						what           string
+						sum, sq, exact float64
+					}{{"L", sum, sq, exact}, {"ū", uSum, uSq, exactU}} {
+						mean := q.sum / float64(p.NRcvr)
+						se := math.Sqrt((q.sq/float64(p.NRcvr) - mean*mean) / float64(p.NRcvr-1))
+						if z := (mean - q.exact) / se; !(math.Abs(z) < 4) { // a NaN z fails too
+							t.Errorf("%s %v source %d m=%d (dense %v): mean %s %.3f, exact %.3f, z = %.2f",
+								topo.name, mode, src, m, dense(m, lanes, n), q.what, mean, q.exact, z)
+						}
 					}
 				}
 			}

@@ -47,7 +47,12 @@ import (
 // counts) of TreeCounter.Measure / TreeSize / SharedTreeSize, and the
 // engines add each set's sample in draw order either way, so engine results
 // are byte-identical whichever runs. The engines choose once per grid
-// point. The nested engine keeps climbing: it grows one tree per repetition
+// point. A Distinct grid point the size of the whole population, the
+// paper's m = N − 1, has the population as every one of its NRcvr sets:
+// the engines mark it in one lane, sweep once and add that one sample NRcvr
+// times, and leave the draws owed to the sampler (Sampler.whole), whose
+// next draw takes them so every later set is the one the stream gives.
+// The nested engine keeps climbing: it grows one tree per repetition
 // and reads it off at every grid size, so its climbs already total
 // O(L(maxM)) per repetition, no more than one sweep, where sweeping would
 // cost one pass per grid size.

@@ -37,6 +37,11 @@ type Sampler struct {
 	// arrays with recycled slabs so resizing across graph scales allocates
 	// nothing; nil falls back to make.
 	ar *arena.Arena
+	// owed counts the whole-population Distinct draws that whole skipped.
+	// Their stream steps are still to be taken: every draw method takes them
+	// first (settle), so later sets see the stream a sampler that made the
+	// draws would. Reset drops them.
+	owed int
 }
 
 // growScratch returns a length-n scratch slice, recycling buf's storage
@@ -75,6 +80,7 @@ func (s *Sampler) Reset(n int, exclude int, r rng.Source) error {
 	}
 	s.r = r
 	s.rr, _ = r.(*rng.Rand)
+	s.owed = 0
 	s.sites = s.growScratch(s.sites, n)[:0]
 	for v := 0; v < n; v++ {
 		if v != exclude {
@@ -100,6 +106,45 @@ func NewSiteSampler(sites []int32, r rng.Source) (*Sampler, error) {
 // Population returns the number of candidate sites (the paper's M).
 func (s *Sampler) Population() int { return len(s.sites) }
 
+// whole stands in for n draws of Distinct(Population()): each of them
+// returns the whole population, in an order no count depends on, so the
+// engines count the population once instead of drawing it n times. It
+// returns the population, which the caller must not modify, and records the
+// n draws as owed; the next draw of any kind takes their stream steps first
+// (settle), and Reset drops them, so a source whose grid ends at the
+// population never takes them.
+func (s *Sampler) whole(n int) []int32 {
+	s.owed += n
+	return s.sites
+}
+
+// settle takes the stream steps of the draws whole skipped, each by the
+// shuffle Distinct(Population()) runs.
+func (s *Sampler) settle() {
+	for ; s.owed > 0; s.owed-- {
+		s.shuffled(len(s.sites))
+	}
+}
+
+// shuffled runs the first m steps of a Fisher-Yates shuffle on a scratch
+// copy of the population and returns the copy, whose first m sites are then
+// a uniform distinct sample.
+func (s *Sampler) shuffled(m int) []int32 {
+	M := len(s.sites)
+	s.buf = s.growScratch(s.buf, M)
+	copy(s.buf, s.sites)
+	buf := s.buf
+	if rr := s.rr; rr != nil {
+		rr.PermPrefix32(buf, m)
+		return buf
+	}
+	for i := 0; i < m; i++ {
+		j := i + s.r.Intn(M-i)
+		buf[i], buf[j] = buf[j], buf[i]
+	}
+	return buf
+}
+
 // stamp starts a new draw epoch, growing the mark array to the current
 // population if needed. Clearing the set is an integer increment; the array
 // is only re-zeroed on the (practically unreachable) epoch wrap.
@@ -124,6 +169,7 @@ func (s *Sampler) stamp() {
 // WithReplacement draws n sites uniformly with replacement (the paper's
 // L̄(n) protocol) into dst, growing it as needed, and returns it.
 func (s *Sampler) WithReplacement(n int, dst []int32) ([]int32, error) {
+	s.settle()
 	if n < 0 {
 		return nil, fmt.Errorf("mcast: negative sample size %d", n)
 	}
@@ -151,6 +197,7 @@ func (s *Sampler) WithReplacement(n int, dst []int32) ([]int32, error) {
 // the population size it switches to a partial Fisher-Yates shuffle, which
 // is O(population) but has no rejection blow-up.
 func (s *Sampler) Distinct(m int, dst []int32) ([]int32, error) {
+	s.settle()
 	M := len(s.sites)
 	if m < 0 || m > M {
 		return nil, fmt.Errorf("mcast: cannot draw %d distinct sites from %d", m, M)
@@ -161,19 +208,7 @@ func (s *Sampler) Distinct(m int, dst []int32) ([]int32, error) {
 	}
 	if m*4 >= M {
 		// Partial Fisher-Yates over a scratch copy.
-		s.buf = s.growScratch(s.buf, M)
-		copy(s.buf, s.sites)
-		buf := s.buf
-		if rr := s.rr; rr != nil {
-			rr.PermPrefix32(buf, m)
-			return append(dst, buf[:m]...), nil
-		}
-		for i := 0; i < m; i++ {
-			j := i + s.r.Intn(M-i)
-			buf[i], buf[j] = buf[j], buf[i]
-			dst = append(dst, buf[i])
-		}
-		return dst, nil
+		return append(dst, s.shuffled(m)[:m]...), nil
 	}
 	// Floyd's sampling: for j = M-m .. M-1 pick t in [0..j]; take t unless
 	// already taken, else take j. The "taken" set is the epoch-stamped mark
@@ -218,6 +253,7 @@ func (s *Sampler) Distinct(m int, dst []int32) ([]int32, error) {
 // the population regardless of its storage order, and a shuffled population
 // is still the same population.
 func (s *Sampler) Permutation(m int, dst []int32) ([]int32, error) {
+	s.settle()
 	sites := s.sites
 	M := len(sites)
 	if m < 0 || m > M {
@@ -241,6 +277,7 @@ func (s *Sampler) Permutation(m int, dst []int32) ([]int32, error) {
 // the reference implementation for tests and the sampling ablation; Distinct
 // is the production path.
 func (s *Sampler) DistinctRejection(m int, dst []int32) ([]int32, error) {
+	s.settle()
 	M := len(s.sites)
 	if m < 0 || m > M {
 		return nil, fmt.Errorf("mcast: cannot draw %d distinct sites from %d", m, M)

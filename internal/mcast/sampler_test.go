@@ -1,6 +1,9 @@
 package mcast
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +319,115 @@ func TestLogSpacedSizes(t *testing.T) {
 	}
 	if got := LogSpacedSizes(7, 1); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("count=1: %v", got)
+	}
+}
+
+// scriptedSource is a Source that is not a *rng.Rand, so a Sampler over it
+// takes the generic draw loops: it plays a fixed linear congruential script.
+type scriptedSource struct{ x uint64 }
+
+func (s *scriptedSource) Intn(n int) int {
+	s.x = s.x*6364136223846793005 + 1442695040888963407
+	return int(s.x >> 33 % uint64(n))
+}
+
+func (s *scriptedSource) Float64() float64 { return float64(s.Intn(1<<30)) / (1 << 30) }
+
+func (s *scriptedSource) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := s.Intn(i + 1)
+		p[i], p[j] = p[j], i
+	}
+	return p
+}
+
+func (s *scriptedSource) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		swap(i, s.Intn(i+1))
+	}
+}
+
+// TestSamplerOwesWholeDraws checks the draws whole leaves owed: after
+// whole(k), every draw method must return exactly what a sampler that made
+// the k Distinct(Population()) draws returns, twice in a row, on the
+// *rng.Rand paths and on a scripted Source's generic loops; whole must hand
+// back the population; and Reset must drop the debt.
+func TestSamplerOwesWholeDraws(t *testing.T) {
+	const n, exclude = 50, 7
+	streams := []struct {
+		name string
+		src  func() rng.Source
+	}{
+		{"rng.Rand", func() rng.Source { return rng.New(11) }},
+		{"scripted", func() rng.Source { return &scriptedSource{x: 11} }},
+	}
+	draws := []struct {
+		name string
+		draw func(s *Sampler) ([]int32, error)
+	}{
+		{"Distinct/Floyd", func(s *Sampler) ([]int32, error) { return s.Distinct(5, nil) }},
+		{"Distinct/Fisher-Yates", func(s *Sampler) ([]int32, error) { return s.Distinct(40, nil) }},
+		{"Distinct/whole", func(s *Sampler) ([]int32, error) { return s.Distinct(n-1, nil) }},
+		{"WithReplacement", func(s *Sampler) ([]int32, error) { return s.WithReplacement(30, nil) }},
+		{"Permutation", func(s *Sampler) ([]int32, error) { return s.Permutation(20, nil) }},
+		{"DistinctRejection", func(s *Sampler) ([]int32, error) { return s.DistinctRejection(10, nil) }},
+	}
+	newSampler := func(t *testing.T, src rng.Source) *Sampler {
+		t.Helper()
+		s, err := NewSampler(n, exclude, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	same := func(t *testing.T, what string, owing, paying *Sampler, draw func(*Sampler) ([]int32, error)) {
+		t.Helper()
+		for round := 0; round < 2; round++ {
+			got, err := draw(owing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := draw(paying)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, draw %d: %v, want %v", what, round, got, want)
+			}
+		}
+	}
+	for _, st := range streams {
+		for _, d := range draws {
+			for _, k := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/%s/k=%d", st.name, d.name, k), func(t *testing.T) {
+					owing, paying := newSampler(t, st.src()), newSampler(t, st.src())
+					all := owing.whole(k)
+					if len(all) != n-1 || slices.Contains(all, exclude) {
+						t.Fatalf("whole returned %v, want the %d sites other than %d", all, n-1, exclude)
+					}
+					sorted := slices.Clone(all)
+					slices.Sort(sorted)
+					for i := 0; i < k; i++ {
+						set, err := paying.Distinct(paying.Population(), nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						slices.Sort(set)
+						if !reflect.DeepEqual(set, sorted) {
+							t.Fatalf("Distinct(Population()) drew %v, not the population %v", set, all)
+						}
+					}
+					same(t, "after whole", owing, paying, d.draw)
+					// Reset drops the debt: the reset sampler draws what a
+					// fresh one draws.
+					owing.whole(k)
+					if err := owing.Reset(n, exclude, st.src()); err != nil {
+						t.Fatal(err)
+					}
+					same(t, "after Reset", owing, newSampler(t, st.src()), d.draw)
+				})
+			}
+		}
 	}
 }

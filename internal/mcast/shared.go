@@ -220,8 +220,10 @@ func (a *SharedPartial) reduce(sizes []int) []SharedPoint {
 // SPT cache when enabled, else per-source BFS), packed, then every
 // (size, rep) sample measured against each through the fused counters,
 // chosen once per grid point as in measureSourceIndependent: a swept batch
-// marks each set on both trees and sweeps each tree once. ctx is polled at
-// every grid point.
+// marks each set on both trees and sweeps each tree once, and a grid point
+// the size of the whole population is marked on both trees, swept and
+// added NRcvr times, with its draws left owed. ctx is polled at every grid
+// point.
 //
 // si is the global source index (RNG identity); lane is the slot in the
 // batch slab and the accumulator (lane == si for a full sweep); laneCount is
@@ -265,6 +267,18 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, 
 	for k, size := range sizes {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if size == sc.smp.Population() {
+			all := sc.smp.whole(p.NRcvr)
+			sc.rows.markSet(0, -1, all)
+			sc.rows2.markSet(0, int32(source), all)
+			sc.rows.sweep(srcMs[:1])
+			sc.rows2.sweep(shrMs[:1])
+			src, shr := srcMs[0].Links, shrMs[0].Links
+			for rep := 0; rep < p.NRcvr && src > 0; rep++ {
+				acc.add(lane, k, float64(src), float64(shr), float64(shr)/float64(src))
+			}
+			continue
 		}
 		swept := dense(size, perSweep, len(sc.pd))
 		for rep := 0; rep < p.NRcvr; rep += perSweep {
