@@ -39,7 +39,9 @@ race:
 # The robustness surface under contention: cancellation, panic isolation,
 # checkpoint/resume, heap-guard, admission/shedding, drain, and quarantine
 # tests under the race detector, with a hard timeout so a lost cancellation
-# hangs CI instead of passing silently.
+# hangs CI instead of passing silently. The heap-guard tests then run three
+# times in one process, where a run starts with the previous run's garbage
+# still on the heap.
 race-robust:
 	$(GO) test -race -timeout 5m \
 		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Fence|Registry|Lease|Announce|WorkerTable|Backoff|TLS' \
@@ -47,6 +49,7 @@ race-robust:
 		./internal/atomicio/... ./internal/serve/... ./internal/graph/... \
 		./internal/cluster/... ./internal/chaos/... \
 		./cmd/mtsim/... ./cmd/mtsimd/... ./cmd/mtctl/...
+	$(GO) test -race -timeout 5m -count 3 -run 'HeapGuard|MaxHeap' ./internal/experiments/
 
 race-all:
 	$(GO) test -race ./...

@@ -10,6 +10,7 @@ package affinity
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mtreescale/internal/rng"
@@ -221,6 +222,61 @@ func TestChainMatchesReference(t *testing.T) {
 						runChainEquivalence(t, sh.k, sh.depth, n, beta, leaf, int64(n)*31+int64(sh.k), 1500)
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestBetaZeroSweepMatchesSteps checks the β = 0 sweep, which moves only
+// positions and rebuilds the counts once, against n Steps of a twin chain
+// from the same seed. After every sweep both must agree on positions, tree
+// size, pair sum and acceptance counts, and the swept chain's counts must
+// match a recount. The n values are 1, the first n at which Sweep rebuilds,
+// every site, and three receivers per site.
+func TestBetaZeroSweepMatchesSteps(t *testing.T) {
+	for _, sh := range []struct{ k, depth int }{{2, 5}, {3, 3}} {
+		m, err := NewTreeModel(sh.k, sh.depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cross := (m.Nodes() + 2*sh.depth - 1) / (2 * sh.depth)
+		for _, leaf := range []bool{false, true} {
+			newChain, sites := m.NewChain, m.Sites()
+			if leaf {
+				newChain, sites = m.NewLeafChain, m.Leaves()
+			}
+			for _, n := range []int{1, cross, sites, 3 * sites} {
+				t.Run(fmt.Sprintf("K=%d/D=%d/leaf=%v/n=%d", sh.k, sh.depth, leaf, n), func(t *testing.T) {
+					seed := int64(n)*7 + int64(sh.k)
+					swept, err := newChain(n, 0, rng.New(seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+					stepped, err := newChain(n, 0, rng.New(seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for sweep := 1; sweep <= 20; sweep++ {
+						swept.Sweep()
+						for i := 0; i < n; i++ {
+							stepped.Step()
+						}
+						switch {
+						case !slices.Equal(swept.positions, stepped.positions):
+							t.Fatalf("sweep %d: positions %v, stepped %v", sweep, swept.positions, stepped.positions)
+						case swept.TreeSize() != stepped.TreeSize():
+							t.Fatalf("sweep %d: TreeSize %d, stepped %d", sweep, swept.TreeSize(), stepped.TreeSize())
+						case swept.pairSum != stepped.pairSum:
+							t.Fatalf("sweep %d: pairSum %d, stepped %d", sweep, swept.pairSum, stepped.pairSum)
+						case swept.accepted != stepped.accepted || swept.proposed != stepped.proposed:
+							t.Fatalf("sweep %d: accepted %d of %d, stepped %d of %d",
+								sweep, swept.accepted, swept.proposed, stepped.accepted, stepped.proposed)
+						}
+						if err := swept.CheckInvariants(); err != nil {
+							t.Fatalf("sweep %d: %v", sweep, err)
+						}
+					}
+				})
 			}
 		}
 	}

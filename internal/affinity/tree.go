@@ -15,7 +15,8 @@
 // and updates both sums once per walk with integer arithmetic: a +1 at count
 // c adds n−2c−1 to the pair sum, a −1 adds 2c−n−1. Nodes are numbered in
 // level order, so each ancestor is computed, parent(v) = (v−1)/K, rather
-// than loaded from a table.
+// than loaded from a table. A β = 0 sweep of many receivers skips the walks
+// and recounts every link once at its end.
 //
 // Both chains accept an uphill move (x = −β·Δd̂ < 0) when a uniform u falls
 // below e^x. The bounds 1+x ≤ e^x ≤ 1+x+x²/2 decide most draws; math.Exp
@@ -284,11 +285,48 @@ func metropolis(u, x float64) bool {
 	return u < math.Exp(x)
 }
 
-// Sweep performs n Steps (one proposal per receiver on average).
+// Sweep performs n Steps (one proposal per receiver on average). At β = 0
+// every move is accepted and no decision reads the link counts, so when n
+// Steps would walk more links than the tree has nodes, the sweep makes
+// Step's two draws per move, moves only positions, and rebuilds the counts
+// once at the end.
 func (c *Chain) Sweep() {
-	for i := 0; i < c.n; i++ {
-		c.Step()
+	if c.beta != 0 || 2*c.n*c.m.Depth < c.m.nodes {
+		for i := 0; i < c.n; i++ {
+			c.Step()
+		}
+		return
 	}
+	for k := 0; k < c.n; k++ {
+		i := c.rand.Intn(c.n)
+		c.positions[i] = int32(c.siteBase + c.rand.Intn(c.siteCount))
+	}
+	c.proposed += int64(c.n)
+	c.accepted += int64(c.n)
+	c.rebuild()
+}
+
+// rebuild recomputes cnt, pairSum and treeLinks from positions in
+// O(n + nodes): a count per site, then one pass from the last node up that
+// adds each node's count to its parent's (level order puts every child
+// after its parent) and sums both totals.
+func (c *Chain) rebuild() {
+	cnt, recip := c.cnt, c.m.recip
+	clear(cnt)
+	for _, site := range c.positions {
+		cnt[site]++
+	}
+	n64 := int64(c.n)
+	var pairSum int64
+	links := 0
+	for v := len(cnt) - 1; v > 0; v-- {
+		x := cnt[v]
+		cnt[parentOf(uint64(v), recip)] += x
+		pairSum += int64(x) * (n64 - int64(x))
+		links += int(uint32(-x) >> 31) // 1 iff x > 0
+	}
+	cnt[0] = 0
+	c.pairSum, c.treeLinks = pairSum, links
 }
 
 // CheckInvariants recomputes link counts, pair sum and tree size from

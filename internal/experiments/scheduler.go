@@ -192,10 +192,8 @@ func runGuarded(ctx context.Context, id string, p Profile, maxHeap uint64) RunSt
 		// Deterministic pre-check: if the heap is already past the limit the
 		// experiment fails before doing any work, regardless of monitor
 		// timing.
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > maxHeap {
-			return RunStats{ID: id, Err: fmt.Errorf("%w (heap %d > limit %d bytes)", ErrHeapLimit, ms.HeapAlloc, maxHeap)}
+		if err := checkHeap(maxHeap); err != nil {
+			return RunStats{ID: id, Err: err}
 		}
 		runCtx, stopGuard = heapGuard(ctx, maxHeap)
 	}
@@ -228,6 +226,24 @@ func runGuarded(ctx context.Context, id string, p Profile, maxHeap uint64) RunSt
 	}
 }
 
+// checkHeap returns ErrHeapLimit when the heap exceeds maxHeap bytes.
+// HeapAlloc also counts garbage not yet swept, such as a finished
+// experiment's, so a reading over the limit is taken again after one forced
+// collection before it counts.
+func checkHeap(maxHeap uint64) error {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc <= maxHeap {
+		return nil
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc <= maxHeap {
+		return nil
+	}
+	return fmt.Errorf("%w (heap %d > limit %d bytes)", ErrHeapLimit, ms.HeapAlloc, maxHeap)
+}
+
 // heapGuard derives a context that is cancelled with ErrHeapLimit once the
 // process HeapAlloc exceeds maxHeap, sampling every 100ms. stop releases the
 // monitor goroutine.
@@ -238,7 +254,6 @@ func heapGuard(ctx context.Context, maxHeap uint64) (guarded context.Context, st
 	go func() {
 		ticker := time.NewTicker(100 * time.Millisecond)
 		defer ticker.Stop()
-		var ms runtime.MemStats
 		for {
 			select {
 			case <-done:
@@ -246,9 +261,8 @@ func heapGuard(ctx context.Context, maxHeap uint64) (guarded context.Context, st
 			case <-gctx.Done():
 				return
 			case <-ticker.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > maxHeap {
-					cancel(fmt.Errorf("%w (heap %d > limit %d bytes)", ErrHeapLimit, ms.HeapAlloc, maxHeap))
+				if err := checkHeap(maxHeap); err != nil {
+					cancel(err)
 					return
 				}
 			}

@@ -3,6 +3,7 @@ package graph
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -51,7 +52,9 @@ type SPTCacheStats struct {
 	// Limit is the byte budget entries are evicted against.
 	Limit int64
 	// Hits, Misses and Evictions are cumulative since construction or the
-	// last Clear.
+	// last Clear. A hit is a lookup that found its tree, filled or in
+	// flight; a miss is a tree Get computed. Batch reads compute their
+	// misses without counting them.
 	Hits, Misses, Evictions uint64
 }
 
@@ -109,119 +112,143 @@ func (c *SPTCache) Get(g *Graph, source int) (*SPT, error) {
 	close(e.ready)
 
 	c.mu.Lock()
-	// e.bytes is only ever written here, under the lock and only while the
-	// entry is still the mapped one — a concurrent evictor that already
-	// dropped the in-flight entry subtracted its zero, so the budget stays
-	// exact either way.
-	if cur, ok := c.entries[key]; ok && cur == e {
-		if e.err != nil {
-			// Errors (out-of-range source) are cheap to reproduce; do not
-			// let them occupy the map.
-			c.removeLocked(e)
-		} else {
-			e.bytes = sptBytes(e.spt)
-			c.bytes += e.bytes
-			c.evictLocked()
-		}
-	}
+	c.settleLocked(e)
 	c.mu.Unlock()
 	return e.spt, e.err
 }
 
-// Peek returns the cached tree for (g, source) without filling on a miss.
-// Like Get, it blocks on an in-flight fill for the key (sharing its result)
-// and counts a hit; a true miss returns (nil, false) and counts nothing, so
-// callers can decide how to compute the tree — the batch scheduling path
-// peeks every distinct source and routes the misses through one MS-BFS
-// traversal.
-func (c *SPTCache) Peek(g *Graph, source int) (*SPT, bool) {
-	if g == nil {
-		return nil, false
-	}
-	key := sptKey{g: g, source: source}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.hits++
-	if e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-	}
-	c.mu.Unlock()
-	<-e.ready
-	if e.err != nil {
-		return nil, false
-	}
-	return e.spt, true
+// FillBatch ensures trees for every given source are cached: GetBatch
+// without the trees.
+func (c *SPTCache) FillBatch(g *Graph, sources []int) error {
+	return c.read(g, sources, nil)
 }
 
-// Add inserts an already-computed tree for (g, source), if the key is absent.
-// It returns the cached tree for the key: t itself when the insert won, or
-// the existing (possibly in-flight) entry's tree when another fill got there
-// first — so callers always end up sharing the canonical cached copy. t must
-// be a standalone SPT the cache may own indefinitely (e.g. from
-// SPTBatch.Materialize), never a view into pooled storage.
-func (c *SPTCache) Add(g *Graph, source int, t *SPT) (*SPT, error) {
-	if g == nil || t == nil {
-		return nil, fmt.Errorf("graph: SPT cache Add needs a graph and a tree")
+// GetBatch returns the shortest-path trees rooted at sources, in input
+// order, in dst grown to len(sources). It looks every source up under one
+// lock hold, counting a hit for each tree found, filled or in flight, as Get
+// does; waits for in-flight trees outside the lock; and computes the misses
+// through the multi-source BFS kernel in 64-lane groups, a duplicate source
+// once; the kernel's trees are the canonical ones Get computes. Batch reads
+// count no misses. Each miss is entered in flight before its traversal, so
+// a concurrent Get or GetBatch of it waits for this fill instead of
+// repeating it. The trees are shared and read-only, as Get's are, and are
+// returned even when the budget cannot keep them.
+func (c *SPTCache) GetBatch(g *Graph, sources []int, dst []*SPT) ([]*SPT, error) {
+	dst = slices.Grow(dst[:0], len(sources))[:len(sources)]
+	if err := c.read(g, sources, dst); err != nil {
+		return nil, err
 	}
-	key := sptKey{g: g, source: source}
+	return dst, nil
+}
+
+// read is GetBatch writing sources[i]'s tree to dst[i], or no tree when dst
+// is nil.
+func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
+	if g == nil {
+		return fmt.Errorf("graph: SPT cache needs a graph")
+	}
+	for _, s := range sources {
+		if s < 0 || s >= g.N() {
+			return fmt.Errorf("graph: BFS source %d out of range [0,%d)", s, g.N())
+		}
+	}
+	type wait struct {
+		i int
+		e *sptEntry
+	}
+	// Both lists are made on first use with room for every later source,
+	// so a warm read allocates nothing and a cold one allocates each once.
+	var waits []wait    // lookups whose tree was not ready under the lock
+	var own []*sptEntry // the misses, in first-occurrence order
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		if e.elem != nil {
+	for i, s := range sources {
+		key := sptKey{g: g, source: s}
+		e, ok := c.entries[key]
+		switch {
+		case !ok:
+			e = &sptEntry{key: key, ready: make(chan struct{})}
+			c.entries[key] = e
+			if own == nil {
+				own = make([]*sptEntry, 0, len(sources)-i)
+			}
+			own = append(own, e)
+		case e.elem != nil:
+			// A mapped entry lacks an LRU element only while this loop
+			// holds the lock after entering it as a miss: a duplicate
+			// source, which is no hit.
+			c.hits++
 			c.lru.MoveToFront(e.elem)
 		}
-		c.mu.Unlock()
-		<-e.ready
-		return e.spt, e.err
-	}
-	e := &sptEntry{key: key, ready: make(chan struct{}), spt: t}
-	close(e.ready)
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	e.bytes = sptBytes(t)
-	c.bytes += e.bytes
-	c.evictLocked()
-	c.mu.Unlock()
-	return t, nil
-}
-
-// FillBatch ensures trees for every given source are cached, computing the
-// misses through the multi-source BFS kernel in 64-lane groups instead of
-// one BFS per source. MS-BFS produces the same canonical trees as the
-// serial kernel, so subsequent Gets are byte-identical to
-// cache-as-you-go filling.
-func (c *SPTCache) FillBatch(g *Graph, sources []int) error {
-	var need []int
-	var pending map[int]struct{}
-	for _, s := range sources {
-		if _, dup := pending[s]; dup {
-			continue
-		}
-		if _, ok := c.Peek(g, s); !ok {
-			if pending == nil {
-				pending = make(map[int]struct{})
+		select {
+		case <-e.ready:
+			if e.err == nil {
+				if dst != nil {
+					dst[i] = e.spt
+				}
+				continue
 			}
-			pending[s] = struct{}{}
-			need = append(need, s)
+		default:
 		}
+		if waits == nil {
+			waits = make([]wait, 0, len(sources)-i)
+		}
+		waits = append(waits, wait{i, e})
 	}
-	if len(need) == 0 {
-		return nil
+	for _, e := range own {
+		e.elem = c.lru.PushFront(e)
 	}
-	b := AcquireSPTBatch()
-	defer ReleaseSPTBatch(b)
-	if err := g.BatchSPTsInto(need, b); err != nil {
-		return err
+	c.mu.Unlock()
+
+	if len(own) > 0 {
+		need := make([]int, len(own))
+		for j, e := range own {
+			need[j] = e.key.source
+		}
+		b := AcquireSPTBatch()
+		err := g.BatchSPTsInto(need, b)
+		for j, e := range own {
+			if err != nil {
+				e.err = err
+			} else {
+				e.spt = b.Materialize(j)
+			}
+			close(e.ready)
+		}
+		ReleaseSPTBatch(b)
+		c.mu.Lock()
+		for _, e := range own {
+			c.settleLocked(e)
+		}
+		c.mu.Unlock()
 	}
-	for i, s := range need {
-		if _, err := c.Add(g, s, b.Materialize(i)); err != nil {
-			return err
+	for _, w := range waits {
+		<-w.e.ready
+		if w.e.err != nil {
+			return w.e.err
+		}
+		if dst != nil {
+			dst[w.i] = w.e.spt
 		}
 	}
 	return nil
+}
+
+// settleLocked accounts a filled entry against the budget, or drops it when
+// its fill failed (errors are cheap to reproduce and must not occupy the
+// map). e.bytes is only ever written here, and only while the entry is
+// still the mapped one: an evictor that dropped it in flight subtracted its
+// zero, so the budget stays exact either way.
+func (c *SPTCache) settleLocked(e *sptEntry) {
+	if cur, ok := c.entries[e.key]; !ok || cur != e {
+		return
+	}
+	if e.err != nil {
+		c.removeLocked(e)
+		return
+	}
+	e.bytes = sptBytes(e.spt)
+	c.bytes += e.bytes
+	c.evictLocked()
 }
 
 // removeLocked unlinks an entry without counting it as an eviction.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,5 +115,114 @@ func TestSPTCacheZeroBudgetConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Bytes != 0 {
 		t.Fatalf("zero-budget cache retains %d bytes", st.Bytes)
+	}
+}
+
+// GetBatch enters its misses in flight before the traversal, so a Get of
+// one of them that arrives mid-fill waits for that fill: it returns the
+// batch's tree and computes none of its own (no miss). The graph is large
+// enough that the fill takes milliseconds; the test retries until its Get
+// found the entry still in flight, and every attempt checks the outcome.
+func TestSPTCacheGetDuringGetBatchFill(t *testing.T) {
+	g := randomGraph(12, 200_000, 200_000)
+	sources := []int{11, 22, 33, 44}
+	sawInFlight := false
+	for attempt := 0; attempt < 5 && !sawInFlight; attempt++ {
+		c := NewSPTCache(1 << 30)
+		var trees []*SPT
+		var batchErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			trees, batchErr = c.GetBatch(g, sources, nil)
+		}()
+		key := sptKey{g: g, source: sources[2]}
+		inFlight := func() bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			e, ok := c.entries[key]
+			if !ok {
+				return false
+			}
+			select {
+			case <-e.ready:
+				return false
+			default:
+				return true
+			}
+		}
+	poll:
+		for !inFlight() {
+			select {
+			case <-done:
+				break poll
+			default:
+				runtime.Gosched()
+			}
+		}
+		sawInFlight = inFlight()
+		got, err := c.Get(g, sources[2])
+		<-done
+		if err != nil || batchErr != nil {
+			t.Fatalf("Get: %v; GetBatch: %v", err, batchErr)
+		}
+		if got != trees[2] {
+			t.Fatal("a Get of a key the batch had in flight returned another tree")
+		}
+		if st := c.Stats(); st.Misses != 0 || st.Hits != 1 {
+			t.Fatalf("stats = %+v, want the Get's hit and no miss", st)
+		}
+	}
+	if !sawInFlight {
+		t.Fatal("no attempt caught the batch's fill in flight")
+	}
+}
+
+// GetBatch waits for a tree another caller has in flight, and it waits
+// without the cache lock: a Get of another source completes meanwhile. The
+// in-flight entry is planted as Get leaves one before its BFS.
+func TestSPTCacheGetBatchWaitsForInFlight(t *testing.T) {
+	g := randomGraph(13, 300, 600)
+	c := NewSPTCache(1 << 20)
+	key := sptKey{g: g, source: 9}
+	e := &sptEntry{key: key, ready: make(chan struct{})}
+	c.mu.Lock()
+	e.elem = c.lru.PushFront(e)
+	c.entries[key] = e
+	c.mu.Unlock()
+
+	var trees []*SPT
+	var batchErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		trees, batchErr = c.GetBatch(g, []int{4, 9, 6}, nil)
+	}()
+	// Bytes are accounted once the batch has filled its own misses, 4 and
+	// 6; from then on it waits for 9.
+	for c.Stats().Bytes == 0 {
+		runtime.Gosched()
+	}
+	if _, err := c.Get(g, 100); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+		t.Fatal("GetBatch returned before the in-flight tree was ready")
+	default:
+	}
+	spt, err := g.BFS(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.spt = spt
+	close(e.ready)
+	<-done
+	if batchErr != nil {
+		t.Fatal(batchErr)
+	}
+	if trees[1] != spt || trees[0].Source != 4 || trees[2].Source != 6 {
+		t.Fatalf("trees for sources 4, 9, 6: %d, %p, %d; want the in-flight tree %p in the middle",
+			trees[0].Source, trees[1], trees[2].Source, spt)
 	}
 }

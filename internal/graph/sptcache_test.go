@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -230,5 +231,115 @@ func TestSPTCacheConcurrentEviction(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Bytes > st.Limit || st.Entries > 2 {
 		t.Fatalf("cache over budget after concurrent churn: %+v", st)
+	}
+}
+
+// TestSPTCacheGetBatch reads a batch holding duplicates and one source
+// already cached. Every tree equals BFS's, in input order; duplicates share
+// one pointer; hits count the lookups that found a tree, and the batch
+// computes its misses without counting them. A warm read allocates nothing.
+func TestSPTCacheGetBatch(t *testing.T) {
+	g := randomGraph(9, 300, 600)
+	c := NewSPTCache(1 << 20)
+	cached, err := c.Get(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []int{7, 5, 7, 0, 5, 299, 7}
+	trees, err := c.GetBatch(g, sources, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trees) != len(sources) {
+		t.Fatalf("%d trees for %d sources", len(trees), len(sources))
+	}
+	for i, s := range sources {
+		want, err := g.BFS(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trees[i].Source != s || !slices.Equal(trees[i].Dist, want.Dist) || !slices.Equal(trees[i].Parent, want.Parent) {
+			t.Fatalf("tree %d (source %d) differs from BFS", i, s)
+		}
+	}
+	if trees[0] != trees[2] || trees[0] != trees[6] || trees[1] != cached || trees[4] != cached {
+		t.Fatal("duplicate sources must share one tree, the cached one where it exists")
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 || st.Entries != 4 {
+		t.Fatalf("stats = %+v, want 2 hits (source 5 twice), the Get's 1 miss, 4 entries", st)
+	}
+	if got, err := c.Get(g, 299); err != nil || got != trees[5] {
+		t.Fatalf("Get after the batch: %p, %v; want the batch's tree %p", got, err, trees[5])
+	}
+
+	dst := trees
+	allocs := testing.AllocsPerRun(20, func() {
+		if dst, err = c.GetBatch(g, sources, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm GetBatch allocates %v times per call", allocs)
+	}
+	if !slices.Equal(dst, trees) {
+		t.Fatal("a warm read must return the cached trees")
+	}
+
+	fill := NewSPTCache(1 << 20)
+	if err := fill.FillBatch(g, sources); err != nil {
+		t.Fatal(err)
+	}
+	if err := fill.FillBatch(g, sources); err != nil {
+		t.Fatal(err)
+	}
+	if st := fill.Stats(); st.Entries != 4 || st.Misses != 0 || st.Hits != uint64(len(sources)) {
+		t.Fatalf("FillBatch twice: stats = %+v, want 4 entries, no misses, %d hits", st, len(sources))
+	}
+}
+
+// A zero budget evicts every tree the batch computes, and the batch returns
+// every one all the same.
+func TestSPTCacheGetBatchZeroBudget(t *testing.T) {
+	g := randomGraph(10, 200, 400)
+	c := NewSPTCache(0)
+	sources := []int{3, 1, 3, 4}
+	trees, err := c.GetBatch(g, sources, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sources {
+		if trees[i] == nil || trees[i].Source != s || trees[i].Dist[s] != 0 {
+			t.Fatalf("tree %d: %+v, want the tree of source %d", i, trees[i], s)
+		}
+	}
+	if trees[0] != trees[2] {
+		t.Fatal("a duplicate must share its tree even when nothing is kept")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions != 3 {
+		t.Fatalf("stats = %+v, want nothing kept and 3 evictions", st)
+	}
+}
+
+// An out-of-range source fails the whole read before any lookup, so no
+// entry is left in flight.
+func TestSPTCacheGetBatchOutOfRange(t *testing.T) {
+	g := randomGraph(11, 50, 100)
+	c := NewSPTCache(1 << 20)
+	for _, bad := range []int{-1, g.N()} {
+		if trees, err := c.GetBatch(g, []int{0, bad, 1}, nil); err == nil {
+			t.Fatalf("source %d: got %d trees, want an error", bad, len(trees))
+		}
+		if err := c.FillBatch(g, []int{bad}); err == nil {
+			t.Fatalf("FillBatch of source %d: want an error", bad)
+		}
+	}
+	if _, err := c.GetBatch(nil, []int{0}, nil); err == nil {
+		t.Fatal("nil graph must error")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Hits != 0 {
+		t.Fatalf("failed reads touched the cache: %+v", st)
+	}
+	if trees, err := c.GetBatch(g, nil, nil); err != nil || len(trees) != 0 {
+		t.Fatalf("empty batch: %v, %v", trees, err)
 	}
 }

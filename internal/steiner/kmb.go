@@ -11,11 +11,14 @@
 // a spanning tree of the expanded subgraph, (5) prune non-terminal leaves.
 // The result is within 2× (in fact 2−2/|Z|) of the optimal Steiner tree.
 //
-// The metric closure is the terminals' shortest-path trees, read from a
-// graph.SPTCache that fills its misses in 64-lane multi-source BFS groups,
-// or, without a cache, computed in one pooled multi-source batch. Both give
-// the canonical parents of graph.BFS, so a tree is a pure function of
-// (graph, source, receivers) whichever source the closure came from.
+// The metric closure is the terminals' shortest-path trees, taken from a
+// graph.SPTCache in one batched read (one lock hold for every lookup, the
+// misses filled in 64-lane multi-source BFS groups), or, without a cache,
+// computed in one pooled multi-source batch. Both give the canonical
+// parents of graph.BFS, so a tree is a pure function of (graph, source,
+// receivers) whichever source the closure came from. Prim's MST over the
+// closure updates each unspanned terminal with a min and a select, which
+// compile to conditional moves rather than branches.
 package steiner
 
 import (
@@ -62,15 +65,25 @@ type Solver struct {
 	epoch uint32
 
 	terminals []int
-	dist      [][]int32 // closure: terminal i's distance row
-	parent    [][]int32 // closure: terminal i's canonical parent row
-	bestDist  []int32   // Prim's scratch, indexed like terminals
-	bestFrom  []int32
-	rem       []int32
-	keys      []uint64 // union edges, U<<32 | V, sorted and compacted
-	nodes     []int32  // union nodes in first-touch order
-	nbrs      []int32  // union adjacency, each node's run ascending
-	order     []int32  // spanning-tree BFS order
+	trees     []*graph.SPT // the cache's trees, indexed like terminals
+	dist      [][]int32    // closure: terminal i's distance row
+	parent    [][]int32    // closure: terminal i's canonical parent row
+	cands     []candidate  // Prim's unspanned terminals, ascending idx
+	keys      []uint64     // union edges, U<<32 | V, sorted and compacted
+	nodes     []int32      // union nodes in first-touch order
+	nbrs      []int32      // union adjacency, each node's run ascending
+	order     []int32      // spanning-tree BFS order
+}
+
+// candidate is a terminal Prim's pass has not spanned yet: its node, its
+// index in terminals, and its distance to the nearest spanned terminal and
+// that terminal's index. bestDist is unsigned so that an Unreachable (−1)
+// distance row entry, read as uint32, is never smaller.
+type candidate struct {
+	node     int32
+	bestDist uint32
+	bestFrom int32
+	idx      int32
 }
 
 type nodeState struct {
@@ -167,15 +180,12 @@ func (s *Solver) solve(source int, receivers []int32) (int, error) {
 			s.dist[i], s.parent[i] = batch.DistRow(i), batch.ParentRow(i)
 		}
 	} else {
-		if err := s.spts.FillBatch(s.g, terms); err != nil {
+		trees, err := s.spts.GetBatch(s.g, terms, s.trees)
+		if err != nil {
 			return 0, err
 		}
-		for i, v := range terms {
-			// A miss here (evicted since the fill) recomputes the same tree.
-			spt, err := s.spts.Get(s.g, v)
-			if err != nil {
-				return 0, err
-			}
+		s.trees = trees
+		for i, spt := range trees {
 			s.dist[i], s.parent[i] = spt.Dist, spt.Parent
 		}
 	}
@@ -185,55 +195,33 @@ func (s *Solver) solve(source int, receivers []int32) (int, error) {
 		}
 	}
 
-	// 2. Prim's MST over the terminal closure (O(t²)), the lowest index
-	// winning ties. One pass per spanned terminal folds its distance row
-	// into bestDist and picks the next terminal; rem holds the unspanned
-	// terminals in ascending order. 3. Each MST edge is expanded into its
-	// shortest path in the tree of the terminal already spanned, collecting
-	// the edge union.
-	bestDist := slices.Grow(s.bestDist[:0], t)[:t]
-	bestFrom := slices.Grow(s.bestFrom[:0], t)[:t]
-	s.bestDist, s.bestFrom = bestDist, bestFrom
-	rem := s.rem[:0]
+	// 2. Prim's MST over the terminal closure (O(t²)). One relax pass per
+	// spanned terminal folds its distance row into the unspanned candidates
+	// and picks the nearest. The candidates stay in ascending index and the
+	// pick moves only on a strictly smaller distance, so a tie goes to the
+	// lowest index. 3. Each MST edge is expanded into its shortest path in
+	// the tree of the terminal already spanned, collecting the edge union.
+	cands := s.cands[:0]
 	for i := 1; i < t; i++ {
-		rem = append(rem, int32(i))
-		bestDist[i] = math.MaxInt32
+		cands = append(cands, candidate{node: int32(terms[i]), bestDist: math.MaxUint32, idx: int32(i)})
 	}
 	keys := s.keys[:0]
-	for next := int32(0); ; {
-		row := s.dist[next]
-		pick, k := int32(-1), 0
-		for _, i := range rem {
-			if i == next {
-				continue
-			}
-			rem[k] = i
-			k++
-			if d := row[terms[i]]; d != graph.Unreachable && d < bestDist[i] {
-				bestDist[i] = d
-				bestFrom[i] = next
-			}
-			if pick == -1 || bestDist[i] < bestDist[pick] {
-				pick = i
-			}
-		}
-		rem = rem[:k]
-		if pick == -1 {
-			break
-		}
-		if bestDist[pick] == math.MaxInt32 {
+	for next := int32(0); len(cands) > 0; {
+		pick, best := relax(cands, s.dist[next], next)
+		if best == math.MaxUint32 {
 			return 0, fmt.Errorf("steiner: terminals not mutually reachable")
 		}
-		from := bestFrom[pick]
-		par, root := s.parent[from], int32(terms[from])
-		for v := int32(terms[pick]); v != root; {
+		c := cands[pick]
+		par, root := s.parent[c.bestFrom], int32(terms[c.bestFrom])
+		for v := c.node; v != root; {
 			p := par[v]
 			keys = append(keys, edgeKey(v, p))
 			v = p
 		}
-		next = pick
+		next = c.idx
+		cands = append(cands[:pick], cands[pick+1:]...)
 	}
-	s.rem = rem
+	s.cands = cands
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
 	s.keys = keys
@@ -292,6 +280,26 @@ func (s *Solver) solve(source int, receivers []int32) (int, error) {
 		}
 	}
 	return size, nil
+}
+
+// relax folds row, the distance row of the spanned terminal next, into the
+// candidates and returns the position of the nearest one and its distance.
+// A candidate's update is a min and a select, which compile to conditional
+// moves.
+func relax(cands []candidate, row []int32, next int32) (pick int, best uint32) {
+	best = math.MaxUint32
+	for j := range cands {
+		c := &cands[j]
+		d, from := c.bestDist, c.bestFrom
+		if nd := uint32(row[c.node]); nd < d {
+			d, from = nd, next
+		}
+		c.bestDist, c.bestFrom = d, from
+		if d < best {
+			pick, best = j, d
+		}
+	}
+	return pick, best
 }
 
 // edgeKey packs the undirected edge {a, b} as U<<32 | V with U < V, so
