@@ -367,12 +367,3 @@ func (p Profile) sptCache() *graph.SPTCache {
 	}
 	return nil
 }
-
-// sptFor resolves one source's shortest-path tree under the profile's cache
-// policy. The result is read-only when it came from the cache.
-func sptFor(g *graph.Graph, source int, p Profile) (*graph.SPT, error) {
-	if p.SPTCache {
-		return graph.SharedSPTs.Get(g, source)
-	}
-	return g.BFS(source)
-}

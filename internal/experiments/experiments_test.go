@@ -372,11 +372,12 @@ func TestRegistryIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestExtSteinerDeadlineCancels: ext-steiner polls ctx once per source, not
-// once per grid point, so it returns within 100 ms of a 5 ms deadline. It
-// runs the paper profile, about 4 s of KMB work on a 2 vCPU Xeon, so no host
-// finishes it inside the deadline. The topology is built before the clock
-// starts, so the deadline lands in the measurement loop.
+// TestExtSteinerDeadlineCancels: ext-steiner polls ctx before every KMB
+// call, and its job pool before every SPT prefill batch and every cell, so
+// it returns within 100 ms of a 5 ms deadline. It runs the paper profile,
+// about 2.5 s of CPU on a 2 vCPU Xeon, so no host finishes it inside the
+// deadline. The topology is built before the clock starts, so the deadline
+// lands in the prefill or the cells.
 func TestExtSteinerDeadlineCancels(t *testing.T) {
 	p := Paper()
 	if _, err := topology.GenerateCachedOpt("ts1000", 0, p.Scale, p.LargeGraph); err != nil {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"mtreescale/internal/graph"
 	"mtreescale/internal/mcast"
+	"mtreescale/internal/panicsafe"
 	"mtreescale/internal/plot"
 	"mtreescale/internal/rng"
 	"mtreescale/internal/stats"
@@ -92,6 +94,124 @@ func runExtSteiner(ctx context.Context, p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	sizes := mcast.LogSpacedSizes(p.capSize(g.N()/2), p.GridPoints)
+	sptYs, kmbYs, err := steinerMeans(ctx, g, sizes, p)
+	if err != nil {
+		return nil, err
+	}
+	return steinerResult(g, sizes, sptYs, kmbYs)
+}
+
+// steinerCell is the (group size, source) unit of ext-steiner's work: the
+// link counts of its receiver sets' source trees and KMB trees, summed.
+type steinerCell struct {
+	spt, kmb int64
+}
+
+// steinerWorker is one worker's scratch for ext-steiner's cells.
+type steinerWorker struct {
+	kmb     *steiner.Solver
+	counter *mcast.TreeCounter
+	smp     mcast.Sampler
+	tree    graph.SPT // the source's tree when the profile bypasses the SPT cache
+	recv    []int32
+}
+
+// steinerMeans returns, per group size, the mean source-tree and KMB-tree
+// link counts over ext-steiner's (size, source) cells. The cells run on the
+// module's job pool with GOMAXPROCS workers, largest size first. Sources
+// are drawn up front in (size, source) order and each cell keeps its own
+// sampler stream, so the samples match a serial sweep's; the sums are
+// integers, so summing them in any order gives the serial sweep's means.
+// With the SPT cache on, every node's tree is filled first, in 64-node
+// batches on the same pool: the cells root at and reach most nodes, so they
+// then only read the cache.
+func steinerMeans(ctx context.Context, g *graph.Graph, sizes []int, p Profile) (sptYs, kmbYs []float64, err error) {
+	// Reduced sampling, kept so the output stays as published: changing it
+	// changes every sample drawn.
+	nSource := p.NSource/3 + 1
+	nRcvr := p.NRcvr/3 + 1
+	srcRand := rng.NewChild(p.Seed, -1)
+	sources := make([]int, len(sizes)*nSource)
+	for i := range sources {
+		sources[i] = srcRand.Intn(g.N())
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(sources))
+	if p.SPTCache {
+		const batch = 64
+		nodes := make([]int, g.N())
+		for v := range nodes {
+			nodes[v] = v
+		}
+		err := panicsafe.RunJobs(ctx, workers, (len(nodes)+batch-1)/batch, func(j int) error {
+			return graph.SharedSPTs.FillBatch(g, nodes[j*batch:min((j+1)*batch, len(nodes))])
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	// Each worker takes a scratch for its cell and returns it; at most
+	// workers cells run at once, so a take never waits.
+	free := make(chan *steinerWorker, workers)
+	for range workers {
+		free <- &steinerWorker{kmb: steiner.NewSolver(g, p.sptCache()), counter: mcast.NewTreeCounter(g.N())}
+	}
+	cells := make([]steinerCell, len(sources))
+	err = panicsafe.RunJobs(ctx, workers, len(cells), func(j int) error {
+		i := len(cells) - 1 - j // largest size first
+		m, si, source := sizes[i/nSource], i%nSource, sources[i]
+		w := <-free
+		defer func() { free <- w }()
+		spt := &w.tree
+		if p.SPTCache {
+			var err error
+			if spt, err = graph.SharedSPTs.Get(g, source); err != nil {
+				return err
+			}
+		} else if err := g.BFSInto(source, spt); err != nil {
+			return err
+		}
+		if err := w.smp.Reset(g.N(), source, rng.NewChild(p.Seed, int64(si*31+m))); err != nil {
+			return err
+		}
+		c := &cells[i]
+		for rep := 0; rep < nRcvr; rep++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			recv, err := w.smp.Distinct(m, w.recv)
+			if err != nil {
+				return err
+			}
+			w.recv = recv
+			c.spt += int64(w.counter.TreeSize(spt, recv))
+			k, err := w.kmb.TreeSize(source, recv)
+			if err != nil {
+				return err
+			}
+			c.kmb += int64(k)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	n := float64(nSource * nRcvr)
+	sptYs = make([]float64, len(sizes))
+	kmbYs = make([]float64, len(sizes))
+	for i, c := range cells {
+		sptYs[i/nSource] += float64(c.spt)
+		kmbYs[i/nSource] += float64(c.kmb)
+	}
+	for mi := range sizes {
+		sptYs[mi] /= n
+		kmbYs[mi] /= n
+	}
+	return sptYs, kmbYs, nil
+}
+
+// steinerResult is ext-steiner's figure and notes from its per-size means.
+func steinerResult(g *graph.Graph, sizes []int, sptYs, kmbYs []float64) (*Result, error) {
 	fig := &plot.Figure{
 		ID:     "ext-steiner",
 		Title:  fmt.Sprintf("Source trees vs KMB Steiner trees on %s", g.Name()),
@@ -101,59 +221,12 @@ func runExtSteiner(ctx context.Context, p Profile) (*Result, error) {
 		YLog:   true,
 	}
 	res := &Result{ID: "ext-steiner", Title: fig.Title, Figure: fig}
-
-	maxM := p.capSize(g.N() / 2)
-	sizes := mcast.LogSpacedSizes(maxM, p.GridPoints)
-	// Reduced sampling, kept so the output stays as published: changing it
-	// changes every sample drawn.
-	nSource := p.NSource/3 + 1
-	nRcvr := p.NRcvr/3 + 1
-	srcRand := rng.NewChild(p.Seed, -1)
-	counter := mcast.NewTreeCounter(g.N())
-	kmb := steiner.NewSolver(g, p.sptCache())
-
-	sptXs := make([]float64, 0, len(sizes))
-	sptYs := make([]float64, 0, len(sizes))
-	kmbYs := make([]float64, 0, len(sizes))
-	ratioAtMax := 0.0
-	for _, m := range sizes {
-		var sptSum, kmbSum float64
-		n := 0
-		for si := 0; si < nSource; si++ {
-			// Poll per source, not per grid point: the large-m points hold
-			// most of the KMB work.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			source := srcRand.Intn(g.N())
-			spt, err := sptFor(g, source, p)
-			if err != nil {
-				return nil, err
-			}
-			smp, err := mcast.NewSampler(g.N(), source, rng.NewChild(p.Seed, int64(si*31+m)))
-			if err != nil {
-				return nil, err
-			}
-			var recv []int32
-			for rep := 0; rep < nRcvr; rep++ {
-				recv, err = smp.Distinct(m, recv)
-				if err != nil {
-					return nil, err
-				}
-				sptSum += float64(counter.TreeSize(spt, recv))
-				k, err := kmb.TreeSize(source, recv)
-				if err != nil {
-					return nil, err
-				}
-				kmbSum += float64(k)
-				n++
-			}
-		}
-		sptXs = append(sptXs, float64(m))
-		sptYs = append(sptYs, sptSum/float64(n))
-		kmbYs = append(kmbYs, kmbSum/float64(n))
-		ratioAtMax = (sptSum / float64(n)) / (kmbSum / float64(n))
+	sptXs := make([]float64, len(sizes))
+	for i, m := range sizes {
+		sptXs[i] = float64(m)
 	}
+	last := len(sizes) - 1
+	ratioAtMax := sptYs[last] / kmbYs[last]
 	if err := fig.AddXY("source SPT tree", sptXs, sptYs); err != nil {
 		return nil, err
 	}
@@ -170,7 +243,7 @@ func runExtSteiner(ctx context.Context, p Profile) (*Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("SPT exponent %.3f vs KMB exponent %.3f — the scaling law survives near-optimal routing", fitSPT.Exponent, fitKMB.Exponent),
-		fmt.Sprintf("SPT/KMB cost ratio at m=%d: %.3f (Wei-Estrin report SPTs within a small factor of Steiner)", sizes[len(sizes)-1], ratioAtMax))
+		fmt.Sprintf("SPT/KMB cost ratio at m=%d: %.3f (Wei-Estrin report SPTs within a small factor of Steiner)", sizes[last], ratioAtMax))
 	return res, nil
 }
 

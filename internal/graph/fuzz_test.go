@@ -15,6 +15,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("nodes 5\n0 0\n0 1\n1 0\n")
 	f.Add("nodes -1\n")
 	f.Add("nodes 2\n0 99\n")
+	f.Add("nodes 1000000000000000\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))

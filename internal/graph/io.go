@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -68,6 +69,9 @@ func Read(r io.Reader) (*Graph, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", lineNo, fields[1])
+			}
+			if n > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: line %d: node count %d overflows int32 node ids", lineNo, n)
 			}
 			if b != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate nodes directive", lineNo)

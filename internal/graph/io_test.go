@@ -77,6 +77,20 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// A node count past int32 cannot be a graph of int32 node ids: Read names
+// the line instead of letting Build panic on the allocation.
+func TestReadRejectsNodeCountOverflow(t *testing.T) {
+	for in, line := range map[string]string{
+		"nodes 1000000000000000\n":  "line 1",
+		"# big\nnodes 2147483648\n": "line 2",
+	} {
+		_, err := Read(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), line) || !strings.Contains(err.Error(), "overflows int32") {
+			t.Errorf("input %q: err = %v, want an int32 overflow error at %s", in, err, line)
+		}
+	}
+}
+
 func TestWriteNoName(t *testing.T) {
 	g := path(t, 3)
 	var buf bytes.Buffer

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/list"
 	"fmt"
 	"slices"
 	"sync"
@@ -20,28 +19,35 @@ import (
 // MUST be treated as read-only by callers; every consumer in this repository
 // (TreeCounter, reach histograms, affinity chains) only reads them.
 type SPTCache struct {
-	mu        sync.Mutex
-	limit     int64
-	bytes     int64
-	entries   map[sptKey]*sptEntry
-	lru       *list.List // front = most recently used; values are *sptEntry
+	mu     sync.Mutex
+	limit  int64
+	bytes  int64
+	graphs map[*Graph]*sptIndex
+	// lru is the sentinel of the circular LRU list: lru.next is the most
+	// recently used entry, lru.prev the next eviction victim.
+	lru       sptEntry
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
-type sptKey struct {
-	g      *Graph
-	source int
+// sptIndex maps one graph's sources to their entries, filled or in flight.
+// It costs 8 bytes per node of the graph, less than one tree of it (12),
+// and is dropped with the graph's last entry, so the cache keeps no graph
+// alive that it has no entry for.
+type sptIndex struct {
+	bySource []*sptEntry
+	n        int // non-nil entries in bySource
 }
 
 type sptEntry struct {
-	key   sptKey
-	elem  *list.Element
-	ready chan struct{} // closed once spt/err are set
-	spt   *SPT
-	err   error
-	bytes int64
+	g          *Graph
+	source     int
+	prev, next *sptEntry     // LRU links, nil while the entry is unlinked
+	ready      chan struct{} // closed once spt/err are set
+	spt        *SPT
+	err        error
+	bytes      int64
 }
 
 // SPTCacheStats is a point-in-time snapshot of cache effectiveness.
@@ -53,8 +59,8 @@ type SPTCacheStats struct {
 	Limit int64
 	// Hits, Misses and Evictions are cumulative since construction or the
 	// last Clear. A hit is a lookup that found its tree, filled or in
-	// flight; a miss is a tree Get computed. Batch reads compute their
-	// misses without counting them.
+	// flight; a miss is a tree the cache computed, by Get or in a batch
+	// read.
 	Hits, Misses, Evictions uint64
 }
 
@@ -71,16 +77,14 @@ var SharedSPTs = NewSPTCache(DefaultSPTCacheBytes)
 // non-positive limit means "no budget": every fill is evicted immediately,
 // degrading the cache to singleflight-only.
 func NewSPTCache(maxBytes int64) *SPTCache {
-	return &SPTCache{
-		limit:   maxBytes,
-		entries: make(map[sptKey]*sptEntry),
-		lru:     list.New(),
-	}
+	c := &SPTCache{limit: maxBytes}
+	c.Clear()
+	return c
 }
 
 // sptBytes estimates the heap footprint of one cached tree.
 func sptBytes(t *SPT) int64 {
-	const entryOverhead = 128 // entry struct, map slot, list element
+	const entryOverhead = 128 // entry struct, index slot, LRU links
 	return int64(cap(t.Parent)+cap(t.Dist)+cap(t.Order))*4 + entryOverhead
 }
 
@@ -91,21 +95,20 @@ func (c *SPTCache) Get(g *Graph, source int) (*SPT, error) {
 	if g == nil {
 		return nil, fmt.Errorf("graph: SPT cache needs a graph")
 	}
-	key := sptKey{g: g, source: source}
+	if source < 0 || source >= g.N() {
+		return nil, fmt.Errorf("graph: BFS source %d out of range [0,%d)", source, g.N())
+	}
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	if e := c.lookupLocked(g, source); e != nil {
 		c.hits++
-		if e.elem != nil {
-			c.lru.MoveToFront(e.elem)
-		}
+		c.touchLocked(e)
 		c.mu.Unlock()
 		<-e.ready
 		return e.spt, e.err
 	}
 	c.misses++
-	e := &sptEntry{key: key, ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
+	e := c.indexLocked(g).enter(g, source)
+	c.pushFrontLocked(e)
 	c.mu.Unlock()
 
 	e.spt, e.err = g.BFS(source)
@@ -126,13 +129,14 @@ func (c *SPTCache) FillBatch(g *Graph, sources []int) error {
 // GetBatch returns the shortest-path trees rooted at sources, in input
 // order, in dst grown to len(sources). It looks every source up under one
 // lock hold, counting a hit for each tree found, filled or in flight, as Get
-// does; waits for in-flight trees outside the lock; and computes the misses
-// through the multi-source BFS kernel in 64-lane groups, a duplicate source
-// once; the kernel's trees are the canonical ones Get computes. Batch reads
-// count no misses. Each miss is entered in flight before its traversal, so
-// a concurrent Get or GetBatch of it waits for this fill instead of
-// repeating it. The trees are shared and read-only, as Get's are, and are
-// returned even when the budget cannot keep them.
+// does, and a miss for each distinct source it must compute; waits for
+// in-flight trees outside the lock; and computes the misses through the
+// multi-source BFS kernel in 64-lane groups, a duplicate source once; the
+// kernel's trees are the canonical ones Get computes. Each miss is entered
+// in flight before its traversal, so a concurrent Get or GetBatch of it
+// waits for this fill instead of repeating it. The trees are shared and
+// read-only, as Get's are, and are returned even when the budget cannot
+// keep them.
 func (c *SPTCache) GetBatch(g *Graph, sources []int, dst []*SPT) ([]*SPT, error) {
 	dst = slices.Grow(dst[:0], len(sources))[:len(sources)]
 	if err := c.read(g, sources, dst); err != nil {
@@ -152,6 +156,9 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 			return fmt.Errorf("graph: BFS source %d out of range [0,%d)", s, g.N())
 		}
 	}
+	if len(sources) == 0 {
+		return nil // and makes no index it would never drop
+	}
 	type wait struct {
 		i int
 		e *sptEntry
@@ -161,23 +168,22 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 	var waits []wait    // lookups whose tree was not ready under the lock
 	var own []*sptEntry // the misses, in first-occurrence order
 	c.mu.Lock()
+	ix := c.indexLocked(g)
 	for i, s := range sources {
-		key := sptKey{g: g, source: s}
-		e, ok := c.entries[key]
+		e := ix.bySource[s]
 		switch {
-		case !ok:
-			e = &sptEntry{key: key, ready: make(chan struct{})}
-			c.entries[key] = e
+		case e == nil:
+			e = ix.enter(g, s)
 			if own == nil {
 				own = make([]*sptEntry, 0, len(sources)-i)
 			}
 			own = append(own, e)
-		case e.elem != nil:
-			// A mapped entry lacks an LRU element only while this loop
-			// holds the lock after entering it as a miss: a duplicate
-			// source, which is no hit.
+		case e.next != nil:
+			// A mapped entry is unlinked only while this loop holds the
+			// lock after entering it as a miss: a duplicate source, which
+			// is no hit.
 			c.hits++
-			c.lru.MoveToFront(e.elem)
+			c.touchLocked(e)
 		}
 		select {
 		case <-e.ready:
@@ -195,14 +201,15 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 		waits = append(waits, wait{i, e})
 	}
 	for _, e := range own {
-		e.elem = c.lru.PushFront(e)
+		c.pushFrontLocked(e)
 	}
+	c.misses += uint64(len(own))
 	c.mu.Unlock()
 
 	if len(own) > 0 {
 		need := make([]int, len(own))
 		for j, e := range own {
-			need[j] = e.key.source
+			need[j] = e.source
 		}
 		b := AcquireSPTBatch()
 		err := g.BatchSPTsInto(need, b)
@@ -233,13 +240,63 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 	return nil
 }
 
+// lookupLocked returns the entry mapped for (g, source), filled or in
+// flight, or nil.
+func (c *SPTCache) lookupLocked(g *Graph, source int) *sptEntry {
+	if ix := c.graphs[g]; ix != nil {
+		return ix.bySource[source]
+	}
+	return nil
+}
+
+// indexLocked returns g's index, making it on first use. A new index must
+// get an entry before the lock is released: it is dropped with its last.
+func (c *SPTCache) indexLocked(g *Graph) *sptIndex {
+	ix := c.graphs[g]
+	if ix == nil {
+		ix = &sptIndex{bySource: make([]*sptEntry, g.N())}
+		c.graphs[g] = ix
+	}
+	return ix
+}
+
+// enter maps a new, unlinked in-flight entry for (g, source) in ix, g's
+// index.
+func (ix *sptIndex) enter(g *Graph, source int) *sptEntry {
+	e := &sptEntry{g: g, source: source, ready: make(chan struct{})}
+	ix.bySource[source] = e
+	ix.n++
+	return e
+}
+
+// pushFrontLocked links an unlinked entry as the most recently used.
+func (c *SPTCache) pushFrontLocked(e *sptEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.next.prev = e
+	c.lru.next = e
+}
+
+// touchLocked moves a linked entry to the front of the LRU list.
+func (c *SPTCache) touchLocked(e *sptEntry) {
+	if c.lru.next != e {
+		e.unlink()
+		c.pushFrontLocked(e)
+	}
+}
+
+// unlink takes a linked entry out of the LRU list.
+func (e *sptEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
 // settleLocked accounts a filled entry against the budget, or drops it when
 // its fill failed (errors are cheap to reproduce and must not occupy the
-// map). e.bytes is only ever written here, and only while the entry is
+// index). e.bytes is only ever written here, and only while the entry is
 // still the mapped one: an evictor that dropped it in flight subtracted its
 // zero, so the budget stays exact either way.
 func (c *SPTCache) settleLocked(e *sptEntry) {
-	if cur, ok := c.entries[e.key]; !ok || cur != e {
+	if c.lookupLocked(e.g, e.source) != e {
 		return
 	}
 	if e.err != nil {
@@ -251,12 +308,16 @@ func (c *SPTCache) settleLocked(e *sptEntry) {
 	c.evictLocked()
 }
 
-// removeLocked unlinks an entry without counting it as an eviction.
+// removeLocked unmaps and unlinks a mapped entry without counting it as an
+// eviction, dropping its graph's index with the last entry.
 func (c *SPTCache) removeLocked(e *sptEntry) {
-	delete(c.entries, e.key)
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		e.elem = nil
+	ix := c.graphs[e.g]
+	ix.bySource[e.source] = nil
+	if ix.n--; ix.n == 0 {
+		delete(c.graphs, e.g)
+	}
+	if e.next != nil {
+		e.unlink()
 	}
 	c.bytes -= e.bytes
 }
@@ -266,12 +327,11 @@ func (c *SPTCache) removeLocked(e *sptEntry) {
 // so they are only reached when the budget cannot hold even one tree.
 func (c *SPTCache) evictLocked() {
 	for c.bytes > c.limit {
-		back := c.lru.Back()
-		if back == nil {
+		back := c.lru.prev
+		if back == &c.lru {
 			return
 		}
-		e := back.Value.(*sptEntry)
-		c.removeLocked(e)
+		c.removeLocked(back)
 		c.evictions++
 	}
 }
@@ -280,8 +340,12 @@ func (c *SPTCache) evictLocked() {
 func (c *SPTCache) Stats() SPTCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	entries := 0
+	for _, ix := range c.graphs {
+		entries += ix.n
+	}
 	return SPTCacheStats{
-		Entries:   len(c.entries),
+		Entries:   entries,
 		Bytes:     c.bytes,
 		Limit:     c.limit,
 		Hits:      c.hits,
@@ -306,8 +370,8 @@ func (c *SPTCache) SetLimit(maxBytes int64) int64 {
 func (c *SPTCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[sptKey]*sptEntry)
-	c.lru.Init()
+	c.graphs = make(map[*Graph]*sptIndex)
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.bytes = 0
 	c.hits, c.misses, c.evictions = 0, 0, 0
 }

@@ -120,7 +120,7 @@ func TestSPTCacheZeroBudgetConcurrent(t *testing.T) {
 
 // GetBatch enters its misses in flight before the traversal, so a Get of
 // one of them that arrives mid-fill waits for that fill: it returns the
-// batch's tree and computes none of its own (no miss). The graph is large
+// batch's tree and computes none of its own (no miss of its own). The graph is large
 // enough that the fill takes milliseconds; the test retries until its Get
 // found the entry still in flight, and every attempt checks the outcome.
 func TestSPTCacheGetDuringGetBatchFill(t *testing.T) {
@@ -136,12 +136,11 @@ func TestSPTCacheGetDuringGetBatchFill(t *testing.T) {
 			defer close(done)
 			trees, batchErr = c.GetBatch(g, sources, nil)
 		}()
-		key := sptKey{g: g, source: sources[2]}
 		inFlight := func() bool {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			e, ok := c.entries[key]
-			if !ok {
+			e := c.lookupLocked(g, sources[2])
+			if e == nil {
 				return false
 			}
 			select {
@@ -169,8 +168,8 @@ func TestSPTCacheGetDuringGetBatchFill(t *testing.T) {
 		if got != trees[2] {
 			t.Fatal("a Get of a key the batch had in flight returned another tree")
 		}
-		if st := c.Stats(); st.Misses != 0 || st.Hits != 1 {
-			t.Fatalf("stats = %+v, want the Get's hit and no miss", st)
+		if st := c.Stats(); st.Misses != uint64(len(sources)) || st.Hits != 1 {
+			t.Fatalf("stats = %+v, want the Get's hit and the batch's %d misses", st, len(sources))
 		}
 	}
 	if !sawInFlight {
@@ -184,11 +183,9 @@ func TestSPTCacheGetDuringGetBatchFill(t *testing.T) {
 func TestSPTCacheGetBatchWaitsForInFlight(t *testing.T) {
 	g := randomGraph(13, 300, 600)
 	c := NewSPTCache(1 << 20)
-	key := sptKey{g: g, source: 9}
-	e := &sptEntry{key: key, ready: make(chan struct{})}
 	c.mu.Lock()
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
+	e := c.indexLocked(g).enter(g, 9)
+	c.pushFrontLocked(e)
 	c.mu.Unlock()
 
 	var trees []*SPT

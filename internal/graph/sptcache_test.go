@@ -49,6 +49,33 @@ func TestSPTCacheKeyedByGraphIdentity(t *testing.T) {
 	}
 }
 
+// A graph's index goes with its last entry, so the cache holds no graph it
+// has no entry for; Clear drops every index.
+func TestSPTCacheDropsGraphIndex(t *testing.T) {
+	gA := randomGraph(1, 50, 100)
+	gB := randomGraph(2, 50, 100)
+	perTree := sptBytes(func() *SPT { s, _ := gA.BFS(0); return s }())
+	c := NewSPTCache(perTree + perTree/2) // room for one tree
+	graphs := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.graphs)
+	}
+	c.Get(gA, 0)
+	c.Get(gA, 1) // evicts gA's tree of 0, keeps gA
+	if n := graphs(); n != 1 {
+		t.Fatalf("%d graph indexes, want gA's", n)
+	}
+	c.Get(gB, 2) // evicts gA's last tree
+	if n, st := graphs(), c.Stats(); n != 1 || st.Entries != 1 || st.Evictions != 2 {
+		t.Fatalf("%d graph indexes, %+v; want only gB's, with one entry", n, st)
+	}
+	c.Clear()
+	if n := graphs(); n != 0 {
+		t.Fatalf("%d graph indexes after Clear", n)
+	}
+}
+
 func TestSPTCacheEvictionBound(t *testing.T) {
 	g := randomGraph(2, 500, 1000)
 	perTree := sptBytes(func() *SPT { s, _ := g.BFS(0); return s }())
@@ -84,19 +111,28 @@ func TestSPTCacheEvictionBound(t *testing.T) {
 func TestSPTCacheLRUTouchOnHit(t *testing.T) {
 	g := randomGraph(3, 200, 400)
 	perTree := sptBytes(func() *SPT { s, _ := g.BFS(0); return s }())
-	c := NewSPTCache(2 * perTree)
-	c.Get(g, 0)
-	c.Get(g, 1)
-	c.Get(g, 0) // touch 0: now 1 is the LRU victim
-	c.Get(g, 2) // evicts 1
-	st := c.Stats()
-	c.Get(g, 0)
-	if after := c.Stats(); after.Hits != st.Hits+1 {
-		t.Fatal("source 0 should have survived the eviction")
-	}
-	c.Get(g, 1)
-	if after := c.Stats(); after.Misses != st.Misses+1 {
-		t.Fatal("source 1 should have been evicted")
+	// A GetBatch hit touches LRU order as a Get hit does.
+	for _, touch := range []struct {
+		name string
+		hit  func(c *SPTCache)
+	}{
+		{"Get", func(c *SPTCache) { c.Get(g, 0) }},
+		{"GetBatch", func(c *SPTCache) { c.GetBatch(g, []int{0}, nil) }},
+	} {
+		c := NewSPTCache(2 * perTree)
+		c.Get(g, 0)
+		c.Get(g, 1)
+		touch.hit(c) // touch 0: now 1 is the LRU victim
+		c.Get(g, 2)  // evicts 1
+		st := c.Stats()
+		c.Get(g, 0)
+		if after := c.Stats(); after.Hits != st.Hits+1 {
+			t.Fatalf("%s: source 0 should have survived the eviction", touch.name)
+		}
+		c.Get(g, 1)
+		if after := c.Stats(); after.Misses != st.Misses+1 {
+			t.Fatalf("%s: source 1 should have been evicted", touch.name)
+		}
 	}
 }
 
@@ -236,8 +272,8 @@ func TestSPTCacheConcurrentEviction(t *testing.T) {
 
 // TestSPTCacheGetBatch reads a batch holding duplicates and one source
 // already cached. Every tree equals BFS's, in input order; duplicates share
-// one pointer; hits count the lookups that found a tree, and the batch
-// computes its misses without counting them. A warm read allocates nothing.
+// one pointer; hits count the lookups that found a tree, and misses the
+// distinct sources the batch computed. A warm read allocates nothing.
 func TestSPTCacheGetBatch(t *testing.T) {
 	g := randomGraph(9, 300, 600)
 	c := NewSPTCache(1 << 20)
@@ -265,8 +301,8 @@ func TestSPTCacheGetBatch(t *testing.T) {
 	if trees[0] != trees[2] || trees[0] != trees[6] || trees[1] != cached || trees[4] != cached {
 		t.Fatal("duplicate sources must share one tree, the cached one where it exists")
 	}
-	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 || st.Entries != 4 {
-		t.Fatalf("stats = %+v, want 2 hits (source 5 twice), the Get's 1 miss, 4 entries", st)
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 4 || st.Entries != 4 {
+		t.Fatalf("stats = %+v, want 2 hits (source 5 twice), 4 misses (the Get's and the batch's 7, 0, 299), 4 entries", st)
 	}
 	if got, err := c.Get(g, 299); err != nil || got != trees[5] {
 		t.Fatalf("Get after the batch: %p, %v; want the batch's tree %p", got, err, trees[5])
@@ -292,8 +328,8 @@ func TestSPTCacheGetBatch(t *testing.T) {
 	if err := fill.FillBatch(g, sources); err != nil {
 		t.Fatal(err)
 	}
-	if st := fill.Stats(); st.Entries != 4 || st.Misses != 0 || st.Hits != uint64(len(sources)) {
-		t.Fatalf("FillBatch twice: stats = %+v, want 4 entries, no misses, %d hits", st, len(sources))
+	if st := fill.Stats(); st.Entries != 4 || st.Misses != 4 || st.Hits != uint64(len(sources)) {
+		t.Fatalf("FillBatch twice: stats = %+v, want 4 entries, 4 misses (the first fill's), %d hits", st, len(sources))
 	}
 }
 

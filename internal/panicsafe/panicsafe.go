@@ -2,8 +2,8 @@
 // an ordinary error carrying the panic value and stack, so one failing
 // experiment or measurement worker cannot take down the whole process. The
 // experiment scheduler runs every experiment through Do, and RunJobs is the
-// module's one bounded job pool: the mcast source, block and network pools
-// and the Figure 9 chains run on it.
+// module's one bounded job pool: the mcast source, block and network pools,
+// the Figure 9 chains and ext-steiner's cells run on it.
 package panicsafe
 
 import (
