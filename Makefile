@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race race-all race-robust bench bench-all bench-compare bench-churn bench-cluster bench-large large-smoke cluster-smoke chaos-smoke churn-smoke membership-smoke fuzz fuzz-smoke results results-paper report clean
+.PHONY: all check build vet test race race-all race-robust bench bench-all bench-compare bench-churn bench-cluster bench-large large-smoke cluster-smoke chaos-smoke churn-smoke membership-smoke fuzz fuzz-smoke results results-paper results-check results-paper-check report clean
 
 all: build vet test
 
 # The default pre-commit gate: build, vet, full test suite, a race pass over
-# the concurrent packages (engine + scheduler), and the large-graph smoke
-# (1M-node streamed build + memory-model assertion + one curve point).
-check: build vet test race large-smoke
+# the concurrent packages (engine + scheduler), the large-graph smoke
+# (1M-node streamed build + memory-model assertion + one curve point), and
+# the committed-results gate (every medium-profile output byte for byte).
+check: build vet test race large-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -210,9 +211,21 @@ results:
 	$(GO) run ./cmd/mtsim -experiment all -profile medium -out results
 	$(GO) run ./cmd/mtsim -report -profile medium > results/REPORT.md
 
-# Full-size paper-faithful runs (minutes; fig1b dominates).
+# Full-size paper-faithful runs (about 30 s on two cores).
 results-paper:
 	$(GO) run ./cmd/mtsim -experiment all -profile paper -out results-paper
+
+# The committed-results gates: rerun the whole registry into a temporary
+# directory and cmp every <id>.{csv,gp,txt} against the committed copy; a
+# differing, missing or extra file fails (scripts/results_check.sh). A change
+# that moves output on purpose regenerates both directories with `make
+# results` and `make results-paper` and says which figures moved. The files
+# are an amd64 golden: elsewhere fused multiply-adds can move a last digit.
+results-check:
+	./scripts/results_check.sh medium results
+
+results-paper-check:
+	./scripts/results_check.sh paper results-paper
 
 report:
 	$(GO) run ./cmd/mtsim -report -profile quick
