@@ -95,12 +95,16 @@ func GenerateTopologyCached(name string, seed int64, scale float64) (*Topology, 
 	return topology.GenerateCached(name, seed, scale)
 }
 
-// GenerateTopologyCachedOpt is GenerateTopologyCached with a layout choice:
-// compress=true memoizes the topology in the compressed CSR layout (see
-// Topology.Compress), keyed separately from the flat layout. Traversals and
-// measurements over the two layouts are byte-identical.
+// GenerateTopologyCachedOpt is GenerateTopologyCached with the layout
+// choice of the compressed adjacency layout, which has been removed:
+// compress=true fails with an ErrInvalidParam error.
+//
+// Deprecated: use GenerateTopologyCached.
 func GenerateTopologyCachedOpt(name string, seed int64, scale float64, compress bool) (*Topology, error) {
-	return topology.GenerateCachedOpt(name, seed, scale, compress)
+	if compress {
+		return nil, valid.Badf("mtreescale: compress is no longer supported: the compressed adjacency layout was removed")
+	}
+	return topology.GenerateCached(name, seed, scale)
 }
 
 // ResetTopologyCache drops every memoized topology instance.
@@ -233,19 +237,6 @@ func MeasureCurve(g *Topology, sizes []int, mode Mode, p Protocol) ([]Point, err
 // once it is cancelled.
 func MeasureCurveCtx(ctx context.Context, g *Topology, sizes []int, mode Mode, p Protocol) ([]Point, error) {
 	return mcast.MeasureCurveCtx(ctx, g, sizes, mode, p)
-}
-
-// MeasureCurveNested is the incremental fast path of the §2 protocol: one
-// receiver sequence per (source, repetition), grown link by link, read off
-// at every grid size. Statistically equivalent to MeasureCurve and roughly
-// GridPoints× cheaper; also reachable via Protocol.Nested.
-func MeasureCurveNested(g *Topology, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	return mcast.MeasureCurveNested(g, sizes, mode, p)
-}
-
-// MeasureCurveNestedCtx is MeasureCurveNested under a cancellation context.
-func MeasureCurveNestedCtx(ctx context.Context, g *Topology, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	return mcast.MeasureCurveNestedCtx(ctx, g, sizes, mode, p)
 }
 
 // LogSpacedSizes returns up to count group sizes spanning [1, max],

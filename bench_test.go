@@ -115,67 +115,6 @@ func BenchmarkMeasureCurve(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureCurveNested benchmarks the incremental nested-growth
-// engine on the exact BenchmarkMeasureCurve workload — the headline speedup
-// of the engine (one grown permutation per repetition instead of one
-// independent receiver set per grid size).
-func BenchmarkMeasureCurveNested(b *testing.B) {
-	g, err := mtreescale.TransitStubSized(1000, 3.6, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sizes := mtreescale.LogSpacedSizes(500, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mtreescale.MeasureCurveNested(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i), BatchBFS: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMeasureCurveNestedCompressed is the storage ablation of
-// BenchmarkMeasureCurveNested: the identical workload with the topology held
-// in the compressed CSR layout. Results are byte-identical; only adjacency
-// bytes and decode cost differ.
-func BenchmarkMeasureCurveNestedCompressed(b *testing.B) {
-	g, err := mtreescale.TransitStubSized(1000, 3.6, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if g, err = g.Compress(); err != nil {
-		b.Fatal(err)
-	}
-	sizes := mtreescale.LogSpacedSizes(500, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mtreescale.MeasureCurveNested(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i), BatchBFS: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMeasureCurveNestedSerialBFS is the kernel ablation of
-// BenchmarkMeasureCurveNested: the identical workload with the batch
-// MS-BFS scheduling path disabled, so source trees come from per-source
-// single-source BFS. Results are byte-identical; only the tree-resolution
-// cost differs.
-func BenchmarkMeasureCurveNestedSerialBFS(b *testing.B) {
-	g, err := mtreescale.TransitStubSized(1000, 3.6, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sizes := mtreescale.LogSpacedSizes(500, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mtreescale.MeasureCurveNested(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMeasureSharedCurve benchmarks the parallel shared-tree engine on
 // the BenchmarkMeasureCurve workload: per-source core-rooted trees measured
 // on every worker the host offers (Workers: 0).

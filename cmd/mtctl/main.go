@@ -115,10 +115,8 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		nets     = fs.Int("nets", 16, "ensemble width (the sharding axis for -kind ensemble)")
 		mode     = fs.String("mode", "distinct", "receiver draw mode: distinct|replacement")
 		strategy = fs.String("strategy", "center", "shared-tree core placement: random|source|center")
-		nested   = fs.Bool("nested", false, "route curve grids through the incremental nested-growth engine")
 		batchbfs = fs.Bool("batchbfs", true, "resolve source trees through the multi-source BFS batch kernel")
 		sptcache = fs.Bool("sptcache", true, "reuse shortest-path trees via the process-wide SPT cache")
-		large    = fs.Bool("compress", false, "hold topologies in the compressed CSR layout")
 
 		shards     = fs.Int("shards", 0, "number of shards to cut the grid into (0 = 2 per worker)")
 		inflight   = fs.Int("inflight", 1, "concurrent shards per worker (bounded fan-out)")
@@ -161,8 +159,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 	grid, err := buildGrid(gridFlags{
 		kind: *kind, topo: *topo, scale: *scale, seed: *seed, topoSeed: *topoSeed,
 		sizes: *sizes, nsource: *nsource, nrcvr: *nrcvr, nets: *nets,
-		mode: *mode, strategy: *strategy, nested: *nested, batchbfs: *batchbfs,
-		sptcache: *sptcache, large: *large,
+		mode: *mode, strategy: *strategy, batchbfs: *batchbfs, sptcache: *sptcache,
 	})
 	if err != nil {
 		return err
@@ -312,7 +309,7 @@ type gridFlags struct {
 	scale                             float64
 	seed, topoSeed                    int64
 	nsource, nrcvr, nets              int
-	nested, batchbfs, sptcache, large bool
+	batchbfs, sptcache                bool
 }
 
 func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
@@ -331,12 +328,10 @@ func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
 			NSource:  f.nsource,
 			NRcvr:    f.nrcvr,
 			Seed:     f.seed,
-			Nested:   f.nested,
 			BatchBFS: f.batchbfs,
 			SPTCache: f.sptcache,
 			Workers:  1,
 		},
-		LargeGraph: f.large,
 	}
 	switch f.mode {
 	case "distinct":

@@ -15,9 +15,7 @@
 //
 // -parallel N runs independent experiments concurrently on up to N workers
 // (0 = all cores); output and files stay in paper order, and a per-
-// experiment wall-clock/allocation summary is appended. -nested switches
-// the simulation figures to the incremental nested-growth engine
-// (statistically equivalent, roughly GridPoints× less tree-walk work).
+// experiment wall-clock/allocation summary is appended.
 //
 // Robustness controls:
 //
@@ -76,12 +74,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		width      = fs.Int("width", 72, "ASCII plot width")
 		height     = fs.Int("height", 24, "ASCII plot height")
 		parallel   = fs.Int("parallel", 1, "run independent experiments on up to N workers (0 = all cores); output stays in paper order")
-		nested     = fs.Bool("nested", false, "use the incremental nested-growth engine for simulation figures (statistically equivalent, faster)")
 		churnCap   = fs.Int("churn-cap", 0, "degree cap for the churn experiments' bounded variant (0 = profile default, else ≥ 2)")
 		churnSess  = fs.String("churn-session", "", "session-length distribution for the churn experiments: exp|pareto|fixed (empty = profile default)")
 		sptcache   = fs.Bool("sptcache", true, "reuse shortest-path trees across experiments via the process-wide SPT cache (byte-identical output; -sptcache=false disables)")
 		batchbfs   = fs.Bool("batchbfs", true, "resolve source trees through the multi-source BFS batch kernel, up to 64 sources per traversal (byte-identical output; -batchbfs=false disables)")
-		compress   = fs.Bool("compress", false, "hold topologies in the compressed CSR layout (~half the adjacency bytes; byte-identical output) — the large-graph memory mode")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = no limit)")
 		maxHeap    = fs.String("maxheap", "", "soft per-experiment heap limit, e.g. 512m or 4g (empty = no limit); an experiment exceeding it is aborted, its siblings continue")
@@ -135,10 +131,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p.Nested = *nested
 	p.SPTCache = *sptcache
 	p.BatchBFS = *batchbfs
-	p.LargeGraph = *compress
 	if *churnCap != 0 {
 		p.ChurnCap = *churnCap
 	}

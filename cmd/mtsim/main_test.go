@@ -190,22 +190,6 @@ func TestParallelSingleExperiment(t *testing.T) {
 	}
 }
 
-func TestNestedFlag(t *testing.T) {
-	var base, nested bytes.Buffer
-	if err := run(context.Background(), []string{"-experiment", "fig1a", "-profile", "quick", "-format", "csv"}, &base); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-experiment", "fig1a", "-profile", "quick", "-format", "csv", "-nested"}, &nested); err != nil {
-		t.Fatal(err)
-	}
-	if base.Len() == 0 || nested.Len() == 0 {
-		t.Fatal("empty curve output")
-	}
-	if base.String() == nested.String() {
-		t.Fatal("-nested did not switch the sampling engine")
-	}
-}
-
 func TestOutDirectory(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer

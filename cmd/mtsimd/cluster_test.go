@@ -137,6 +137,16 @@ func TestShardEndpoint(t *testing.T) {
 	if hr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d", hr.StatusCode)
 	}
+	// So is a grid asking for the removed compressed adjacency layout.
+	large := g
+	large.LargeGraph = true
+	if wire, err := json.Marshal(large); err != nil || !bytes.Contains(wire, []byte(`"large_graph":true`)) {
+		t.Fatalf("grid wire form %s (err %v) lacks \"large_graph\":true", wire, err)
+	}
+	resp, _ = postShard(t, ts.URL, mtreescale.ClusterShardSpec{Grid: large, Lo: 1, Hi: 3})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("large_graph spec: status %d", resp.StatusCode)
+	}
 	gr, err := http.Get(ts.URL + mtreescale.ClusterShardPath)
 	if err != nil {
 		t.Fatal(err)

@@ -43,11 +43,6 @@ type config struct {
 	// every computed experiment (output is byte-identical either way).
 	batchBFS bool
 
-	// compress holds topologies in the compressed CSR layout (output is
-	// byte-identical either way; ~half the adjacency bytes). The
-	// large-graph memory mode.
-	compress bool
-
 	// churnCap, when nonzero, overrides the profile's degree cap for the
 	// churn experiments' bounded variant (≥ 2).
 	churnCap int
@@ -281,7 +276,6 @@ func (s *server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.BatchBFS = s.cfg.batchBFS
-	p.LargeGraph = s.cfg.compress
 	if s.cfg.churnCap != 0 {
 		p.ChurnCap = s.cfg.churnCap
 	}

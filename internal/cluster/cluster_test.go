@@ -398,6 +398,8 @@ func TestGridValidate(t *testing.T) {
 		func(g *Grid) { g.Scale = 0 },
 		func(g *Grid) { g.Sizes = nil },
 		func(g *Grid) { g.Protocol.NSource = 0 },
+		func(g *Grid) { g.LargeGraph = true },
+		func(g *Grid) { g.Protocol.Nested = true },
 	}
 	for i, mut := range cases {
 		g := testGrid(KindCurve)

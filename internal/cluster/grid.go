@@ -36,8 +36,7 @@ import (
 type Kind string
 
 const (
-	// KindCurve is the §2 L(m)/ū protocol (mcast.MeasureCurve; the nested
-	// engine when Protocol.Nested is set).
+	// KindCurve is the §2 L(m)/ū protocol (mcast.MeasureCurve).
 	KindCurve Kind = "curve"
 	// KindShared is the Wei-Estrin shared-tree comparison
 	// (mcast.MeasureSharedCurve).
@@ -60,8 +59,11 @@ type Grid struct {
 	Topology string  `json:"topology"`
 	Seed     int64   `json:"seed,omitempty"`
 	Scale    float64 `json:"scale"`
-	// LargeGraph builds the topology in the compressed CSR layout
-	// (byte-identical results; a memory knob).
+	// LargeGraph selected the compressed adjacency layout, which has been
+	// removed. Validate rejects true. The field stays so Key, and with it
+	// every journaled grid, is unchanged.
+	//
+	// Deprecated: graphs have one adjacency layout; this must be false.
 	LargeGraph bool `json:"large_graph,omitempty"`
 
 	Sizes []int      `json:"sizes"`
@@ -90,6 +92,9 @@ func (g Grid) Validate() error {
 	}
 	if len(g.Sizes) == 0 {
 		return valid.Badf("cluster: empty size grid")
+	}
+	if g.LargeGraph {
+		return valid.Badf("cluster: large_graph is no longer supported: the compressed adjacency layout was removed")
 	}
 	if err := g.Protocol.Validate(); err != nil {
 		return err
@@ -192,22 +197,14 @@ type Merged struct {
 // buildTopology resolves the grid's topology through the generation cache,
 // so repeated shards of the same grid on one worker reuse one instance.
 func buildTopology(g Grid) (*graph.Graph, error) {
-	return topology.GenerateCachedOpt(g.Topology, g.Seed, g.Scale, g.LargeGraph)
+	return topology.GenerateCached(g.Topology, g.Seed, g.Scale)
 }
 
 // ensembleGen builds one ensemble network instance: a fresh, uncached build
-// (transient topologies must not pin the generation cache), compressed when
-// the grid asks for it.
+// (transient topologies must not pin the generation cache).
 func ensembleGen(g Grid) func(seed int64) (*graph.Graph, error) {
 	return func(seed int64) (*graph.Graph, error) {
-		gr, err := topology.GenerateSeeded(g.Topology, seed, g.Scale)
-		if err != nil {
-			return nil, err
-		}
-		if g.LargeGraph {
-			return gr.Compress()
-		}
-		return gr, nil
+		return topology.GenerateSeeded(g.Topology, seed, g.Scale)
 	}
 }
 

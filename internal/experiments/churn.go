@@ -58,7 +58,7 @@ type churnCommon struct {
 }
 
 func churnSetup(p Profile) (*churnCommon, error) {
-	g, err := topology.GenerateCachedOpt("ts1000", 0, p.Scale, p.LargeGraph)
+	g, err := topology.GenerateCached("ts1000", 0, p.Scale)
 	if err != nil {
 		return nil, err
 	}

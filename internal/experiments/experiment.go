@@ -36,11 +36,12 @@ type Profile struct {
 	// MaxGroupSize caps the largest m/n measured on simulation-based
 	// figures (0 = population limit).
 	MaxGroupSize int
-	// Nested runs the simulation figures through the incremental
-	// nested-growth engine (mcast.MeasureCurveNested): statistically
-	// equivalent to the paper's independent-sets protocol, roughly
-	// GridPoints× less tree-walk work. Off by default so the default
-	// outputs stay paper-faithful bit for bit.
+	// Nested selected the nested-growth curve engine, which has been
+	// removed. Validate rejects true. The field stays so ProfileKey, and
+	// with it every existing checkpoint journal, is unchanged.
+	//
+	// Deprecated: the independent-sets engine is the only curve engine;
+	// this must be false.
 	Nested bool
 	// BatchBFS routes multi-source tree builds through the MS-BFS batch
 	// kernel (graph.BatchSPTs): up to 64 sources share one traversal. The
@@ -54,13 +55,11 @@ type Profile struct {
 	// so RunMany stops recomputing their trees. Output is byte-identical
 	// with the cache on or off; the standard profiles enable it.
 	SPTCache bool
-	// LargeGraph runs every topology in the compressed CSR layout
-	// (graph.Compress): varint delta-encoded adjacency at roughly half the
-	// edge bytes, the memory model that makes 10M+ node graphs a
-	// first-class regime. Trees, curves and histograms are byte-identical
-	// to the flat layout — compression changes the storage, never the
-	// graph — so this is purely a memory/bandwidth knob (exposed as
-	// -compress on the CLIs).
+	// LargeGraph selected the compressed adjacency layout, which has been
+	// removed. Validate rejects true. The field stays so ProfileKey is
+	// unchanged.
+	//
+	// Deprecated: graphs have one adjacency layout; this must be false.
 	LargeGraph bool
 	// ChurnCap is the bounded-degree tree variant's per-node degree cap in
 	// the churn experiments (≥ 2; exposed as -churn-cap on the CLIs).
@@ -89,6 +88,12 @@ func (p Profile) Validate() error {
 	}
 	if p.MaxGroupSize < 0 {
 		return valid.Badf("experiments: negative MaxGroupSize")
+	}
+	if p.Nested {
+		return valid.Badf("experiments: Profile.Nested is no longer supported: the nested-growth curve engine was removed")
+	}
+	if p.LargeGraph {
+		return valid.Badf("experiments: Profile.LargeGraph is no longer supported: the compressed adjacency layout was removed")
 	}
 	if p.ChurnCap != 0 && p.ChurnCap < 2 {
 		return valid.Badf("experiments: churn degree cap %d must be 0 (default) or ≥ 2", p.ChurnCap)
@@ -342,7 +347,7 @@ func RunCtx(ctx context.Context, id string, p Profile) (*Result, error) {
 func buildTopologies(names []string, p Profile) ([]*graph.Graph, error) {
 	out := make([]*graph.Graph, 0, len(names))
 	for _, name := range names {
-		g, err := topology.GenerateCachedOpt(name, 0, p.Scale, p.LargeGraph)
+		g, err := topology.GenerateCached(name, 0, p.Scale)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -380,7 +379,7 @@ func TestRegistryIndependentOfGOMAXPROCS(t *testing.T) {
 // lands in the prefill or the cells.
 func TestExtSteinerDeadlineCancels(t *testing.T) {
 	p := Paper()
-	if _, err := topology.GenerateCachedOpt("ts1000", 0, p.Scale, p.LargeGraph); err != nil {
+	if _, err := topology.GenerateCached("ts1000", 0, p.Scale); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -392,36 +391,5 @@ func TestExtSteinerDeadlineCancels(t *testing.T) {
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestExtensionsHonourLargeGraph: with Profile.LargeGraph, ext-steiner,
-// ext-shared, table1 and the churn experiments run on the compressed layout
-// of ts1000 (the experiment builds it, so fetching it afterwards is a cache
-// hit) and produce the flat run's result.
-func TestExtensionsHonourLargeGraph(t *testing.T) {
-	for _, id := range []string{"ext-steiner", "ext-shared", "table1", "churn-steady", "churn-repair"} {
-		flat := Quick()
-		large := flat
-		large.LargeGraph = true
-		topology.ResetCache()
-		want, err := Run(id, flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run(id, large)
-		if err != nil {
-			t.Fatal(err)
-		}
-		misses := topology.CacheInfo().Misses
-		if _, err := topology.GenerateCachedOpt("ts1000", 0, large.Scale, true); err != nil {
-			t.Fatal(err)
-		}
-		if topology.CacheInfo().Misses != misses {
-			t.Errorf("%s with LargeGraph did not build the compressed ts1000", id)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: compressed result differs from flat:\n%+v\n%+v", id, got, want)
-		}
 	}
 }

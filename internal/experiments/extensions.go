@@ -50,7 +50,7 @@ func init() {
 }
 
 func runExtShared(ctx context.Context, p Profile) (*Result, error) {
-	g, err := topology.GenerateCachedOpt("ts1000", 0, p.Scale, p.LargeGraph)
+	g, err := topology.GenerateCached("ts1000", 0, p.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func runExtShared(ctx context.Context, p Profile) (*Result, error) {
 }
 
 func runExtSteiner(ctx context.Context, p Profile) (*Result, error) {
-	g, err := topology.GenerateCachedOpt("ts1000", 0, p.Scale, p.LargeGraph)
+	g, err := topology.GenerateCached("ts1000", 0, p.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +252,7 @@ func runExtEnsemble(ctx context.Context, p Profile) (*Result, error) {
 		return topology.TransitStubSized(scaledNodes(1000, p.Scale), 3.6, seed)
 	}
 	sizes := mcast.LogSpacedSizes(p.capSize(scaledNodes(1000, p.Scale)/2), p.GridPoints)
-	prot := mcast.Protocol{NSource: p.NSource/2 + 1, NRcvr: p.NRcvr/2 + 1, Seed: p.Seed, Nested: p.Nested, BatchBFS: p.BatchBFS}
+	prot := mcast.Protocol{NSource: p.NSource/2 + 1, NRcvr: p.NRcvr/2 + 1, Seed: p.Seed, BatchBFS: p.BatchBFS}
 	nNetworks := 5
 	pts, err := mcast.MeasureEnsembleCtx(ctx, gen, nNetworks, sizes, mcast.Distinct, prot)
 	if err != nil {

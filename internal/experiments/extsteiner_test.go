@@ -89,7 +89,7 @@ func TestExtSteinerMatchesSerial(t *testing.T) {
 		p := Quick()
 		p.NSource, p.NRcvr = 14, 14 // 5 sources and 5 receiver sets per size
 		p.SPTCache = cache
-		g, err := topology.GenerateCachedOpt("ts1000", 0, p.Scale, p.LargeGraph)
+		g, err := topology.GenerateCached("ts1000", 0, p.Scale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestExtSteinerMatchesSerial(t *testing.T) {
 // started has exited by then.
 func TestExtSteinerCancelMidRun(t *testing.T) {
 	p := Paper()
-	if _, err := topology.GenerateCachedOpt("ts1000", 0, p.Scale, p.LargeGraph); err != nil {
+	if _, err := topology.GenerateCached("ts1000", 0, p.Scale); err != nil {
 		t.Fatal(err)
 	}
 	prev := runtime.GOMAXPROCS(4)
@@ -160,7 +160,7 @@ func BenchmarkExtSteiner(b *testing.B) {
 		b.StopTimer()
 		topology.ResetCache()
 		graph.SharedSPTs.Clear()
-		if _, err := topology.GenerateCachedOpt("ts1000", 0, p.Scale, p.LargeGraph); err != nil {
+		if _, err := topology.GenerateCached("ts1000", 0, p.Scale); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

@@ -52,7 +52,6 @@ func runFig1(ctx context.Context, id string, names []string, p Profile) (*Result
 		prot := mcast.Protocol{
 			NSource: p.NSource, NRcvr: p.NRcvr,
 			Seed:     rng.Split(p.Seed, int64(gi)),
-			Nested:   p.Nested,
 			SPTCache: p.SPTCache,
 			BatchBFS: p.BatchBFS,
 		}

@@ -102,35 +102,25 @@ func RunManyCtx(ctx context.Context, ids []string, p Profile, opts ScheduleOptio
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > len(ids) {
-		parallel = len(ids)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
 	stats := make([]RunStats, len(ids))
-	jobs := make(chan int, len(ids))
-	for i := range ids {
-		jobs <- i
+	// A job never fails: it records every outcome, its own panics included,
+	// in stats[i], so a failed experiment never stops a worker. RunJobs
+	// then only stops handing out jobs once ctx has ended, and the entries
+	// it never started are marked with ctx.Err() below.
+	_ = panicsafe.RunJobs(ctx, parallel, len(ids), func(i int) error {
+		if err := panicsafe.Do(func() error {
+			stats[i] = runScheduled(ctx, ids[i], p, opts)
+			return nil
+		}); err != nil {
+			stats[i] = RunStats{ID: ids[i], Err: err}
+		}
+		return nil
+	})
+	for i := range stats {
+		if stats[i].ID == "" {
+			stats[i] = RunStats{ID: ids[i], Err: ctx.Err()}
+		}
 	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				id := ids[i]
-				if err := panicsafe.Do(func() error {
-					stats[i] = runScheduled(ctx, id, p, opts)
-					return nil
-				}); err != nil {
-					stats[i] = RunStats{ID: id, Err: err}
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	for i := range stats {
 		if stats[i].Err != nil {
 			return stats, fmt.Errorf("experiments: schedule: %s: %w", stats[i].ID, stats[i].Err)

@@ -120,8 +120,10 @@ func TestRunManyFirstFailureInInputOrder(t *testing.T) {
 }
 
 // A panicking experiment must surface as RunStats.Err carrying the recovered
-// value and stack while sibling experiments complete. Run at parallel >= 4
-// so the race detector sees the isolation under real concurrency.
+// value and stack while sibling experiments complete. Parallel 4 lets the
+// race detector see the isolation under real concurrency. Parallel 1 with
+// the panicking experiment first is the case where a job returning its
+// error to the pool would stop the only worker and skip every sibling.
 func TestRunManyIsolatesPanic(t *testing.T) {
 	registerTemp(t, &Runner{
 		ID: "zz-panics",
@@ -134,31 +136,38 @@ func TestRunManyIsolatesPanic(t *testing.T) {
 		siblings[i] = fmt.Sprintf("zz-sib-%d", i)
 		registerTemp(t, okRunner(siblings[i], time.Duration(i)*time.Millisecond))
 	}
-	ids := append([]string{siblings[0], siblings[1], "zz-panics"}, siblings[2:]...)
-
-	stats, err := RunMany(ids, Quick(), 4)
-	if err == nil {
-		t.Fatal("panicking experiment must fail the schedule")
-	}
-	var pe *panicsafe.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("schedule error %v does not wrap *panicsafe.PanicError", err)
-	}
-	if fmt.Sprint(pe.Value) != "deliberate test panic" {
-		t.Fatalf("recovered value %v", pe.Value)
-	}
-	if !strings.Contains(string(pe.Stack), "zz-panics") && !strings.Contains(string(pe.Stack), "TestRunManyIsolatesPanic") {
-		t.Fatalf("panic stack does not reference the panicking runner:\n%s", pe.Stack)
-	}
-	for i, id := range ids {
-		if id == "zz-panics" {
-			if stats[i].Err == nil || !errors.As(stats[i].Err, &pe) {
-				t.Fatalf("panicking stats entry err = %v", stats[i].Err)
-			}
-			continue
+	for _, tc := range []struct {
+		parallel int
+		ids      []string
+	}{
+		{4, append([]string{siblings[0], siblings[1], "zz-panics"}, siblings[2:]...)},
+		{1, append([]string{"zz-panics"}, siblings...)},
+	} {
+		ids := tc.ids
+		stats, err := RunMany(ids, Quick(), tc.parallel)
+		if err == nil {
+			t.Fatalf("parallel=%d: panicking experiment must fail the schedule", tc.parallel)
 		}
-		if stats[i].Err != nil || stats[i].Result == nil {
-			t.Fatalf("sibling %s did not complete: err=%v", id, stats[i].Err)
+		var pe *panicsafe.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("parallel=%d: schedule error %v does not wrap *panicsafe.PanicError", tc.parallel, err)
+		}
+		if fmt.Sprint(pe.Value) != "deliberate test panic" {
+			t.Fatalf("parallel=%d: recovered value %v", tc.parallel, pe.Value)
+		}
+		if !strings.Contains(string(pe.Stack), "zz-panics") && !strings.Contains(string(pe.Stack), "TestRunManyIsolatesPanic") {
+			t.Fatalf("parallel=%d: panic stack does not reference the panicking runner:\n%s", tc.parallel, pe.Stack)
+		}
+		for i, id := range ids {
+			if id == "zz-panics" {
+				if stats[i].Err == nil || !errors.As(stats[i].Err, &pe) {
+					t.Fatalf("parallel=%d: panicking stats entry err = %v", tc.parallel, stats[i].Err)
+				}
+				continue
+			}
+			if stats[i].Err != nil || stats[i].Result == nil {
+				t.Fatalf("parallel=%d: sibling %s did not complete: err=%v", tc.parallel, id, stats[i].Err)
+			}
 		}
 	}
 }

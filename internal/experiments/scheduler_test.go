@@ -81,32 +81,3 @@ func TestRunManyBadProfile(t *testing.T) {
 		t.Fatal("invalid profile must error")
 	}
 }
-
-func TestProfileNestedRoutesFig1(t *testing.T) {
-	p := Quick()
-	base, err := Run("fig1a", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Nested = true
-	nested, err := Run("fig1a", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nested.Figure.Series) != len(base.Figure.Series) {
-		t.Fatal("nested fig1a lost series")
-	}
-	// Same topologies and grid, different (but statistically equivalent)
-	// sampling: the curves must differ somewhere yet stay close in level.
-	same := true
-	for s := range base.Figure.Series {
-		for j := range base.Figure.Series[s].Y {
-			if base.Figure.Series[s].Y[j] != nested.Figure.Series[s].Y[j] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Fatal("nested profile did not change the sampling path")
-	}
-}

@@ -33,7 +33,7 @@ func runTable1(ctx context.Context, p Profile) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := topology.GenerateCachedOpt(name, 0, p.Scale, p.LargeGraph)
+		g, err := topology.GenerateCached(name, 0, p.Scale)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"os"
+	"reflect"
+	"regexp"
+	"slices"
 	"testing"
 
 	"mtreescale/internal/valid"
@@ -32,6 +37,8 @@ func TestProfileValidateRejectsBadFields(t *testing.T) {
 		{"negative burn-in", func(p *Profile) { p.MCMCBurnIn = -1 }},
 		{"zero samples", func(p *Profile) { p.MCMCSamples = 0 }},
 		{"negative max group size", func(p *Profile) { p.MaxGroupSize = -1 }},
+		{"removed nested engine", func(p *Profile) { p.Nested = true }},
+		{"removed compressed layout", func(p *Profile) { p.LargeGraph = true }},
 	}
 	for _, c := range cases {
 		p := base
@@ -60,5 +67,34 @@ func TestSchedulerRejectsBadProfileTyped(t *testing.T) {
 	}
 	if !valid.IsParam(err) {
 		t.Fatalf("err = %v, want a valid.ErrParam wrap", err)
+	}
+}
+
+// TestProfileFieldsMatchBenchGolden pins Profile's shape to the benchmark's
+// golden file. perfbench refuses to run unless fmt's %+v of its Profile
+// equals golden.json's "profile" string, which names every field in order,
+// so deleting, renaming or reordering a Profile field breaks every
+// benchmark run; this test makes that show in the ordinary test suite.
+func TestProfileFieldsMatchBenchGolden(t *testing.T) {
+	raw, err := os.ReadFile("../../perfbench/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Profile string `json:"profile"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, m := range regexp.MustCompile(`(?:^\{| )([A-Za-z]\w*):`).FindAllStringSubmatch(golden.Profile, -1) {
+		want = append(want, m[1])
+	}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Profile{})) {
+		got = append(got, f.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Profile fields %v, golden.json profile %q names %v", got, golden.Profile, want)
 	}
 }

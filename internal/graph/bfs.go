@@ -16,9 +16,8 @@ const Unreachable int32 = -1
 //
 // Parents are canonical: Parent[v] is the lowest-index neighbor of v at
 // distance Dist[v]-1. Both kernels (serial BFSInto and the MS-BFS group)
-// resolve ties the same way on both layouts, so an SPT is a pure function of
-// (graph, source) regardless of which kernel or layout produced it — the
-// property the SPT cache and the batch measurement path rely on to stay
+// resolve ties the same way, so an SPT is a pure function of (graph, source)
+// regardless of which kernel produced it — the property the SPT cache and the batch measurement path rely on to stay
 // byte-identical.
 //
 // The multicast engine builds every delivery tree as a subtree of an SPT,
@@ -46,12 +45,10 @@ func (g *Graph) BFS(source int) (*SPT, error) {
 	return t, nil
 }
 
-// bfsScratch holds the serial kernel's level bitsets and, for compressed
-// graphs, its adjacency decode buffer between runs, so steady-state
-// traversal allocates nothing.
+// bfsScratch holds the serial kernel's level bitsets between runs, so
+// steady-state traversal allocates nothing.
 type bfsScratch struct {
 	cur, next []uint64
-	dec       []int32
 }
 
 var bfsScratchPool = sync.Pool{New: func() any { return new(bfsScratch) }}
@@ -60,8 +57,8 @@ var bfsScratchPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 // SPT's slices if they are large enough. The SPT must not be shared across
 // goroutines while being reused.
 //
-// It is the package's serial kernel, a level-synchronous BFS over both
-// layouts: level membership lives in a bitset, scanned in ascending node
+// It is the package's serial kernel, a level-synchronous BFS: level
+// membership lives in a bitset, scanned in ascending node
 // order, so the first discoverer of every next-level node is its
 // lowest-index previous-level neighbor — parents come out canonical with no
 // per-edge tie-break. The membership scan costs N/64 word reads per level,
@@ -93,12 +90,10 @@ func (g *Graph) BFSInto(source int, t *SPT) error {
 		sc.cur = make([]uint64, words)
 		sc.next = make([]uint64, words)
 	}
-	if cap(sc.dec) < int(g.maxDeg) {
-		sc.dec = make([]int32, g.maxDeg)
-	}
 	cur, next := sc.cur[:words], sc.next[:words]
 	clear(cur)
 	clear(next)
+	offsets, adj := g.offsets, g.adj
 
 	t.Dist[source] = 0
 	t.Parent[source] = int32(source)
@@ -112,7 +107,7 @@ func (g *Graph) BFSInto(source int, t *SPT) error {
 			for f != 0 {
 				u := int32(wi<<6 + bits.TrailingZeros64(f))
 				f &= f - 1
-				for _, w := range g.adjInto(int(u), &sc.dec) {
+				for _, w := range adj[offsets[u]:offsets[u+1]] {
 					if t.Dist[w] == Unreachable {
 						t.Dist[w] = du + 1
 						t.Parent[w] = u

@@ -15,7 +15,7 @@ const un = Unreachable
 // lowest-index neighbor one hop closer to the source — so every same-level
 // tie below (the 4-cycle's far corner, the ladder's rung-or-rail choices)
 // has exactly one right answer. The rows are an oracle independent of any
-// kernel: both kernels on both layouts must reproduce them.
+// kernel: both kernels must reproduce them.
 var canonicalCases = []struct {
 	name   string
 	n      int
@@ -129,8 +129,8 @@ var canonicalCases = []struct {
 	},
 }
 
-// TestCanonicalParents checks BFS and BatchSPTs, on the flat and the
-// compressed layout, against the hand-written trees of canonicalCases.
+// TestCanonicalParents checks BFS and BatchSPTs against the hand-written
+// trees of canonicalCases.
 func TestCanonicalParents(t *testing.T) {
 	for _, tc := range canonicalCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,42 +140,33 @@ func TestCanonicalParents(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			flat := b.Build()
-			cg, err := flat.Compress()
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := b.Build()
 			sources := make([]int, tc.n)
 			for s := range sources {
 				sources[s] = s
 			}
-			for _, layout := range []struct {
-				name string
-				g    *Graph
-			}{{"flat", flat}, {"compressed", cg}} {
-				batch, err := layout.g.BatchSPTs(sources)
+			batch, err := g.BatchSPTs(sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range sources {
+				spt, err := g.BFS(s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for s := range sources {
-					spt, err := layout.g.BFS(s)
-					if err != nil {
-						t.Fatal(err)
+				for _, got := range []struct {
+					kernel       string
+					dist, parent []int32
+				}{
+					{"BFS", spt.Dist, spt.Parent},
+					{"BatchSPTs", batch.DistRow(s), batch.ParentRow(s)},
+				} {
+					where := fmt.Sprintf("%s source %d", got.kernel, s)
+					if !slices.Equal(got.dist, tc.dist[s]) {
+						t.Errorf("%s: Dist = %v, want %v", where, got.dist, tc.dist[s])
 					}
-					for _, got := range []struct {
-						kernel       string
-						dist, parent []int32
-					}{
-						{"BFS", spt.Dist, spt.Parent},
-						{"BatchSPTs", batch.DistRow(s), batch.ParentRow(s)},
-					} {
-						where := fmt.Sprintf("%s/%s source %d", layout.name, got.kernel, s)
-						if !slices.Equal(got.dist, tc.dist[s]) {
-							t.Errorf("%s: Dist = %v, want %v", where, got.dist, tc.dist[s])
-						}
-						if !slices.Equal(got.parent, tc.parent[s]) {
-							t.Errorf("%s: Parent = %v, want %v", where, got.parent, tc.parent[s])
-						}
+					if !slices.Equal(got.parent, tc.parent[s]) {
+						t.Errorf("%s: Parent = %v, want %v", where, got.parent, tc.parent[s])
 					}
 				}
 			}

@@ -7,13 +7,14 @@
 // shortest-path tree of each source, of which every delivery tree is a
 // subtree (§2, footnote 1). Two traversal kernels produce it: the serial
 // level-synchronous BFSInto (bfs.go) and the 64-lane multi-source BFS group
-// behind BatchSPTs (msbfs.go). Both emit the same lowest-index-parent tree,
-// and both serve the flat and the compressed adjacency layout (compress.go)
-// through one adjacency read, Graph.adjInto. Earlier generations also
-// carried a direction-optimizing single-source kernel, a degree-descending
-// relabeled layout and compressed copies of both kernels; they were removed
-// because BFS is under 1% of a paper-scale curve run, and EXPERIMENTS.md
-// keeps their measurements as history.
+// behind BatchSPTs (msbfs.go). Both emit the same lowest-index-parent tree
+// and read a neighbor list the one way the graph stores it,
+// adj[offsets[v]:offsets[v+1]]. Earlier generations also carried a
+// direction-optimizing single-source kernel, a degree-descending relabeled
+// layout and a varint-compressed adjacency layout; they were removed because
+// BFS is under 1% of a paper-scale curve run and the compressed layout saved
+// at most 3% of a large curve's peak heap, and EXPERIMENTS.md keeps their
+// measurements as history.
 //
 // Nodes are dense integers 0..N-1. All edges are unweighted and
 // bidirectional; the paper ("All topologies were cleaned by removing
@@ -27,27 +28,14 @@ import (
 	"sort"
 )
 
-// Graph is an immutable undirected graph in compressed-sparse-row form.
-// Build one with a Builder (or BuildStreamed for large graphs). The zero
-// value is an empty graph.
-//
-// A Graph has one of two adjacency layouts. The flat layout stores sorted
-// int32 neighbor slices in adj. The compressed layout (see Compress) drops
-// adj and stores varint delta-encoded neighbor bytes in cadj. Both keep the
-// same vertex ids and the same offsets table, and every read of a neighbor
-// list — public accessors and both traversal kernels alike — goes through
-// adjInto, so the layout is invisible above this file.
+// Graph is an immutable undirected graph in compressed-sparse-row form:
+// the sorted neighbors of v are adj[offsets[v]:offsets[v+1]]. Build one with
+// a Builder (or BuildStreamed for large graphs). The zero value is an empty
+// graph.
 type Graph struct {
 	offsets []int32 // len N+1; degree of v is offsets[v+1]-offsets[v]
-	adj     []int32 // flat layout: neighbors of v are adj[offsets[v]:offsets[v+1]]
+	adj     []int32
 	name    string
-
-	// Compressed layout (nil in the flat layout). v's neighbors are
-	// varint-decoded from cadj[coff[v]:coff[v+1]] (adjcodec.go).
-	cadj []byte
-	coff []uint32
-	// maxDeg sizes the kernels' decode scratch (compressed layout only).
-	maxDeg int32
 }
 
 // Builder accumulates edges for a Graph. Duplicate edges and self-loops are
@@ -149,14 +137,10 @@ func (g *Graph) M() int {
 // Name returns the topology name, if any.
 func (g *Graph) Name() string { return g.name }
 
-// MemBytes estimates the heap footprint of the adjacency arrays — the
-// accounting unit of the byte-budgeted caches. It covers both layouts:
-// offsets and the flat adjacency for uncompressed graphs, offsets plus the
-// encoded bytes and their byte offsets for compressed ones.
+// MemBytes estimates the heap footprint of the adjacency arrays (offsets
+// and neighbors) — the accounting unit of the byte-budgeted caches.
 func (g *Graph) MemBytes() int64 {
-	b := int64(cap(g.offsets)+cap(g.adj)) * 4
-	b += int64(cap(g.cadj)) + int64(cap(g.coff))*4
-	return b
+	return int64(cap(g.offsets)+cap(g.adj)) * 4
 }
 
 // WithName returns a shallow copy of g carrying the given name.
@@ -169,64 +153,34 @@ func (g *Graph) WithName(name string) *Graph {
 // Degree returns the degree of node v.
 func (g *Graph) Degree(v int) int { return int(g.offsets[v+1] - g.offsets[v]) }
 
-// adjInto returns v's strictly ascending neighbor list: a slice of the flat
-// adjacency array, or v's encoded bytes decoded into *dec, which must have
-// capacity >= Degree(v). It is the one adjacency read of the package: the
-// serial and multi-source kernels call it with per-traversal scratch sized
-// to MaxDegree, the public accessors below with a caller buffer. dec is a
-// pointer so the per-node call in the kernels' hot loops carries one word
-// rather than a three-word slice header.
-func (g *Graph) adjInto(v int, dec *[]int32) []int32 {
-	lo, hi := g.offsets[v], g.offsets[v+1]
-	if g.cadj == nil {
-		return g.adj[lo:hi]
+// MaxDegree returns the graph's maximum degree, an O(N) scan.
+func (g *Graph) MaxDegree() int {
+	maxd := 0
+	for v := 0; v < g.N(); v++ {
+		maxd = max(maxd, g.Degree(v))
 	}
-	return decodeAdjInto(g.cadj[g.coff[v]:g.coff[v+1]], int32(v), int(hi-lo), *dec)
+	return maxd
 }
 
-// Neighbors returns the sorted adjacency of v. For flat graphs the slice
-// aliases internal storage and must not be modified; for compressed graphs
-// it is freshly decoded (and owned by the caller). Loops over many nodes
-// should use NeighborsInto instead.
-func (g *Graph) Neighbors(v int) []int32 { return g.NeighborsInto(v, nil) }
+// Neighbors returns the strictly ascending adjacency of v. The slice aliases
+// internal storage and must not be modified.
+func (g *Graph) Neighbors(v int) []int32 { return g.adj[g.offsets[v]:g.offsets[v+1]] }
 
-// NeighborsInto returns the sorted adjacency of v without allocating on the
-// steady state: flat graphs return an alias of internal storage (buf is
-// ignored and must not be written through), compressed graphs decode into
-// buf, growing it only when cap(buf) is too small, and return the (possibly
-// grown) buffer. Callers that keep the returned slice as their scratch for
-// the next call amortize decode storage to zero allocations once the buffer
-// has reached the graph's maximum degree.
-func (g *Graph) NeighborsInto(v int, buf []int32) []int32 {
-	if g.cadj != nil && cap(buf) < g.Degree(v) {
-		buf = make([]int32, g.Degree(v))
-	}
-	return g.adjInto(v, &buf)
-}
-
-// HasEdge reports whether the edge (u,v) exists. Flat layout: binary search
-// of the sorted adjacency. Compressed layout: an allocation-free streaming
-// scan of u's encoded neighbor list.
+// HasEdge reports whether the edge (u,v) exists, by binary search of u's
+// sorted adjacency.
 func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= g.N() || v >= g.N() {
 		return false
-	}
-	if g.cadj != nil {
-		return scanAdjFor(g.cadj[g.coff[u]:g.coff[u+1]], int32(u), g.Degree(u), int32(v))
 	}
 	ns := g.Neighbors(u)
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= int32(v) })
 	return i < len(ns) && ns[i] == int32(v)
 }
 
-// Edges calls fn once per undirected edge with u < v, ascending u then v —
-// the same order in both layouts, so edge-list output is byte-identical
-// regardless of compression.
+// Edges calls fn once per undirected edge with u < v, ascending u then v.
 func (g *Graph) Edges(fn func(u, v int)) {
-	var buf []int32
 	for u := 0; u < g.N(); u++ {
-		buf = g.NeighborsInto(u, buf)
-		for _, w := range buf {
+		for _, w := range g.Neighbors(u) {
 			if int32(u) < w {
 				fn(u, int(w))
 			}
@@ -244,15 +198,12 @@ func (g *Graph) AvgDegree() float64 {
 
 // Validate checks internal invariants (sorted adjacency, symmetric edges, no
 // self-loops). It is used by tests and by topology generators in debug mode.
-// Compressed graphs are validated through the decoded view, so the same
-// invariants hold in both layouts.
 func (g *Graph) Validate() error {
 	if len(g.offsets) == 0 || g.offsets[0] != 0 {
 		return errors.New("graph: bad offsets header")
 	}
-	var ns []int32
 	for v := 0; v < g.N(); v++ {
-		ns = g.NeighborsInto(v, ns)
+		ns := g.Neighbors(v)
 		for i, w := range ns {
 			if w < 0 || int(w) >= g.N() {
 				return fmt.Errorf("graph: node %d has out-of-range neighbor %d", v, w)

@@ -148,6 +148,43 @@ func TestEdgesEnumeration(t *testing.T) {
 	}
 }
 
+// MaxDegree and Neighbors read the same CSR rows as Degree, HasEdge and
+// Edges: each row is strictly ascending, has Degree(v) entries, and agrees
+// with HasEdge; MaxDegree is the largest row.
+func TestMaxDegreeAndNeighbors(t *testing.T) {
+	if d := path(t, 4).MaxDegree(); d != 2 {
+		t.Fatalf("path MaxDegree = %d, want 2", d)
+	}
+	if d := complete(t, 5).MaxDegree(); d != 4 {
+		t.Fatalf("K5 MaxDegree = %d, want 4", d)
+	}
+	if d := NewBuilder(0).Build().MaxDegree(); d != 0 {
+		t.Fatalf("empty MaxDegree = %d, want 0", d)
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		g := randomGraph(seed, 300, 900)
+		maxd := 0
+		for v := 0; v < g.N(); v++ {
+			ns := g.Neighbors(v)
+			if len(ns) != g.Degree(v) {
+				t.Fatalf("seed %d: Neighbors(%d) has %d entries, Degree %d", seed, v, len(ns), g.Degree(v))
+			}
+			for i, w := range ns {
+				if i > 0 && ns[i-1] >= w {
+					t.Fatalf("seed %d: Neighbors(%d) = %v not strictly ascending", seed, v, ns)
+				}
+				if !g.HasEdge(v, int(w)) || !g.HasEdge(int(w), v) {
+					t.Fatalf("seed %d: Neighbors(%d) lists %d but HasEdge disagrees", seed, v, w)
+				}
+			}
+			maxd = max(maxd, len(ns))
+		}
+		if g.MaxDegree() != maxd {
+			t.Fatalf("seed %d: MaxDegree = %d, want %d", seed, g.MaxDegree(), maxd)
+		}
+	}
+}
+
 func TestAvgDegree(t *testing.T) {
 	g := cycle(t, 10)
 	if g.AvgDegree() != 2 {

@@ -25,9 +25,7 @@ import (
 // discover w is the lowest-index previous-level neighbor — exactly the
 // canonical parent rule of the serial kernel (BFSInto). Batch results are
 // therefore byte-identical (Dist and Parent) to per-source BFS, which the
-// measurement engines' batch-on/off invariant rests on. Like BFSInto, the
-// group reads adjacency through Graph.adjInto, so one kernel serves the
-// flat and the compressed layout.
+// measurement engines' batch-on/off invariant rests on.
 
 // msbfsLanes is the lane width of one traversal: one bit per source in a
 // uint64 mask.
@@ -49,23 +47,21 @@ type SPTBatch struct {
 }
 
 // msbfsScratch is the kernel's reusable per-traversal state: per-node lane
-// masks plus two frontier-membership bitsets (one bit per node), and — for
-// compressed graphs — the adjacency decode buffer. All of it, plus the
-// owning batch's dist/parent slabs, comes from one slab arena, so sweeping
-// graphs of different sizes recycles buffers instead of churning the GC.
+// masks plus two frontier-membership bitsets (one bit per node). All of it,
+// plus the owning batch's dist/parent slabs, comes from one slab arena, so
+// sweeping graphs of different sizes recycles buffers instead of churning
+// the GC.
 type msbfsScratch struct {
 	ar                     *arena.Arena
 	seen, visit, visitNext []uint64
 	front, nextFront       []uint64
-	dec                    []int32
 }
 
-// grow sizes the scratch for an n-node traversal with maxDeg-wide decode
-// scratch (0 for the flat layout, which decodes nothing). visit/visitNext
-// must be all-zero between traversals — the kernel clears them incrementally
+// grow sizes the scratch for an n-node traversal. visit/visitNext must be
+// all-zero between traversals — the kernel clears them incrementally
 // — so freshly slabbed (dirty) arena memory is zeroed here; seen and the
 // frontier bitsets are zeroed by the kernel at the start of every group.
-func (sc *msbfsScratch) grow(n, words, maxDeg int) {
+func (sc *msbfsScratch) grow(n, words int) {
 	if sc.ar == nil {
 		sc.ar = arena.New()
 	}
@@ -89,7 +85,6 @@ func (sc *msbfsScratch) grow(n, words, maxDeg int) {
 		sc.front = sc.front[:words]
 		sc.nextFront = sc.nextFront[:words]
 	}
-	sc.dec = sc.ar.GrowInt32(sc.dec, maxDeg)
 }
 
 // sptBatchPool recycles batch slabs so the measurement engines' hot loops
@@ -224,7 +219,8 @@ func (b *SPTBatch) Materialize(i int) *SPT {
 func (g *Graph) msbfsGroup(group []int, dist, parent []int32, sc *msbfsScratch) {
 	n := g.N()
 	words := (n + 63) / 64
-	sc.grow(n, words, int(g.maxDeg))
+	sc.grow(n, words)
+	offsets, adj := g.offsets, g.adj
 	seen := sc.seen[:n]
 	visit := sc.visit[:n]
 	visitNext := sc.visitNext[:n]
@@ -263,7 +259,7 @@ func (g *Graph) msbfsGroup(group []int, dist, parent []int32, sc *msbfsScratch) 
 				v := wi<<6 + bits.TrailingZeros64(word)
 				mv := visit[v]
 				visit[v] = 0
-				for _, w := range g.adjInto(v, &sc.dec) {
+				for _, w := range adj[offsets[v]:offsets[v+1]] {
 					d := mv &^ seen[w]
 					if d == 0 {
 						continue

@@ -201,20 +201,9 @@ func FuzzMSBFSEquivalence(f *testing.F) {
 
 // BenchmarkBatchSPTs64 traverses 64 sources through one MS-BFS batch on the
 // BenchmarkBFS50k graph; BenchmarkBatchSPTs64Serial is the ablation running
-// the same 64 sources through the serial kernel, and
-// BenchmarkBatchSPTs64Compressed the storage ablation: the identical batch
-// over the varint-compressed CSR (results byte-identical, adjacency decoded
-// into the traversal's scratch by the same kernel).
+// the same 64 sources through the serial kernel.
 func BenchmarkBatchSPTs64(b *testing.B) {
 	benchBatch64(b, randomGraph(1, 50000, 100000))
-}
-
-func BenchmarkBatchSPTs64Compressed(b *testing.B) {
-	g, err := randomGraph(1, 50000, 100000).Compress()
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBatch64(b, g)
 }
 
 func BenchmarkBatchSPTs64Serial(b *testing.B) {

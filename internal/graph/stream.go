@@ -6,15 +6,15 @@ import (
 	"slices"
 )
 
-// This file implements the streaming CSR builder behind the large-graph mode.
+// This file implements the streaming CSR builder for large graphs.
 // The Builder materializes an edge list — 8 bytes per undirected edge before
 // canonicalization and the CSR arrays on top — which at 10M nodes and average
 // degree 4 means multiple transient gigabytes beyond the final graph. The
 // two-pass streaming path never holds an edge list: pass one counts degrees,
 // pass two scatters endpoints straight into the final adjacency array, and
 // an in-place per-vertex sort+dedup finishes the CSR. Peak RSS is the final
-// CSR plus a 4 B/node cursor — within the "≤ ~2× final CSR bytes" budget the
-// large-graph mode promises even before compression.
+// CSR plus a 4 B/node cursor, within the "≤ ~2× final CSR bytes" budget
+// that large-smoke asserts.
 
 // EdgeStream produces a graph's edge multiset by calling emit(u, v) once per
 // edge. A stream MUST be re-runnable and deterministic: BuildStreamed

@@ -136,24 +136,6 @@ func BenchmarkAblationDistinctSmallMRejection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPermutation: the nested engine's ordered draw at high m —
-// O(m) via the sparse Fisher-Yates, allocation-free.
-func BenchmarkAblationPermutation(b *testing.B) {
-	smp, err := NewSampler(2000, -1, rng.New(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf []int32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err = smp.Permutation(1500, buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationSPTReuse: one BFS per source shared across receiver sets
 // (production path inside MeasureCurve).
 func BenchmarkAblationSPTReuse(b *testing.B) {

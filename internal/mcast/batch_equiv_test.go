@@ -56,30 +56,6 @@ func TestMeasureCurveBatchByteIdentical(t *testing.T) {
 	}
 }
 
-func TestMeasureCurveNestedBatchByteIdentical(t *testing.T) {
-	g := randGraph(43, 300, 600)
-	sizes := []int{2, 5, 20, 20, 64}
-	for _, sptcache := range []bool{false, true} {
-		var want []Point
-		for _, p := range batchVariants(Protocol{NSource: 10, NRcvr: 6, Seed: 7, SPTCache: sptcache}) {
-			graph.SharedSPTs.Clear()
-			got, err := MeasureCurveNested(g, sizes, Distinct, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("cache=%v %+v: batch %+v != serial %+v", sptcache, p, got[k], want[k])
-				}
-			}
-		}
-	}
-}
-
 func TestMeasureSharedCurveBatchByteIdentical(t *testing.T) {
 	g := randGraph(47, 350, 700)
 	sizes := []int{1, 4, 16}

@@ -26,9 +26,6 @@ func TestMeasureCurveCtxPreCancelled(t *testing.T) {
 	if _, err := MeasureCurveCtx(ctx, g, []int{1, 4}, Distinct, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("independent engine: err = %v, want context.Canceled", err)
 	}
-	if _, err := MeasureCurveNestedCtx(ctx, g, []int{1, 4}, Distinct, p); !errors.Is(err, context.Canceled) {
-		t.Fatalf("nested engine: err = %v, want context.Canceled", err)
-	}
 	if _, err := MeasureSharedCurveCtx(ctx, g, []int{1, 4}, CoreRandom, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("shared engine: err = %v, want context.Canceled", err)
 	}

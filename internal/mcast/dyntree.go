@@ -56,7 +56,6 @@ type DynTree struct {
 	prev  []int32 // BFS predecessor toward the joining receiver
 	queue []int32
 	epoch int32
-	nbuf  []int32 // neighbor decode buffer (compressed graphs only)
 
 	gMaxDeg int // cached g.MaxDegree(), sized for degHist
 	ar      *arena.Arena
@@ -97,9 +96,6 @@ func (t *DynTree) Reset(g *graph.Graph, spt *graph.SPT, degreeCap int) error {
 		// against the same topology pay it once. Tree degrees never exceed
 		// graph degrees (every tree edge is a graph edge).
 		t.gMaxDeg = g.MaxDegree()
-		// The neighbor buffer may alias the previous graph's flat adjacency
-		// (see NeighborsInto); never let a decode write through it.
-		t.nbuf = nil
 	}
 	t.g, t.spt = g, spt
 	t.root = int32(spt.Source)
@@ -284,13 +280,7 @@ func (t *DynTree) repairGraft(r int32) (int, bool) {
 	t.prev[r] = -1
 	for qi := 0; qi < len(t.queue); qi++ {
 		u := t.queue[qi]
-		// NeighborsInto aliases flat adjacency (returned buffer must not be
-		// retained as decode scratch) and decodes into nbuf when compressed.
-		nbs := t.g.NeighborsInto(int(u), t.nbuf)
-		if t.g.Compressed() {
-			t.nbuf = nbs
-		}
-		for _, w := range nbs {
+		for _, w := range t.g.Neighbors(int(u)) {
 			if t.seen[w] == t.epoch {
 				continue
 			}

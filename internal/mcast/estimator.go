@@ -35,11 +35,11 @@ type Protocol struct {
 	// EffectiveWorkers. Requesting more is not an error, just headroom
 	// that cannot be used.
 	Workers int
-	// Nested routes MeasureCurve through the incremental nested-growth
-	// engine (MeasureCurveNested): one receiver permutation per repetition,
-	// grown link by link, read off at every grid size. Statistically
-	// equivalent to the independent-sets protocol and roughly GridPoints×
-	// cheaper; the paper-faithful reference path is Nested == false.
+	// Nested selected the nested-growth curve engine, which has been
+	// removed. Validate rejects true.
+	//
+	// Deprecated: the independent-sets engine is the only curve engine.
+	// The field stays so existing callers compile; it must be false.
 	Nested bool
 	// SPTCache routes shortest-path-tree construction through the
 	// process-wide graph.SharedSPTs cache, so experiments that draw the
@@ -70,6 +70,9 @@ func (p Protocol) Validate() error {
 	}
 	if p.Workers < 0 {
 		return valid.Badf("mcast: negative worker count %d", p.Workers)
+	}
+	if p.Nested {
+		return valid.Badf("mcast: Protocol.Nested is no longer supported: the nested-growth curve engine was removed")
 	}
 	return nil
 }
@@ -147,7 +150,6 @@ func MeasureCurve(g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]Point, 
 // MeasureCurveCtx is MeasureCurve under a cancellation context: the worker
 // pool observes ctx at grid-point granularity, abandons the sweep promptly
 // after cancellation, and returns ctx's error. A nil ctx means Background.
-// Protocol.Nested selects the nested engine (MeasureCurveNested).
 //
 // The sweep is the partial engine run over the whole source block [0,
 // NSource), reduced in place — the one drive loop the single-process and
@@ -168,8 +170,7 @@ func orBackground(ctx context.Context) context.Context {
 	return ctx
 }
 
-// validateCurveArgs is the shared argument check of the independent and
-// nested curve engines.
+// validateCurveArgs checks a curve sweep's arguments.
 func validateCurveArgs(g *graph.Graph, sizes []int, mode Mode, p Protocol) error {
 	if err := p.Validate(); err != nil {
 		return err

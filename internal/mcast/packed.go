@@ -52,10 +52,6 @@ import (
 // the engines mark it in one lane, sweep once and add that one sample NRcvr
 // times, and leave the draws owed to the sampler (Sampler.whole), whose
 // next draw takes them so every later set is the one the stream gives.
-// The nested engine keeps climbing: it grows one tree per repetition
-// and reads it off at every grid size, so its climbs already total
-// O(L(maxM)) per repetition, no more than one sweep, where sweeping would
-// cost one pass per grid size.
 //
 // Receiver slices come from the Sampler, whose site population is built from
 // node IDs in [0, N), so the loops index pd and rd without range guards; the

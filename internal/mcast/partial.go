@@ -62,11 +62,8 @@ func validateBlock(lo, hi, n int, what string) error {
 // source sequence is drawn and sliced — not re-drawn per block — and each
 // source keeps its global RNG stream, so the block's partial sums are
 // exactly the cells the unsharded engine would produce for those sources.
-// Protocol.Nested selects the engine, exactly as in MeasureCurveCtx.
 func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mode Mode, p Protocol, srcLo, srcHi int) (*CurvePartial, error) {
 	ctx = orBackground(ctx)
-	nested := p.Nested
-	p.Nested = false // routing flag only; consumed here
 	if err := validateCurveArgs(g, sizes, mode, p); err != nil {
 		return nil, err
 	}
@@ -82,17 +79,8 @@ func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mo
 	defer bt.release()
 	nBlock := srcHi - srcLo
 	acc := newCurvePartial(p.NSource, len(sizes), srcLo, srcHi)
-	var cuts []sizeCut
-	var maxSize int
-	if nested {
-		cuts = sizeCuts(sizes)
-		maxSize = cuts[len(cuts)-1].size
-	}
 	err = runWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
 		si := srcLo + lane
-		if nested {
-			return measureSourceNested(ctx, g, sources[si], si, lane, cuts, maxSize, mode, p, bt, acc)
-		}
 		return measureSourceIndependent(ctx, g, sources[si], si, lane, sizes, mode, p, bt, acc)
 	})
 	if err != nil {

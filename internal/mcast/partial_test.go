@@ -35,9 +35,7 @@ func TestCurvePartialsByteIdentical(t *testing.T) {
 		mut  func(*Protocol)
 	}{
 		{"plain", func(p *Protocol) {}},
-		{"nested", func(p *Protocol) { p.Nested = true }},
 		{"batch", func(p *Protocol) { p.BatchBFS = true }},
-		{"batch-nested", func(p *Protocol) { p.BatchBFS = true; p.Nested = true }},
 		{"sptcache", func(p *Protocol) { p.BatchBFS = true; p.SPTCache = true }},
 		{"include-source", func(p *Protocol) { p.IncludeSource = true }},
 	}

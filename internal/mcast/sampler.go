@@ -241,55 +241,3 @@ func (s *Sampler) Distinct(m int, dst []int32) ([]int32, error) {
 	}
 	return dst, nil
 }
-
-// Permutation draws m distinct sites in uniform random order: every prefix
-// of the result is itself a uniform distinct sample of its length. This is
-// the draw the nested-growth engine consumes — one Permutation(maxM) yields
-// valid L(m) samples for every m ≤ maxM at once.
-//
-// It runs a partial Fisher-Yates directly on the site array in O(m), no
-// copies or membership bookkeeping. The shuffle is destructive — sites is
-// left reordered — which is safe because every draw method is uniform over
-// the population regardless of its storage order, and a shuffled population
-// is still the same population.
-func (s *Sampler) Permutation(m int, dst []int32) ([]int32, error) {
-	s.settle()
-	sites := s.sites
-	M := len(sites)
-	if m < 0 || m > M {
-		return nil, fmt.Errorf("mcast: cannot draw %d distinct sites from %d", m, M)
-	}
-	dst = dst[:0]
-	if rr := s.rr; rr != nil {
-		rr.PermPrefix32(sites, m)
-		return append(dst, sites[:m]...), nil
-	}
-	r := s.r
-	for i := 0; i < m; i++ {
-		j := i + r.Intn(M-i)
-		sites[i], sites[j] = sites[j], sites[i]
-		dst = append(dst, sites[i])
-	}
-	return dst, nil
-}
-
-// DistinctRejection draws m distinct sites by rejection resampling. Kept as
-// the reference implementation for tests and the sampling ablation; Distinct
-// is the production path.
-func (s *Sampler) DistinctRejection(m int, dst []int32) ([]int32, error) {
-	s.settle()
-	M := len(s.sites)
-	if m < 0 || m > M {
-		return nil, fmt.Errorf("mcast: cannot draw %d distinct sites from %d", m, M)
-	}
-	s.stamp()
-	dst = dst[:0]
-	for len(dst) < m {
-		idx := s.r.Intn(M)
-		if s.mark[idx] != s.epoch {
-			s.mark[idx] = s.epoch
-			dst = append(dst, s.sites[idx])
-		}
-	}
-	return dst, nil
-}

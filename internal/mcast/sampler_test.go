@@ -189,60 +189,6 @@ func TestSiteSamplerCopiesInput(t *testing.T) {
 	}
 }
 
-func TestPermutationIsDistinct(t *testing.T) {
-	s, _ := NewSampler(40, 11, rng.New(6))
-	var buf []int32
-	for m := 0; m <= s.Population(); m++ {
-		var err error
-		buf, err = s.Permutation(m, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(buf) != m {
-			t.Fatalf("m=%d: got %d", m, len(buf))
-		}
-		seen := map[int32]bool{}
-		for _, v := range buf {
-			if seen[v] || v == 11 || v < 0 || v >= 40 {
-				t.Fatalf("m=%d: bad draw %d (dup=%v)", m, v, seen[v])
-			}
-			seen[v] = true
-		}
-	}
-	if _, err := s.Permutation(s.Population()+1, nil); err == nil {
-		t.Fatal("m > population must error")
-	}
-	if _, err := s.Permutation(-1, nil); err == nil {
-		t.Fatal("negative m must error")
-	}
-}
-
-func TestPermutationPrefixUniform(t *testing.T) {
-	// The defining property the nested engine relies on: every prefix of a
-	// Permutation draw is a uniform distinct sample. Check the frequency of
-	// each site inside the first `prefix` slots.
-	const n, prefix, trials = 20, 5, 20000
-	s, _ := NewSampler(n, -1, rng.New(10))
-	counts := make([]int, n)
-	var buf []int32
-	for trial := 0; trial < trials; trial++ {
-		var err error
-		buf, err = s.Permutation(n, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range buf[:prefix] {
-			counts[v]++
-		}
-	}
-	want := float64(trials*prefix) / n
-	for v, c := range counts {
-		if float64(c) < want*0.9 || float64(c) > want*1.1 {
-			t.Fatalf("site %d in prefix %d times, want ≈ %.0f", v, c, want)
-		}
-	}
-}
-
 func TestSamplerReset(t *testing.T) {
 	s, err := NewSampler(10, 2, rng.New(1))
 	if err != nil {
@@ -254,7 +200,7 @@ func TestSamplerReset(t *testing.T) {
 	if s.Population() != 5 {
 		t.Fatalf("population after reset = %d", s.Population())
 	}
-	buf, err := s.Permutation(5, nil)
+	buf, err := s.Distinct(5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +222,8 @@ func TestSamplerReset(t *testing.T) {
 
 func TestSamplerDrawsDoNotAllocate(t *testing.T) {
 	// The epoch-stamped scratch set means steady-state draws are
-	// allocation-free on every path (Floyd, Fisher-Yates, permutation,
-	// rejection).
+	// allocation-free on every path (Floyd, Fisher-Yates, with replacement,
+	// and the rejection reference).
 	s, _ := NewSampler(1000, -1, rng.New(4))
 	buf := make([]int32, 0, 1000)
 	warm := func(f func()) float64 {
@@ -289,9 +235,6 @@ func TestSamplerDrawsDoNotAllocate(t *testing.T) {
 	}
 	if n := warm(func() { buf, _ = s.Distinct(900, buf) }); n != 0 {
 		t.Fatalf("Fisher-Yates path allocates %.1f/op", n)
-	}
-	if n := warm(func() { buf, _ = s.Permutation(500, buf) }); n != 0 {
-		t.Fatalf("Permutation allocates %.1f/op", n)
 	}
 	if n := warm(func() { buf, _ = s.DistinctRejection(10, buf) }); n != 0 {
 		t.Fatalf("DistinctRejection allocates %.1f/op", n)
@@ -370,7 +313,6 @@ func TestSamplerOwesWholeDraws(t *testing.T) {
 		{"Distinct/Fisher-Yates", func(s *Sampler) ([]int32, error) { return s.Distinct(40, nil) }},
 		{"Distinct/whole", func(s *Sampler) ([]int32, error) { return s.Distinct(n-1, nil) }},
 		{"WithReplacement", func(s *Sampler) ([]int32, error) { return s.WithReplacement(30, nil) }},
-		{"Permutation", func(s *Sampler) ([]int32, error) { return s.Permutation(20, nil) }},
 		{"DistinctRejection", func(s *Sampler) ([]int32, error) { return s.DistinctRejection(10, nil) }},
 	}
 	newSampler := func(t *testing.T, src rng.Source) *Sampler {
@@ -430,4 +372,25 @@ func TestSamplerOwesWholeDraws(t *testing.T) {
 			}
 		}
 	}
+}
+
+// DistinctRejection draws m distinct sites by rejection resampling: the
+// reference implementation the tests and the sampling ablation compare
+// Distinct, the production path, against.
+func (s *Sampler) DistinctRejection(m int, dst []int32) ([]int32, error) {
+	s.settle()
+	M := len(s.sites)
+	if m < 0 || m > M {
+		return nil, fmt.Errorf("mcast: cannot draw %d distinct sites from %d", m, M)
+	}
+	s.stamp()
+	dst = dst[:0]
+	for len(dst) < m {
+		idx := s.r.Intn(M)
+		if s.mark[idx] != s.epoch {
+			s.mark[idx] = s.epoch
+			dst = append(dst, s.sites[idx])
+		}
+	}
+	return dst, nil
 }

@@ -43,27 +43,6 @@ func TestMeasureCurveCachedByteIdentical(t *testing.T) {
 	}
 }
 
-func TestMeasureCurveNestedCachedByteIdentical(t *testing.T) {
-	graph.SharedSPTs.Clear()
-	g := randGraph(13, 300, 600)
-	sizes := []int{2, 5, 20}
-	off, on := curveProtocols(7)
-	off.Nested, on.Nested = true, true
-	want, err := MeasureCurve(g, sizes, Distinct, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MeasureCurve(g, sizes, Distinct, on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("size %d: cached %+v != uncached %+v", sizes[k], got[k], want[k])
-		}
-	}
-}
-
 func TestMeasureSharedCurveCachedByteIdentical(t *testing.T) {
 	graph.SharedSPTs.Clear()
 	g := randGraph(17, 350, 700)

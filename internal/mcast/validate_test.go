@@ -69,6 +69,12 @@ func TestCurveArgValidation(t *testing.T) {
 			_, err := MeasureCurve(validateLineGraph(1), []int{1}, Distinct, ok)
 			return err
 		}},
+		{"removed nested engine", func() error {
+			p := ok
+			p.Nested = true
+			_, err := MeasureCurve(g, []int{1}, Distinct, p)
+			return err
+		}},
 	}
 	for _, c := range cases {
 		err := c.run()

@@ -1,9 +1,11 @@
 // Package panicsafe isolates panics: a panicking function is converted into
 // an ordinary error carrying the panic value and stack, so one failing
-// experiment or measurement worker cannot take down the whole process. The
-// experiment scheduler runs every experiment through Do, and RunJobs is the
-// module's one bounded job pool: the mcast source, block and network pools,
-// the Figure 9 chains and ext-steiner's cells run on it.
+// experiment or measurement worker cannot take down the whole process.
+// RunJobs is the module's one bounded job pool: the experiment scheduler,
+// the mcast source, block and network pools, the Figure 9 chains and
+// ext-steiner's cells run on it. The scheduler also runs each experiment
+// under its own Do and records the outcome instead of returning it, so a
+// failed or panicking experiment never stops a worker.
 package panicsafe
 
 import (

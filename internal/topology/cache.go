@@ -21,10 +21,9 @@ import (
 // caller still holding them; only the memoization is dropped.
 
 type cacheKey struct {
-	name     string
-	seed     int64
-	scale    float64
-	compress bool
+	name  string
+	seed  int64
+	scale float64
 }
 
 type cacheEntry struct {
@@ -70,18 +69,6 @@ type CacheStats struct {
 // deterministic, so errors are cached alongside graphs (error entries cost
 // no budget and are evicted like any other).
 func GenerateCached(name string, seed int64, scale float64) (*graph.Graph, error) {
-	return GenerateCachedOpt(name, seed, scale, false)
-}
-
-// GenerateCachedOpt is GenerateCached with a layout choice: compress=true
-// memoizes the topology in the compressed CSR layout (graph.Compress: varint
-// delta adjacency under the original ids, traversed by the same two kernels
-// as the flat layout, so every result is byte-identical), keyed
-// separately from the flat layout so the two never alias. Compression happens
-// inside the build singleflight, and the cache budget accounts the compressed
-// footprint — well under the flat graph's — so large-graph sweeps fit more
-// topologies in the same budget.
-func GenerateCachedOpt(name string, seed int64, scale float64, compress bool) (*graph.Graph, error) {
 	s, err := Lookup(name)
 	if err != nil {
 		return nil, err
@@ -92,7 +79,7 @@ func GenerateCachedOpt(name string, seed int64, scale float64, compress bool) (*
 	if scale <= 0 || scale > 1 {
 		scale = 1 // normalize exactly like the builders do, so keys can't alias
 	}
-	key := cacheKey{name: name, seed: seed, scale: scale, compress: compress}
+	key := cacheKey{name: name, seed: seed, scale: scale}
 	cacheMu.Lock()
 	e, ok := cache[key]
 	if ok {
@@ -109,9 +96,6 @@ func GenerateCachedOpt(name string, seed int64, scale float64, compress bool) (*
 	cacheMu.Unlock()
 	e.once.Do(func() {
 		e.g, e.err = s.Build(seed, scale)
-		if e.err == nil && compress {
-			e.g, e.err = e.g.Compress()
-		}
 		if e.err != nil {
 			e.err = fmt.Errorf("topology: generating %q: %w", name, e.err)
 			return

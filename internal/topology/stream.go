@@ -8,8 +8,8 @@ import (
 	"mtreescale/internal/rng"
 )
 
-// This file implements streaming topology generation for the large-graph
-// mode: edge streams that graph.BuildStreamed replays twice (count pass,
+// This file implements streaming topology generation for large graphs: edge
+// streams that graph.BuildStreamed replays twice (count pass,
 // fill pass) so a 10M-node transit-stub or preferential-attachment graph
 // never materializes an intermediate edge list. Each stream closure creates
 // its RNG from the seed on every invocation, which is exactly the

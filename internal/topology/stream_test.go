@@ -133,27 +133,3 @@ func TestPreferentialAttachmentDeterministic(t *testing.T) {
 		t.Fatal("same seed produced different graphs")
 	}
 }
-
-func TestStreamedCompressesAndTraverses(t *testing.T) {
-	g, err := TransitStubStreamed(30000, 4.0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg, err := g.Compress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := g.BFS(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cg.BFS(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want.Dist {
-		if want.Dist[v] != got.Dist[v] || want.Parent[v] != got.Parent[v] {
-			t.Fatalf("compressed BFS differs at %d", v)
-		}
-	}
-}

@@ -1,14 +1,16 @@
 package mtreescale_test
 
 // The large-graph benchmark suite: MS-BFS batch scaling at 1M/5M/10M nodes
-// and the full S(r)/L(m) curve on a 10M-node streamed transit-stub, all over
-// the compressed CSR layout. These take minutes each, so they are gated
-// behind MTREESCALE_LARGE=1 and meant to run once per recorded point:
+// and the full S(r)/L(m) curve on a 10M-node streamed transit-stub. These
+// take minutes each, so they are gated behind MTREESCALE_LARGE=1 and meant
+// to run once per recorded point:
 //
-//	make bench-large          # BENCH_6.json includes them
+//	make bench-large          # records them into $(BENCH_JSON)
 //	MTREESCALE_LARGE=1 go test -run '^$' -bench BenchmarkLarge -benchtime 1x .
 //
-// Ungated they skip, so `make bench-all` stays tractable.
+// Ungated they skip, so `make bench-all` stays tractable. BENCH_6.json's
+// large points were measured on the compressed adjacency layout, since
+// removed; these now run on the one flat layout.
 
 import (
 	"fmt"
@@ -25,9 +27,6 @@ func largeGraph(b *testing.B, n int) *mtreescale.Topology {
 	}
 	g, err := mtreescale.TransitStubStreamed(n, 4.0, 11)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if g, err = g.Compress(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(g.MemBytes())/(1<<20), "graphMB")
@@ -60,13 +59,13 @@ func BenchmarkLargeBatchSPTs5M(b *testing.B)  { benchLargeBatch(b, 5_000_000) }
 func BenchmarkLargeBatchSPTs10M(b *testing.B) { benchLargeBatch(b, 10_000_000) }
 
 // BenchmarkLargeCurve10M measures the full L(m)/ū normalized tree-size curve
-// of the paper's §2 protocol on 10M nodes through the nested engine.
+// of the paper's §2 protocol on 10M nodes.
 func BenchmarkLargeCurve10M(b *testing.B) {
 	g := largeGraph(b, 10_000_000)
 	sizes := mtreescale.LogSpacedSizes(1_000_000, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := mtreescale.MeasureCurveNested(g, sizes, mtreescale.Distinct,
+		pts, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct,
 			mtreescale.Protocol{NSource: 4, NRcvr: 4, Seed: int64(i) + 1, BatchBFS: true})
 		if err != nil {
 			b.Fatal(err)

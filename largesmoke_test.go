@@ -3,8 +3,7 @@ package mtreescale_test
 // The large-graph smoke test: a ~1M-node transit-stub streamed straight into
 // the CSR builder, the memory model asserted against the streaming claim
 // (peak retained heap stays within ~2x the final CSR — no intermediate edge
-// list), then one S(r)/L(m) curve point measured over the compressed layout
-// and checked byte-identical to the flat run.
+// list), then one L(m) curve point measured on it.
 //
 // Gated behind MTREESCALE_LARGE_SMOKE=1 (`make large-smoke`, run by `make
 // check` and CI) so plain `go test ./...` stays fast.
@@ -48,33 +47,14 @@ func TestLargeGraphSmoke(t *testing.T) {
 	t.Logf("streamed 1M-node build: CSR %.1f MB, retained heap delta %.1f MB",
 		float64(csr)/(1<<20), float64(live)/(1<<20))
 
-	// The memory mode proper: varint compression must shrink the graph.
-	cg, err := g.Compress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cg.MemBytes() >= csr {
-		t.Errorf("compressed layout %d B not smaller than flat %d B", cg.MemBytes(), csr)
-	}
-	t.Logf("compressed: %.1f MB (%.0f%% of flat)",
-		float64(cg.MemBytes())/(1<<20), 100*float64(cg.MemBytes())/float64(csr))
-
-	// One curve point, flat vs compressed: the layout is a pure storage
-	// lever, so the Points must be byte-identical.
+	// One curve point: the engine runs at this scale and measures a tree.
 	sizes := []int{64}
 	p := mtreescale.Protocol{NSource: 2, NRcvr: 2, Seed: 5, BatchBFS: true}
-	want, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct, p)
+	pts, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want[0].MeanLinks <= 0 {
-		t.Fatalf("degenerate curve point %+v", want[0])
-	}
-	got, err := mtreescale.MeasureCurve(cg, sizes, mtreescale.Distinct, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != want[0] {
-		t.Fatalf("compressed curve point %+v != flat %+v", got[0], want[0])
+	if pts[0].MeanLinks <= 0 {
+		t.Fatalf("degenerate curve point %+v", pts[0])
 	}
 }
