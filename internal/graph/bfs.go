@@ -17,8 +17,8 @@ const Unreachable int32 = -1
 // Parents are canonical: Parent[v] is the lowest-index neighbor of v at
 // distance Dist[v]-1. Both kernels (serial BFSInto and the MS-BFS group)
 // resolve ties the same way, so an SPT is a pure function of (graph, source)
-// regardless of which kernel produced it — the property the SPT cache and the batch measurement path rely on to stay
-// byte-identical.
+// regardless of which kernel produced it — the property the SPT cache and
+// the batch measurement path rely on to stay byte-identical.
 //
 // The multicast engine builds every delivery tree as a subtree of an SPT,
 // matching the paper's source-specific shortest-path routing model
@@ -58,11 +58,11 @@ var bfsScratchPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 // goroutines while being reused.
 //
 // It is the package's serial kernel, a level-synchronous BFS: level
-// membership lives in a bitset, scanned in ascending node
-// order, so the first discoverer of every next-level node is its
-// lowest-index previous-level neighbor — parents come out canonical with no
-// per-edge tie-break. The membership scan costs N/64 word reads per level,
-// noise next to the edge scan it sits on top of. Order lists each level in
+// membership lives in a bitset, scanned in ascending node order, so the
+// first discoverer of every next-level node is its lowest-index
+// previous-level neighbor — parents come out canonical with no per-edge
+// tie-break. The membership scan costs N/64 word reads per level, noise
+// next to the edge scan it sits on top of. Order lists each level in
 // discovery order.
 func (g *Graph) BFSInto(source int, t *SPT) error {
 	n := g.N()
