@@ -205,10 +205,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKMBEquivalence -fuzztime 10s ./internal/steiner/
 	$(GO) test -run '^$$' -fuzz FuzzChainEquivalence -fuzztime 10s ./internal/affinity/
 
-# Regenerate every experiment at the default (medium) profile.
+# Regenerate every experiment at the default (medium) profile, and
+# results/REPORT.md from the same run.
 results:
-	$(GO) run ./cmd/mtsim -experiment all -profile medium -out results
-	$(GO) run ./cmd/mtsim -report -profile medium > results/REPORT.md
+	$(GO) run ./cmd/mtsim -experiment all -profile medium -out results -report
 
 # Full-size paper-faithful runs (about 30 s on two cores).
 results-paper:
@@ -220,8 +220,12 @@ results-paper:
 # that moves output on purpose regenerates both directories with `make
 # results` and `make results-paper` and says which figures moved. The files
 # are an amd64 golden: elsewhere fused multiply-adds can move a last digit.
+# results-check runs the medium registry twice: as profiled, and with the SPT
+# cache off, the one run of every engine's uncached sweep (one MS-BFS slab
+# per sweep) end to end.
 results-check:
 	./scripts/results_check.sh medium results
+	./scripts/results_check.sh medium results -sptcache=false
 
 results-paper-check:
 	./scripts/results_check.sh paper results-paper

@@ -141,7 +141,8 @@ type SPTBatch = graph.SPTBatch
 // BatchSPTs computes the shortest-path trees of all sources through the
 // MS-BFS kernel, up to 64 sources per graph traversal. Each tree is
 // node-for-node identical to BFS(source). The measurement engines use this
-// kernel whenever Protocol.BatchBFS is set.
+// kernel for every sweep's trees: into one slab without the SPT cache, and
+// for the cache's misses with it.
 func BatchSPTs(g *Topology, sources []int) (*SPTBatch, error) { return g.BatchSPTs(sources) }
 
 // GNP generates an Erdős–Rényi G(n,p) graph's giant component.
@@ -598,6 +599,12 @@ func WriteReport(w io.Writer, p Profile) error {
 // WriteReportCtx is WriteReport under a cancellation context.
 func WriteReportCtx(ctx context.Context, w io.Writer, p Profile) error {
 	return experiments.ReportCtx(ctx, w, p, time.Now())
+}
+
+// RenderReport writes the report of results already run under the profile,
+// one section per result in the order given, without running anything.
+func RenderReport(w io.Writer, p Profile, results []*Result) {
+	experiments.RenderReport(w, p, results, time.Now())
 }
 
 // CheckpointFile is the journal name inside an output directory

@@ -109,7 +109,7 @@ func BenchmarkMeasureCurve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i), BatchBFS: true}); err != nil {
+			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func BenchmarkMeasureSharedCurve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mtreescale.MeasureSharedCurve(g, sizes, mtreescale.CoreRandom,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i), BatchBFS: true}); err != nil {
+			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func BenchmarkMeasureCurveCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: 1, SPTCache: true, BatchBFS: true}); err != nil {
+			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: 1, SPTCache: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -115,7 +115,6 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		nets     = fs.Int("nets", 16, "ensemble width (the sharding axis for -kind ensemble)")
 		mode     = fs.String("mode", "distinct", "receiver draw mode: distinct|replacement")
 		strategy = fs.String("strategy", "center", "shared-tree core placement: random|source|center")
-		batchbfs = fs.Bool("batchbfs", true, "resolve source trees through the multi-source BFS batch kernel")
 		sptcache = fs.Bool("sptcache", true, "reuse shortest-path trees via the process-wide SPT cache")
 
 		shards     = fs.Int("shards", 0, "number of shards to cut the grid into (0 = 2 per worker)")
@@ -159,7 +158,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 	grid, err := buildGrid(gridFlags{
 		kind: *kind, topo: *topo, scale: *scale, seed: *seed, topoSeed: *topoSeed,
 		sizes: *sizes, nsource: *nsource, nrcvr: *nrcvr, nets: *nets,
-		mode: *mode, strategy: *strategy, batchbfs: *batchbfs, sptcache: *sptcache,
+		mode: *mode, strategy: *strategy, sptcache: *sptcache,
 	})
 	if err != nil {
 		return err
@@ -309,7 +308,7 @@ type gridFlags struct {
 	scale                             float64
 	seed, topoSeed                    int64
 	nsource, nrcvr, nets              int
-	batchbfs, sptcache                bool
+	sptcache                          bool
 }
 
 func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
@@ -325,10 +324,12 @@ func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
 		Scale:    f.scale,
 		Sizes:    szs,
 		Protocol: mtreescale.Protocol{
-			NSource:  f.nsource,
-			NRcvr:    f.nrcvr,
-			Seed:     f.seed,
-			BatchBFS: f.batchbfs,
+			NSource: f.nsource,
+			NRcvr:   f.nrcvr,
+			Seed:    f.seed,
+			// Ignored by the engines, but Grid.Key() prints it: set as
+			// before, so existing journals and worker caches still match.
+			BatchBFS: true,
 			SPTCache: f.sptcache,
 			Workers:  1,
 		},

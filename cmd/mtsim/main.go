@@ -7,10 +7,13 @@
 //	mtsim -experiment all -out results/
 //	mtsim -experiment all -parallel 0 -out results/   # use every core
 //	mtsim -experiment all -out results/ -resume       # skip checkpointed work
+//	mtsim -experiment all -out results/ -report       # and results/REPORT.md
+//	mtsim -report                                     # run all, print the report
 //
 // With -out, each experiment writes <id>.csv, <id>.gp (gnuplot) and
-// <id>.txt (ASCII + notes) into the directory; without it, the selected
-// format prints to stdout. Output files are written atomically (temp file +
+// <id>.txt (ASCII + notes) into the directory, and -report renders the
+// same results into REPORT.md there; without it, the selected format
+// prints to stdout. Output files are written atomically (temp file +
 // rename), so a crash never leaves a torn file.
 //
 // -parallel N runs independent experiments concurrently on up to N workers
@@ -32,6 +35,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -66,7 +70,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var (
 		list       = fs.Bool("list", false, "list experiment ids with one-line titles and exit")
 		describe   = fs.Bool("describe", false, "list experiment ids with titles and descriptions")
-		report     = fs.Bool("report", false, "run every experiment and emit a Markdown report")
+		report     = fs.Bool("report", false, "emit a Markdown report: alone, run every experiment and print it; with -experiment and -out, write <out>/REPORT.md from that run's results")
 		experiment = fs.String("experiment", "", "experiment id (e.g. fig1a), comma-separated ids, or 'all'")
 		profile    = fs.String("profile", "medium", "effort profile: quick|medium|paper")
 		format     = fs.String("format", "ascii", "stdout format: ascii|csv|gnuplot|notes")
@@ -77,7 +81,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		churnCap   = fs.Int("churn-cap", 0, "degree cap for the churn experiments' bounded variant (0 = profile default, else ≥ 2)")
 		churnSess  = fs.String("churn-session", "", "session-length distribution for the churn experiments: exp|pareto|fixed (empty = profile default)")
 		sptcache   = fs.Bool("sptcache", true, "reuse shortest-path trees across experiments via the process-wide SPT cache (byte-identical output; -sptcache=false disables)")
-		batchbfs   = fs.Bool("batchbfs", true, "resolve source trees through the multi-source BFS batch kernel, up to 64 sources per traversal (byte-identical output; -batchbfs=false disables)")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = no limit)")
 		maxHeap    = fs.String("maxheap", "", "soft per-experiment heap limit, e.g. 512m or 4g (empty = no limit); an experiment exceeding it is aborted, its siblings continue")
@@ -132,7 +135,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	p.SPTCache = *sptcache
-	p.BatchBFS = *batchbfs
 	if *churnCap != 0 {
 		p.ChurnCap = *churnCap
 	}
@@ -153,8 +155,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *report {
+	if *report && *experiment == "" {
 		return mtreescale.WriteReportCtx(ctx, out, p)
+	}
+	if *report && *outDir == "" {
+		return fmt.Errorf("-report with -experiment requires -out (the report is written to <out>/REPORT.md)")
 	}
 	ids, err := expandIDs(*experiment)
 	if err != nil {
@@ -166,6 +171,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		resume:   *resume,
 		format:   *format,
 		outDir:   *outDir,
+		report:   *report,
 		width:    *width,
 		height:   *height,
 	})
@@ -233,6 +239,7 @@ type scheduleConfig struct {
 	resume   bool
 	format   string
 	outDir   string
+	report   bool // also write <outDir>/REPORT.md
 	width    int
 	height   int
 }
@@ -253,9 +260,9 @@ func emit(out io.Writer, res *mtreescale.Result, format, outDir string, w, h int
 // runScheduled executes the experiments on the scheduler and emits results
 // in paper order. With -out it journals each completed experiment to the
 // checkpoint file and, under -resume, replays journaled results instead of
-// rerunning them. On failure or cancellation, completed results are still
-// written into -out before the error is returned, so interrupted work is
-// never thrown away.
+// rerunning them; with -report it also renders them into REPORT.md. On
+// failure or cancellation, completed results are still written into -out
+// before the error is returned, so interrupted work is never thrown away.
 func runScheduled(ctx context.Context, out io.Writer, ids []string, p mtreescale.Profile, cfg scheduleConfig) error {
 	opts := mtreescale.ScheduleOptions{Parallel: cfg.parallel, MaxHeapBytes: cfg.maxHeap}
 	var ck *mtreescale.Checkpointer
@@ -300,10 +307,20 @@ func runScheduled(ctx context.Context, out io.Writer, ids []string, p mtreescale
 		}
 		return err
 	}
-	for _, st := range stats {
+	results := make([]*mtreescale.Result, len(stats))
+	for i, st := range stats {
 		if err := emit(out, st.Result, cfg.format, cfg.outDir, cfg.width, cfg.height); err != nil {
 			return err
 		}
+		results[i] = st.Result
+	}
+	if cfg.report {
+		var md bytes.Buffer
+		mtreescale.RenderReport(&md, p, results)
+		if err := mtreescale.WriteFileAtomic(filepath.Join(cfg.outDir, "REPORT.md"), md.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintln(out, "wrote REPORT.md")
 	}
 	if cfg.parallel != 1 {
 		printSummary(out, stats, cfg.parallel, p, total)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -79,6 +80,10 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
+// TestReportMode: -report alone runs every experiment and prints the
+// report; with -experiment all and -out it renders the run's own results
+// into <out>/REPORT.md, which differs from the printed report only in its
+// Generated line. With -experiment but no -out it is refused.
 func TestReportMode(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-report", "-profile", "quick"}, &buf); err != nil {
@@ -87,6 +92,25 @@ func TestReportMode(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "# mtreescale experiment report") || !strings.Contains(out, "## fig8") {
 		t.Fatalf("report output:\n%s", out[:120])
+	}
+	dir := t.TempDir()
+	var log bytes.Buffer
+	if err := run(context.Background(), []string{"-experiment", "all", "-profile", "quick", "-parallel", "0", "-out", dir, "-report"}, &log); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(log.String(), "wrote REPORT.md") {
+		t.Fatalf("no REPORT.md line:\n%s", log.String())
+	}
+	md, err := os.ReadFile(filepath.Join(dir, "REPORT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	generated := regexp.MustCompile(`Generated .*`)
+	if got, want := generated.ReplaceAllString(string(md), ""), generated.ReplaceAllString(out, ""); got != want {
+		t.Fatalf("REPORT.md differs from the printed report beyond its Generated line:\n%s", got)
+	}
+	if err := run(context.Background(), []string{"-experiment", "fig8", "-profile", "quick", "-report"}, &log); err == nil {
+		t.Fatal("-report with -experiment and no -out must error")
 	}
 }
 

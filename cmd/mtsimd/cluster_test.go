@@ -25,8 +25,7 @@ func clusterGrid() mtreescale.ClusterGrid {
 		Mode:      mtreescale.Distinct,
 		NNetworks: 4,
 		Protocol: mtreescale.Protocol{
-			NSource: 3, NRcvr: 2, Seed: 11, Workers: 1,
-			BatchBFS: true, SPTCache: true,
+			NSource: 3, NRcvr: 2, Seed: 11, Workers: 1, SPTCache: true,
 		},
 	}
 }

@@ -80,7 +80,6 @@ func runDaemon(ctx context.Context, args []string, logw io.Writer) error {
 	fs.DurationVar(&cfg.quarBase, "quarantine-base", cfg.quarBase, "quarantine backoff after an experiment's first dangerous failure (doubles per strike)")
 	fs.DurationVar(&cfg.quarMax, "quarantine-max", cfg.quarMax, "quarantine backoff cap")
 	fs.DurationVar(&cfg.readHeaderTimeout, "read-header-timeout", cfg.readHeaderTimeout, "slow-loris defense: close connections that have not finished sending headers")
-	fs.BoolVar(&cfg.batchBFS, "batchbfs", cfg.batchBFS, "resolve source trees through the multi-source BFS batch kernel (byte-identical results; -batchbfs=false disables)")
 	fs.IntVar(&cfg.churnCap, "churn-cap", 0, "degree cap for the churn experiments' bounded variant (0 = profile default, else ≥ 2)")
 	fs.StringVar(&cfg.churnSession, "churn-session", "", "session-length distribution for the churn experiments: exp|pareto|fixed (empty = profile default)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on a separate listener at this address (e.g. localhost:6060); empty disables")

@@ -39,10 +39,6 @@ type config struct {
 
 	maxHeap uint64
 
-	// batchBFS resolves source trees through the MS-BFS batch kernel in
-	// every computed experiment (output is byte-identical either way).
-	batchBFS bool
-
 	// churnCap, when nonzero, overrides the profile's degree cap for the
 	// churn experiments' bounded variant (≥ 2).
 	churnCap int
@@ -82,7 +78,6 @@ func defaultConfig() config {
 		quarBase:          10 * time.Second,
 		quarMax:           5 * time.Minute,
 		readHeaderTimeout: 5 * time.Second,
-		batchBFS:          true,
 	}
 }
 
@@ -275,7 +270,6 @@ func (s *server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSONError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	p.BatchBFS = s.cfg.batchBFS
 	if s.cfg.churnCap != 0 {
 		p.ChurnCap = s.cfg.churnCap
 	}

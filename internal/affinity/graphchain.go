@@ -50,17 +50,9 @@ func NewGraphChain(g *graph.Graph, source, n int, beta float64, r randSource) (*
 // through an SPT cache (nil disables caching). The pass is the chain's
 // dominant cost — N full-graph BFS runs — and an affinity sweep builds one
 // chain per (β, n) point on the SAME graph, so a shared cache collapses the
-// sweep's BFS work to a single pass.
+// sweep's BFS work to a single pass. The pass reads its trees as sweeps of
+// 64 sources, one MS-BFS traversal each when they are computed.
 func NewGraphChainCached(g *graph.Graph, source, n int, beta float64, r randSource, spts *graph.SPTCache) (*GraphChain, error) {
-	return NewGraphChainBatch(g, source, n, beta, r, spts, false)
-}
-
-// NewGraphChainBatch is NewGraphChainCached with an explicit batch knob: with
-// batch set, the all-pairs pass runs through the MS-BFS kernel, 64 sources
-// per traversal — as a cache pre-fill when a cache is supplied, else reading
-// distance rows straight off a pooled slab. Distances are identical either
-// way, so the chain's behavior is unchanged.
-func NewGraphChainBatch(g *graph.Graph, source, n int, beta float64, r randSource, spts *graph.SPTCache, batch bool) (*GraphChain, error) {
 	if g.N() < 2 {
 		return nil, valid.Badf("affinity: graph too small (N=%d)", g.N())
 	}
@@ -88,75 +80,27 @@ func NewGraphChainBatch(g *graph.Graph, source, n int, beta float64, r randSourc
 		dist:    make([][]int16, g.N()),
 		counter: mcast.NewTreeCounter(g.N()),
 	}
-	if batch && spts != nil {
-		all := make([]int, g.N())
-		for v := range all {
-			all[v] = v
+	srcs := make([]int, 0, 64)
+	var buf graph.SPT
+	for base := 0; base < g.N(); base += 64 {
+		srcs = srcs[:0]
+		for v := base; v < base+64 && v < g.N(); v++ {
+			srcs = append(srcs, v)
 		}
-		if err := spts.FillBatch(g, all); err != nil {
+		if err := c.fillRows(srcs, spts, &buf); err != nil {
 			return nil, err
 		}
 	}
-	if batch && spts == nil {
-		b := graph.AcquireSPTBatch()
-		defer graph.ReleaseSPTBatch(b)
-		srcs := make([]int, 0, 64)
-		for base := 0; base < g.N(); base += 64 {
-			srcs = srcs[:0]
-			for v := base; v < base+64 && v < g.N(); v++ {
-				srcs = append(srcs, v)
-			}
-			if err := g.BatchSPTsInto(srcs, b); err != nil {
-				return nil, err
-			}
-			for i, v := range srcs {
-				row := make([]int16, g.N())
-				reached := 0
-				for u, d := range b.DistRow(i) {
-					if d != graph.Unreachable {
-						reached++
-					}
-					row[u] = int16(d)
-				}
-				if reached != g.N() {
-					return nil, fmt.Errorf("affinity: graph not connected (source %d reaches %d of %d)", v, reached, g.N())
-				}
-				c.dist[v] = row
-			}
-		}
-	} else {
-		var sptBuf graph.SPT
-		for v := 0; v < g.N(); v++ {
-			spt := &sptBuf
-			if spts != nil {
-				cached, err := spts.Get(g, v)
-				if err != nil {
-					return nil, err
-				}
-				spt = cached
-			} else if err := g.BFSInto(v, &sptBuf); err != nil {
-				return nil, err
-			}
-			if spt.Reachable() != g.N() {
-				return nil, fmt.Errorf("affinity: graph not connected (source %d reaches %d of %d)", v, spt.Reachable(), g.N())
-			}
-			row := make([]int16, g.N())
-			for u := 0; u < g.N(); u++ {
-				row[u] = int16(spt.Dist[u])
-			}
-			c.dist[v] = row
-		}
-	}
+	// The chain keeps its source's tree, so the tree is the cache's or its
+	// own, never a lane of a released slab.
+	var err error
 	if spts != nil {
-		var err error
-		if c.spt, err = spts.Get(g, source); err != nil {
-			return nil, err
-		}
+		c.spt, err = spts.Get(g, source)
 	} else {
-		var err error
-		if c.spt, err = g.BFS(source); err != nil {
-			return nil, err
-		}
+		c.spt, err = g.BFS(source)
+	}
+	if err != nil {
+		return nil, err
 	}
 	// Initial placement: uniform over non-source nodes.
 	c.positions = make([]int32, n)
@@ -165,6 +109,35 @@ func NewGraphChainBatch(g *graph.Graph, source, n int, beta float64, r randSourc
 	}
 	c.recomputeSums()
 	return c, nil
+}
+
+// fillRows fills the distance rows of srcs, read as one sweep, checking
+// that each reaches every node.
+func (c *GraphChain) fillRows(srcs []int, spts *graph.SPTCache, buf *graph.SPT) error {
+	trees, err := graph.SweepSPTs(c.g, srcs, spts)
+	if err != nil {
+		return err
+	}
+	defer trees.Release()
+	for i, v := range srcs {
+		spt, err := trees.Tree(i, buf)
+		if err != nil {
+			return err
+		}
+		row := make([]int16, c.g.N())
+		reached := 0
+		for u, d := range spt.Dist {
+			if d != graph.Unreachable {
+				reached++
+			}
+			row[u] = int16(d)
+		}
+		if reached != c.g.N() {
+			return fmt.Errorf("affinity: graph not connected (source %d reaches %d of %d)", v, reached, c.g.N())
+		}
+		c.dist[v] = row
+	}
+	return nil
 }
 
 func (c *GraphChain) randomSite() int32 {

@@ -19,23 +19,52 @@ func smallGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// TestGraphChainBasics builds one chain uncached and two through the same
+// SPT cache, cold then warm. Their all-pairs rows, read in 64-source sweeps
+// (two on this graph), must be BFS's distances, and the chains, seeded
+// alike, must walk in step.
 func TestGraphChainBasics(t *testing.T) {
 	g := smallGraph(t)
-	c, err := NewGraphChain(g, 0, 15, 0, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
+	cache := graph.NewSPTCache(1 << 30)
+	var chains []*GraphChain
+	for _, spts := range []*graph.SPTCache{nil, cache, cache} {
+		c, err := NewGraphChainCached(g, 0, 15, 0, rng.New(1), spts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.TreeSize() <= 0 {
+			t.Fatal("initial tree empty")
+		}
+		chains = append(chains, c)
 	}
-	if c.TreeSize() <= 0 {
-		t.Fatal("initial tree empty")
+	for u := 0; u < g.N(); u++ {
+		want, err := g.BFS(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range chains {
+			for v, d := range want.Dist {
+				if int(c.dist[u][v]) != int(d) {
+					t.Fatalf("chain %d: dist[%d][%d] = %d, BFS %d", i, u, v, c.dist[u][v], d)
+				}
+			}
+		}
 	}
 	for s := 0; s < 20; s++ {
-		c.Sweep()
+		for i, c := range chains {
+			c.Sweep()
+			if c.AvgPairDist() != chains[0].AvgPairDist() || c.TreeSize() != chains[0].TreeSize() {
+				t.Fatalf("chain %d diverged at sweep %d", i, s)
+			}
+		}
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if c.AcceptanceRate() != 1 {
-		t.Fatalf("β=0 must accept everything, rate %v", c.AcceptanceRate())
+	for _, c := range chains {
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if c.AcceptanceRate() != 1 {
+			t.Fatalf("β=0 must accept everything, rate %v", c.AcceptanceRate())
+		}
 	}
 }
 

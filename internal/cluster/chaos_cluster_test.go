@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -299,14 +300,20 @@ func TestHeartbeatReadmitsRecoveredWorker(t *testing.T) {
 // TestSpeculationRescuesStraggler: one worker accepts shards and never
 // answers. Without speculation the run would hang on its shard; with it, the
 // shard races on the healthy worker, the straggler's eventual abort is
-// dropped as stale, and the merge stays byte-identical.
+// dropped as stale, and the merge stays byte-identical. The healthy worker
+// answers only once the straggler holds a shard: otherwise, on a loaded
+// host, it could finish every shard before the straggler's slot dispatched
+// one, and nothing would straggle.
 func TestSpeculationRescuesStraggler(t *testing.T) {
 	g := testGrid(KindCurve)
 	want, err := RunLocal(nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	held := make(chan struct{})
+	var holding sync.Once
 	straggler, err := StartStubWorker("straggler", 0, func(ctx context.Context, spec ShardSpec) (*Partial, error) {
+		holding.Do(func() { close(held) })
 		<-ctx.Done() // hold the shard until the coordinator hangs up
 		return nil, ctx.Err()
 	})
@@ -314,7 +321,14 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer straggler.Close()
-	healthy, err := StartStubWorker("healthy", 0, nil)
+	healthy, err := StartStubWorker("healthy", 0, func(ctx context.Context, spec ShardSpec) (*Partial, error) {
+		select {
+		case <-held:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return ExecuteShard(ctx, spec)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

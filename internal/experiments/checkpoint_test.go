@@ -104,6 +104,24 @@ func TestProfileKeyDistinguishesProfiles(t *testing.T) {
 	}
 }
 
+// TestProfileKeysPinned pins the standard profiles' checkpoint keys:
+// journals written under them, and mtsimd caches keyed by them, resume
+// only while the keys hold, so a change to them must be deliberate.
+func TestProfileKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		p   Profile
+		key string
+	}{
+		{Quick(), "a7a8feafe8454b6288ae30cfeb496cae7a52903653a9a66492326cbbef79d771"},
+		{Medium(), "880c531893c166ac5c35db9cf71e00f5b903bffdac3e8897c6338be0ead6e951"},
+		{Paper(), "8da382668366372384b917b31cb3059c5a02d7b2a106aaf865be4faab7e0cf19"},
+	} {
+		if got := ProfileKey(tc.p); got != tc.key {
+			t.Errorf("%s: ProfileKey %s, want %s", tc.p.Name, got, tc.key)
+		}
+	}
+}
+
 func TestParseCheckpointLineRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,

@@ -78,7 +78,7 @@ func churnSetup(p Profile) (*churnCommon, error) {
 		dist:  dist,
 		prot: mcast.Protocol{
 			NSource: p.NSource, NRcvr: p.NRcvr, Seed: p.Seed,
-			SPTCache: p.SPTCache, BatchBFS: p.BatchBFS,
+			SPTCache: p.SPTCache,
 		},
 		cap: p.ChurnCap,
 	}, nil

@@ -43,11 +43,14 @@ type Profile struct {
 	// Deprecated: the independent-sets engine is the only curve engine;
 	// this must be false.
 	Nested bool
-	// BatchBFS routes multi-source tree builds through the MS-BFS batch
-	// kernel (graph.BatchSPTs): up to 64 sources share one traversal. The
-	// trees produced are identical to per-source BFS, so output is
-	// byte-identical with the knob on or off; the standard profiles enable
-	// it.
+	// BatchBFS chose between the multi-source BFS kernel and per-source
+	// BFS for the experiments' trees, two paths with byte-identical output.
+	// It is ignored: graph.SweepSPTs builds every sweep's trees. The field
+	// stays, either value valid, and the standard profiles keep setting it,
+	// so ProfileKey, and with it every existing checkpoint journal and
+	// mtsimd cache, is unchanged.
+	//
+	// Deprecated: there is one way to build a sweep's trees.
 	BatchBFS bool
 	// SPTCache routes every shortest-path-tree build through the
 	// process-wide graph.SharedSPTs cache. Experiments sharing a profile

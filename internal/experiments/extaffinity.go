@@ -52,8 +52,8 @@ func runExtAffinityGraph(ctx context.Context, p Profile) (*Result, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			chain, err := affinity.NewGraphChainBatch(g, 0, groupN, beta,
-				rng.New(rng.Split(p.Seed, int64(bi*1000+ni))), p.sptCache(), p.BatchBFS)
+			chain, err := affinity.NewGraphChainCached(g, 0, groupN, beta,
+				rng.New(rng.Split(p.Seed, int64(bi*1000+ni))), p.sptCache())
 			if err != nil {
 				return nil, err
 			}

@@ -63,7 +63,7 @@ func runExtShared(ctx context.Context, p Profile) (*Result, error) {
 	}
 	res := &Result{ID: "ext-shared", Title: fig.Title, Figure: fig}
 	sizes := mcast.LogSpacedSizes(p.capSize(g.N()-1), p.GridPoints)
-	prot := mcast.Protocol{NSource: p.NSource, NRcvr: p.NRcvr, Seed: p.Seed, SPTCache: p.SPTCache, BatchBFS: p.BatchBFS}
+	prot := mcast.Protocol{NSource: p.NSource, NRcvr: p.NRcvr, Seed: p.Seed, SPTCache: p.SPTCache}
 	for _, strat := range []mcast.CoreStrategy{mcast.CoreRandom, mcast.CoreCenter, mcast.CoreSource} {
 		pts, err := mcast.MeasureSharedCurveCtx(ctx, g, sizes, strat, prot)
 		if err != nil {
@@ -113,7 +113,7 @@ type steinerWorker struct {
 	kmb     *steiner.Solver
 	counter *mcast.TreeCounter
 	smp     mcast.Sampler
-	tree    graph.SPT // the source's tree when the profile bypasses the SPT cache
+	tree    graph.SPT // written only past the sweep's slab cap
 	recv    []int32
 }
 
@@ -123,9 +123,10 @@ type steinerWorker struct {
 // are drawn up front in (size, source) order and each cell keeps its own
 // sampler stream, so the samples match a serial sweep's; the sums are
 // integers, so summing them in any order gives the serial sweep's means.
-// With the SPT cache on, every node's tree is filled first, in 64-node
-// batches on the same pool: the cells root at and reach most nodes, so they
-// then only read the cache.
+// The sources' trees are one sweep (graph.SweepSPTs). With the SPT cache
+// on, every node's tree is filled first, in 64-node batches on the same
+// pool: the cells root at and reach most nodes, so the sweep and the KMB
+// closures then only read the cache.
 func steinerMeans(ctx context.Context, g *graph.Graph, sizes []int, p Profile) (sptYs, kmbYs []float64, err error) {
 	// Reduced sampling, kept so the output stays as published: changing it
 	// changes every sample drawn.
@@ -150,6 +151,11 @@ func steinerMeans(ctx context.Context, g *graph.Graph, sizes []int, p Profile) (
 			return nil, nil, err
 		}
 	}
+	trees, err := graph.SweepSPTs(g, sources, p.sptCache())
+	if err != nil {
+		return nil, nil, err
+	}
+	defer trees.Release()
 	// Each worker takes a scratch for its cell and returns it; at most
 	// workers cells run at once, so a take never waits.
 	free := make(chan *steinerWorker, workers)
@@ -162,13 +168,8 @@ func steinerMeans(ctx context.Context, g *graph.Graph, sizes []int, p Profile) (
 		m, si, source := sizes[i/nSource], i%nSource, sources[i]
 		w := <-free
 		defer func() { free <- w }()
-		spt := &w.tree
-		if p.SPTCache {
-			var err error
-			if spt, err = graph.SharedSPTs.Get(g, source); err != nil {
-				return err
-			}
-		} else if err := g.BFSInto(source, spt); err != nil {
+		spt, err := trees.Tree(i, &w.tree)
+		if err != nil {
 			return err
 		}
 		if err := w.smp.Reset(g.N(), source, rng.NewChild(p.Seed, int64(si*31+m))); err != nil {
@@ -252,7 +253,7 @@ func runExtEnsemble(ctx context.Context, p Profile) (*Result, error) {
 		return topology.TransitStubSized(scaledNodes(1000, p.Scale), 3.6, seed)
 	}
 	sizes := mcast.LogSpacedSizes(p.capSize(scaledNodes(1000, p.Scale)/2), p.GridPoints)
-	prot := mcast.Protocol{NSource: p.NSource/2 + 1, NRcvr: p.NRcvr/2 + 1, Seed: p.Seed, BatchBFS: p.BatchBFS}
+	prot := mcast.Protocol{NSource: p.NSource/2 + 1, NRcvr: p.NRcvr/2 + 1, Seed: p.Seed}
 	nNetworks := 5
 	pts, err := mcast.MeasureEnsembleCtx(ctx, gen, nNetworks, sizes, mcast.Distinct, prot)
 	if err != nil {

@@ -53,7 +53,6 @@ func runFig1(ctx context.Context, id string, names []string, p Profile) (*Result
 			NSource: p.NSource, NRcvr: p.NRcvr,
 			Seed:     rng.Split(p.Seed, int64(gi)),
 			SPTCache: p.SPTCache,
-			BatchBFS: p.BatchBFS,
 		}
 		pts, err := mcast.MeasureCurveCtx(ctx, g, sizes, mcast.Distinct, prot)
 		if err != nil {

@@ -63,7 +63,7 @@ func runFig6(ctx context.Context, id string, names []string, p Profile) (*Result
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := reach.MeasureAveragedBatch(g, p.NSource, rng.Split(p.Seed, int64(gi)), p.sptCache(), p.BatchBFS)
+		r, err := reach.MeasureAveragedCached(g, p.NSource, rng.Split(p.Seed, int64(gi)), p.sptCache())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", g.Name(), err)
 		}
@@ -113,7 +113,7 @@ func runFig7(ctx context.Context, id string, names []string, p Profile) (*Result
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := reach.MeasureAveragedBatch(g, p.NSource, rng.Split(p.Seed, int64(gi)), p.sptCache(), p.BatchBFS)
+		r, err := reach.MeasureAveragedCached(g, p.NSource, rng.Split(p.Seed, int64(gi)), p.sptCache())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", g.Name(), err)
 		}

@@ -27,20 +27,28 @@ func ReportCtx(ctx context.Context, w io.Writer, p Profile, now time.Time) error
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "# mtreescale experiment report\n\n")
-	fmt.Fprintf(w, "Profile: **%s** (scale %.2g, %d×%d sampling, seed %d). Generated %s.\n\n",
-		p.Name, p.Scale, p.NSource, p.NRcvr, p.Seed, now.Format("2006-01-02 15:04 MST"))
+	var results []*Result
 	for _, id := range IDs() {
-		r, err := Lookup(id)
-		if err != nil {
-			return err
-		}
 		res, err := RunCtx(ctx, id, p)
 		if err != nil {
 			return fmt.Errorf("experiments: report: %s: %w", id, err)
 		}
-		fmt.Fprintf(w, "## %s — %s\n\n", id, res.Title)
-		if r.Description != "" {
+		results = append(results, res)
+	}
+	RenderReport(w, p, results, now)
+	return nil
+}
+
+// RenderReport writes the report of results already run under p, one
+// section per result in the order given; Report is RenderReport over a run
+// of every registered experiment in paper order.
+func RenderReport(w io.Writer, p Profile, results []*Result, now time.Time) {
+	fmt.Fprintf(w, "# mtreescale experiment report\n\n")
+	fmt.Fprintf(w, "Profile: **%s** (scale %.2g, %d×%d sampling, seed %d). Generated %s.\n\n",
+		p.Name, p.Scale, p.NSource, p.NRcvr, p.Seed, now.Format("2006-01-02 15:04 MST"))
+	for _, res := range results {
+		fmt.Fprintf(w, "## %s — %s\n\n", res.ID, res.Title)
+		if r, err := Lookup(res.ID); err == nil && r.Description != "" {
 			fmt.Fprintf(w, "%s\n\n", r.Description)
 		}
 		if len(res.Rows) > 0 {
@@ -67,5 +75,4 @@ func ReportCtx(ctx context.Context, w io.Writer, p Profile, now time.Time) error
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
 }

@@ -39,7 +39,7 @@ func runTable1(ctx context.Context, p Profile) (*Result, error) {
 		}
 		m := graph.ComputeMetrics(g, p.NSource, p.Seed)
 		growth := "n/a"
-		if r, err := reach.MeasureAveragedBatch(g, p.NSource, p.Seed, p.sptCache(), p.BatchBFS); err == nil {
+		if r, err := reach.MeasureAveragedCached(g, p.NSource, p.Seed, p.sptCache()); err == nil {
 			if cls, err := r.Classify(0.5); err == nil {
 				growth = cls.String()
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -70,10 +71,12 @@ func TestSchedulerRejectsBadProfileTyped(t *testing.T) {
 	}
 }
 
-// TestProfileFieldsMatchBenchGolden pins Profile's shape to the benchmark's
-// golden file. perfbench refuses to run unless fmt's %+v of its Profile
-// equals golden.json's "profile" string, which names every field in order,
-// so deleting, renaming or reordering a Profile field breaks every
+// TestProfileFieldsMatchBenchGolden pins Profile's shape and the medium
+// profile's values to the benchmark's golden file. perfbench refuses to run
+// unless fmt's %+v of its profile (Medium with its overrides, Seed zeroed)
+// equals golden.json's "profile" string, which names every field in order
+// with its value, so deleting, renaming or reordering a Profile field, or
+// changing a medium value perfbench does not override, breaks every
 // benchmark run; this test makes that show in the ordinary test suite.
 func TestProfileFieldsMatchBenchGolden(t *testing.T) {
 	raw, err := os.ReadFile("../../perfbench/golden.json")
@@ -96,5 +99,16 @@ func TestProfileFieldsMatchBenchGolden(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Profile fields %v, golden.json profile %q names %v", got, golden.Profile, want)
+	}
+	// perfbench's benchProfile and profileKey, which the golden digests
+	// were computed under.
+	bench := Medium()
+	bench.Name = "perfbench"
+	bench.Scale = 0.5
+	bench.NSource, bench.NRcvr = 40, 40
+	bench.MCMCBurnIn, bench.MCMCSamples = 40, 80
+	bench.Seed = 0
+	if key := fmt.Sprintf("%+v", bench); key != golden.Profile {
+		t.Fatalf("perfbench's profile key\n %s\nis not golden.json's\n %s", key, golden.Profile)
 	}
 }

@@ -9,9 +9,11 @@
 // level-synchronous BFSInto (bfs.go) and the 64-lane multi-source BFS group
 // behind BatchSPTs (msbfs.go). Both emit the same lowest-index-parent tree
 // and read a neighbor list the one way the graph stores it,
-// adj[offsets[v]:offsets[v+1]]. Earlier generations also carried a
-// direction-optimizing single-source kernel, a degree-descending relabeled
-// layout and a varint-compressed adjacency layout; they were removed because
+// adj[offsets[v]:offsets[v+1]]. A measurement sweep gets its sources' trees
+// from SweepSPTs (sweep.go), the one place that picks a kernel and the SPT
+// cache for them. Earlier generations also carried a direction-optimizing
+// single-source kernel, a degree-descending relabeled layout and a
+// varint-compressed adjacency layout; they were removed because
 // BFS is under 1% of a paper-scale curve run and the compressed layout saved
 // at most 3% of a large curve's peak heap, and EXPERIMENTS.md keeps their
 // measurements as history.

@@ -24,8 +24,8 @@ import (
 // ascending node order, so for every lane the first frontier node to
 // discover w is the lowest-index previous-level neighbor — exactly the
 // canonical parent rule of the serial kernel (BFSInto). Batch results are
-// therefore byte-identical (Dist and Parent) to per-source BFS, which the
-// measurement engines' batch-on/off invariant rests on.
+// therefore byte-identical (Dist and Parent) to per-source BFS, which lets
+// SweepSPTs pick either kernel for a sweep without changing a result.
 
 // msbfsLanes is the lane width of one traversal: one bit per source in a
 // uint64 mask.

@@ -8,20 +8,20 @@ import (
 	"mtreescale/internal/graph"
 )
 
-// Protocol.BatchBFS must be a pure performance lever: the MS-BFS kernel
-// produces trees node-for-node identical to per-source BFS, so every engine's
-// output with the batch path on must be byte-identical to the serial run —
-// at any worker count, with or without the SPT cache.
+// A sweep builds its sources' trees in one batch (graph.SweepSPTs): read
+// from the SPT cache, or computed into one MS-BFS slab. Both give the
+// canonical trees, so every engine's output must be byte-identical with
+// the cache on or off, at any worker count.
 
 // batchVariants returns the protocol matrix one engine run is checked over:
-// BatchBFS off/on × Workers 1/3. Element 0 is the reference (serial,
+// SPTCache off/on × Workers 1/3. Element 0 is the reference (uncached,
 // sequential); all others must match it exactly.
 func batchVariants(base Protocol) []Protocol {
 	var out []Protocol
-	for _, batch := range []bool{false, true} {
+	for _, cache := range []bool{false, true} {
 		for _, workers := range []int{1, 3} {
 			p := base
-			p.BatchBFS = batch
+			p.SPTCache = cache
 			p.Workers = workers
 			out = append(out, p)
 		}
@@ -32,24 +32,22 @@ func batchVariants(base Protocol) []Protocol {
 func TestMeasureCurveBatchByteIdentical(t *testing.T) {
 	g := randGraph(41, 400, 800)
 	sizes := []int{1, 3, 10, 40}
-	for _, sptcache := range []bool{false, true} {
-		for _, mode := range []Mode{Distinct, WithReplacement} {
-			var want []Point
-			for _, p := range batchVariants(Protocol{NSource: 12, NRcvr: 8, Seed: 99, SPTCache: sptcache}) {
-				graph.SharedSPTs.Clear()
-				got, err := MeasureCurve(g, sizes, mode, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = got
-					continue
-				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("cache=%v mode=%v %+v: batch %+v != serial %+v",
-							sptcache, mode, p, got[k], want[k])
-					}
+	defer graph.SharedSPTs.Clear()
+	for _, mode := range []Mode{Distinct, WithReplacement} {
+		var want []Point
+		for _, p := range batchVariants(Protocol{NSource: 12, NRcvr: 8, Seed: 99}) {
+			graph.SharedSPTs.Clear()
+			got, err := MeasureCurve(g, sizes, mode, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("mode=%v %+v: %+v != uncached sequential %+v", mode, p, got[k], want[k])
 				}
 			}
 		}
@@ -59,6 +57,7 @@ func TestMeasureCurveBatchByteIdentical(t *testing.T) {
 func TestMeasureSharedCurveBatchByteIdentical(t *testing.T) {
 	g := randGraph(47, 350, 700)
 	sizes := []int{1, 4, 16}
+	defer graph.SharedSPTs.Clear()
 	for _, strategy := range []CoreStrategy{CoreRandom, CoreSource, CoreCenter} {
 		var want []SharedPoint
 		for _, p := range batchVariants(Protocol{NSource: 9, NRcvr: 5, Seed: 23}) {
@@ -72,7 +71,7 @@ func TestMeasureSharedCurveBatchByteIdentical(t *testing.T) {
 			}
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("%v %+v: batch %+v != serial %+v", strategy, p, got[k], want[k])
+					t.Fatalf("%v %+v: %+v != uncached sequential %+v", strategy, p, got[k], want[k])
 				}
 			}
 		}
@@ -84,6 +83,7 @@ func TestMeasureEnsembleBatchByteIdentical(t *testing.T) {
 		return randGraph(seed, 150, 250), nil
 	}
 	sizes := []int{1, 5, 25}
+	defer graph.SharedSPTs.Clear()
 	var want []Point
 	for _, p := range batchVariants(Protocol{NSource: 7, NRcvr: 4, Seed: 13}) {
 		got, err := MeasureEnsemble(gen, 3, sizes, Distinct, p)
@@ -96,14 +96,15 @@ func TestMeasureEnsembleBatchByteIdentical(t *testing.T) {
 		}
 		for k := range want {
 			if got[k] != want[k] {
-				t.Fatalf("%+v: batch %+v != serial %+v", p, got[k], want[k])
+				t.Fatalf("%+v: %+v != uncached sequential %+v", p, got[k], want[k])
 			}
 		}
 	}
 }
 
 // TestMeasureCurveBatchWideSourceCount spans more than one 64-lane MS-BFS
-// group, exercising the kernel's group spill inside a real engine run.
+// group, exercising the kernel's group spill inside a real engine run: in
+// the uncached slab and in the cache's batch of misses.
 func TestMeasureCurveBatchWideSourceCount(t *testing.T) {
 	g := randGraph(53, 200, 400)
 	sizes := []int{2, 9}
@@ -112,23 +113,27 @@ func TestMeasureCurveBatchWideSourceCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := base
-	batched.BatchBFS = true
-	got, err := MeasureCurve(g, sizes, Distinct, batched)
+	cached := base
+	cached.SPTCache = true
+	graph.SharedSPTs.Clear()
+	defer graph.SharedSPTs.Clear()
+	got, err := MeasureCurve(g, sizes, Distinct, cached)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := range want {
 		if got[k] != want[k] {
-			t.Fatalf("size %d: batch %+v != serial %+v", sizes[k], got[k], want[k])
+			t.Fatalf("size %d: cached %+v != uncached %+v", sizes[k], got[k], want[k])
 		}
 	}
 }
 
 // TestSPTCacheChurnBatchedAndSerial hammers the process-wide SPT cache from
-// batched and serial engines concurrently under a tight byte budget, so
-// FillBatch inserts, singleflight Gets and evictions interleave. Every run's
-// result must still equal the quiet-cache reference.
+// engine sweeps, which read their trees in one batch, and from serial
+// per-source Gets of the same trees, concurrently under a tight byte
+// budget, so batch inserts, singleflight Gets and evictions interleave.
+// Every engine run must still equal the quiet-cache reference, and every
+// Get must return the tree BFS builds.
 func TestSPTCacheChurnBatchedAndSerial(t *testing.T) {
 	g := randGraph(59, 300, 600)
 	sizes := []int{1, 6, 24}
@@ -148,11 +153,14 @@ func TestSPTCacheChurnBatchedAndSerial(t *testing.T) {
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		p := base
-		p.BatchBFS = i%2 == 0
 		p.Workers = 1 + i%3
 		wg.Add(1)
-		go func(p Protocol) {
+		go func(p Protocol, serial bool) {
 			defer wg.Done()
+			if serial {
+				errs <- getEach(g, drawSources(g, p))
+				return
+			}
 			got, err := MeasureCurve(g, sizes, Distinct, p)
 			if err != nil {
 				errs <- err
@@ -164,13 +172,36 @@ func TestSPTCacheChurnBatchedAndSerial(t *testing.T) {
 					return
 				}
 			}
-		}(p)
+		}(p, i%2 == 1)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+// getEach reads every source's tree from the process-wide cache, last
+// source first, and checks each against BFS.
+func getEach(g *graph.Graph, sources []int) error {
+	for i := len(sources) - 1; i >= 0; i-- {
+		got, err := graph.SharedSPTs.Get(g, sources[i])
+		if err != nil {
+			return err
+		}
+		want, err := g.BFS(sources[i])
+		if err != nil {
+			return err
+		}
+		for v := range want.Dist {
+			if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] {
+				return fmt.Errorf("cached tree of %d differs from BFS at node %d", sources[i], v)
+			}
+		}
+	}
+	return nil
 }
 
 type churnMismatch struct {

@@ -377,12 +377,11 @@ func (s *churnSim) popDep() {
 	}
 }
 
-// churnScratch is the pooled per-worker state of the churn engine: the BFS
-// buffer (or batch lane view), the incremental tree, the departure heap and
-// the self-check counter, all recycled through one arena.
+// churnScratch is the pooled per-worker state of the churn engine: the tree
+// buffer, the incremental tree, the departure heap and the self-check
+// counter, all recycled through one arena.
 type churnScratch struct {
-	spt     graph.SPT
-	view    graph.SPT // batch lane view; aliases a slab, never fed to BFSInto
+	spt     graph.SPT // written only past the sweep's slab cap
 	tree    *DynTree
 	sim     churnSim
 	counter *TreeCounter // lazily sized, self-check path only
@@ -394,22 +393,6 @@ var churnPool = sync.Pool{New: func() any {
 	sc.tree = &DynTree{ar: sc.ar}
 	return sc
 }}
-
-// prepare resolves the tree root's SPT exactly like the static engines:
-// batch lane view, shared cache, or a BFS into pooled scratch.
-func (sc *churnScratch) prepare(g *graph.Graph, root, lane int, p Protocol, bt *batchTrees) (*graph.SPT, error) {
-	if bt != nil {
-		bt.view(lane, &sc.view)
-		return &sc.view, nil
-	}
-	if p.SPTCache {
-		return graph.SharedSPTs.Get(g, root)
-	}
-	if err := g.BFSInto(root, &sc.spt); err != nil {
-		return nil, err
-	}
-	return &sc.spt, nil
-}
 
 // MeasureChurn runs the churn workload without cancellation.
 func MeasureChurn(g *graph.Graph, cfg ChurnConfig, p Protocol) (*ChurnResult, error) {
@@ -455,14 +438,14 @@ func MeasureChurnCtx(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Pro
 		sources = drawSources(g, p)
 		roots = sources
 	}
-	bt, err := resolveBatch(g, roots, p)
+	trees, err := graph.SweepSPTs(g, roots, p.sptCache())
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer trees.Release()
 	slots := make([]churnSlot, p.NSource)
 	runErr := runWorkersN(ctx, p.EffectiveWorkers(), p.NSource, func(si int) error {
-		return churnOneSource(ctx, g, cfg, p, si, roots[si], sources[si], bt, &slots[si])
+		return churnOneSource(ctx, g, cfg, p, si, sources[si], trees, &slots[si])
 	})
 	if runErr != nil && runErr != context.Canceled && runErr != context.DeadlineExceeded {
 		return nil, runErr
@@ -477,10 +460,10 @@ func MeasureChurnCtx(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Pro
 // churnOneSource runs one source's event stream, filling slot. On
 // cancellation it leaves the measured-so-far sums in the slot and returns
 // the ctx error, so the reducer can still fold the partial window in.
-func churnOneSource(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Protocol, si, root, source int, bt *batchTrees, slot *churnSlot) error {
+func churnOneSource(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Protocol, si, source int, trees *graph.SweepTrees, slot *churnSlot) error {
 	sc := churnPool.Get().(*churnScratch)
 	defer churnPool.Put(sc)
-	spt, err := sc.prepare(g, root, si, p, bt)
+	spt, err := trees.Tree(si, &sc.spt)
 	if err != nil {
 		return err
 	}

@@ -5,10 +5,12 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"mtreescale/internal/graph"
 )
 
 func churnTestProtocol(workers int) Protocol {
-	return Protocol{NSource: 6, NRcvr: 1, Seed: 42, Workers: workers, BatchBFS: true}
+	return Protocol{NSource: 6, NRcvr: 1, Seed: 42, Workers: workers}
 }
 
 // stripWall zeroes the wall-clock field so deterministic results compare
@@ -26,10 +28,11 @@ func TestMeasureChurnDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer graph.SharedSPTs.Clear()
 	for _, p := range []Protocol{
 		churnTestProtocol(4),
-		{NSource: 6, NRcvr: 1, Seed: 42, Workers: 3, BatchBFS: false},
-		{NSource: 6, NRcvr: 1, Seed: 42, Workers: 2, BatchBFS: false, SPTCache: true},
+		{NSource: 6, NRcvr: 1, Seed: 42, Workers: 3, SPTCache: true},
+		{NSource: 6, NRcvr: 1, Seed: 42, Workers: 2, SPTCache: true},
 	} {
 		got, err := MeasureChurn(g, cfg, p)
 		if err != nil {
@@ -142,7 +145,7 @@ func TestMeasureChurnCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	cfg := ChurnConfig{TargetMembers: 200, WarmupEvents: 1, Events: 50_000_000}
-	p := Protocol{NSource: 4, NRcvr: 1, Seed: 7, Workers: 2, BatchBFS: true}
+	p := Protocol{NSource: 4, NRcvr: 1, Seed: 7, Workers: 2}
 	res, err := MeasureChurnCtx(ctx, g, cfg, p)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -458,7 +458,7 @@ func TestBatchedCurvesMatchPerSet(t *testing.T) {
 		for _, tree := range []string{"cached", "lane"} {
 			t.Run(fmt.Sprintf("NRcvr=%d/%s", nrcvr, tree), func(t *testing.T) {
 				for _, include := range []bool{false, true} {
-					p := Protocol{NSource: 6, NRcvr: nrcvr, Seed: int64(nrcvr), SPTCache: tree == "cached", BatchBFS: tree == "lane", IncludeSource: include}
+					p := Protocol{NSource: 6, NRcvr: nrcvr, Seed: int64(nrcvr), SPTCache: tree == "cached", IncludeSource: include}
 					pop := n - 1
 					if include {
 						pop = n
@@ -482,7 +482,7 @@ func TestBatchedCurvesMatchPerSet(t *testing.T) {
 // FuzzCurveMatchesPerSet runs matchPerSet on arbitrary small graphs, as
 // TestBatchedCurvesMatchPerSet does on one: after the graph (decoded as
 // decodeDenseInput decodes it) come NRcvr (1 to 9), a flag byte
-// (IncludeSource, batch lane views or per-source trees), the seed and a grid
+// (IncludeSource, cached trees or batch lane views), the seed and a grid
 // of one to eight sizes, in which the population size P may appear anywhere
 // and any number of times. It checks the source block [1, 3).
 func FuzzCurveMatchesPerSet(f *testing.F) {
@@ -498,7 +498,7 @@ func FuzzCurveMatchesPerSet(f *testing.F) {
 			return
 		}
 		nrcvr, flags := in.next()%9+1, in.next()
-		p := Protocol{NSource: 3, NRcvr: nrcvr, Seed: int64(in.next()), IncludeSource: flags&1 != 0, BatchBFS: flags&2 != 0}
+		p := Protocol{NSource: 3, NRcvr: nrcvr, Seed: int64(in.next()), IncludeSource: flags&1 != 0, SPTCache: flags&2 != 0}
 		pop := n - 1
 		if p.IncludeSource {
 			pop = n
@@ -510,6 +510,9 @@ func FuzzCurveMatchesPerSet(f *testing.F) {
 			} else {
 				sizes[i] = b%pop + 1
 			}
+		}
+		if p.SPTCache {
+			defer graph.SharedSPTs.Clear() // pin no fuzzed graph
 		}
 		matchPerSet(t, g, sizes, p, 1, 3)
 	})

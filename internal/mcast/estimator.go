@@ -41,21 +41,21 @@ type Protocol struct {
 	// Deprecated: the independent-sets engine is the only curve engine.
 	// The field stays so existing callers compile; it must be false.
 	Nested bool
-	// SPTCache routes shortest-path-tree construction through the
+	// SPTCache routes a sweep's shortest-path trees through the
 	// process-wide graph.SharedSPTs cache, so experiments that draw the
 	// same sources on the same (topology-cached) graph reuse trees instead
-	// of re-running BFS. Cached trees come from the same serial BFS kernel
-	// as the uncached path, so results are byte-identical either way.
-	// Leave false for transient graphs that should not pin cache budget.
+	// of recomputing them; without it the sweep computes them afresh
+	// (graph.SweepSPTs). The trees are the same either way, so results are
+	// byte-identical. Leave false for transient graphs that should not pin
+	// cache budget.
 	SPTCache bool
-	// BatchBFS routes shortest-path-tree construction through the
-	// multi-source BFS kernel (graph.BatchSPTs): the engines resolve a
-	// sweep's source trees in 64-lane batches before the worker fan-out,
-	// so one traversal of a shared frontier advances up to 64 sources at
-	// once. With SPTCache set, the batch pre-fills graph.SharedSPTs;
-	// without it, workers read zero-copy lane views of one pooled slab.
-	// Both kernels produce the same canonical trees, so results are
-	// byte-identical with the flag on or off.
+	// BatchBFS chose between the multi-source BFS kernel and per-source
+	// BFS for a sweep's trees, two paths with byte-identical results. It is
+	// ignored: graph.SweepSPTs builds every sweep's trees.
+	//
+	// Deprecated: the field stays, either value valid, so the cluster's
+	// Grid.Key(), which prints it, and with it every coordinator journal
+	// and worker cache, is unchanged.
 	BatchBFS bool
 }
 
@@ -92,10 +92,18 @@ func (p Protocol) EffectiveWorkers() int {
 	return workers
 }
 
-// DefaultProtocol is the paper's 100×100 protocol, measured through the
-// batched MS-BFS scheduling path (byte-identical to per-source BFS).
+// DefaultProtocol is the paper's 100×100 protocol.
 func DefaultProtocol(seed int64) Protocol {
-	return Protocol{NSource: 100, NRcvr: 100, Seed: seed, BatchBFS: true}
+	return Protocol{NSource: 100, NRcvr: 100, Seed: seed}
+}
+
+// sptCache is the cache a sweep reads its trees through: the process-wide
+// one when SPTCache is set, else none.
+func (p Protocol) sptCache() *graph.SPTCache {
+	if p.SPTCache {
+		return graph.SharedSPTs
+	}
+	return nil
 }
 
 // Point is the aggregated observation for one group size.
@@ -290,14 +298,11 @@ func runWorkersN(ctx context.Context, workers, nJobs int, job func(i int) error)
 }
 
 // sourceScratch is the per-worker reusable state of the curve engines: the
-// shortest-path tree, the tree counter, the sampler (Reset per source), and
-// the receiver buffer. Pooling it means steady-state measurement performs no
+// tree buffers, the tree counter, the sampler (Reset per source), and the
+// receiver buffer. Pooling it means steady-state measurement performs no
 // per-source allocation beyond the RNG stream.
 type sourceScratch struct {
-	spt         graph.SPT
-	spt2        graph.SPT // core-rooted tree for the shared-curve engine
-	view        graph.SPT // batch lane view; aliases a slab, never fed to BFSInto
-	view2       graph.SPT // core lane view for the shared-curve batch path
+	spt, spt2   graph.SPT // tree buffers, written only past the sweep's slab cap
 	pd, pd2     []int64   // packed (dist, parent) words for the climbs
 	rows, rows2 rankRows  // BFS-rank rows of the same trees for the dense sweep
 	counter     *TreeCounter
@@ -332,34 +337,17 @@ func (sc *sourceScratch) growPacked(pd []int64, n int) []int64 {
 	return sc.ar.GrowInt64(pd, n)
 }
 
-// prepare resolves the source's shortest-path tree — from the pre-resolved
-// batch when the engine engaged the batch scheduling path, from the
-// process-wide cache when the protocol allows, otherwise into the scratch
-// buffer — and resets the sampler for the source. The returned SPT is
-// read-only when it came from the batch or the cache; every consumer
-// (TreeCounter, Dist reads) only reads. Batch views land in sc.view, which
-// is never handed to BFSInto, so slab aliases cannot leak into later
-// BFS reuse of the pooled scratch.
-//
-// si is the source's global protocol index (it keys the per-source RNG
-// stream); lane is its slot in the engine's batch slab. A full sweep has
-// lane == si; a source-block partial sweep resolves only its block, so lane
-// is si - SrcLo.
-func (sc *sourceScratch) prepare(g *graph.Graph, src, si, lane int, p Protocol, bt *batchTrees) (*graph.SPT, error) {
-	spt := &sc.spt
-	if bt != nil {
-		bt.view(lane, &sc.view)
-		spt = &sc.view
-	} else if p.SPTCache {
-		cached, err := graph.SharedSPTs.Get(g, src)
-		if err != nil {
-			return nil, err
-		}
-		spt = cached
-	} else if err := g.BFSInto(src, &sc.spt); err != nil {
+// prepare reads the source's tree from the sweep's trees and resets the
+// sampler for the source. si is the source's global protocol index (it keys
+// the per-source RNG stream); lane is its index in the sweep's trees, which
+// a source-block partial sweep builds for its block only, so lane is si -
+// SrcLo.
+func (sc *sourceScratch) prepare(g *graph.Graph, si, lane int, p Protocol, trees *graph.SweepTrees) (*graph.SPT, error) {
+	spt, err := trees.Tree(lane, &sc.spt)
+	if err != nil {
 		return nil, err
 	}
-	exclude := src
+	exclude := spt.Source
 	if p.IncludeSource {
 		exclude = -1
 	}
@@ -396,12 +384,12 @@ func (sc *sourceScratch) draw(mode Mode, size int) (err error) {
 // and the NRcvr draws are left owed to the sampler (Sampler.whole), which
 // takes them only if the source draws again.
 //
-// si is the global source index (RNG identity); lane is the batch-slab and
+// si is the global source index (RNG identity); lane is the tree and
 // accumulator slot (lane == si for a full sweep, si - SrcLo for a partial).
-func measureSourceIndependent(ctx context.Context, g *graph.Graph, src, si, lane int, sizes []int, mode Mode, p Protocol, bt *batchTrees, acc *CurvePartial) error {
+func measureSourceIndependent(ctx context.Context, g *graph.Graph, si, lane int, sizes []int, mode Mode, p Protocol, trees *graph.SweepTrees, acc *CurvePartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
-	spt, err := sc.prepare(g, src, si, lane, p, bt)
+	spt, err := sc.prepare(g, si, lane, p, trees)
 	if err != nil {
 		return err
 	}

@@ -56,20 +56,18 @@ func MeasureIncrements(g *graph.Graph, maxM int, p Protocol) (*Increments, error
 		return nil, fmt.Errorf("mcast: maxM %d out of [1, %d]", maxM, g.N()-1)
 	}
 	inc := &Increments{Delta: make([]float64, maxM)}
-	srcRand := rng.NewChild(p.Seed, -1)
+	sources := drawSources(g, p)
+	trees, err := graph.SweepSPTs(g, sources, p.sptCache())
+	if err != nil {
+		return nil, err
+	}
+	defer trees.Release()
 	counter := NewTreeCounter(g.N())
 	var sptBuf graph.SPT
 	var order []int32
-	for si := 0; si < p.NSource; si++ {
-		source := srcRand.Intn(g.N())
-		spt := &sptBuf
-		if p.SPTCache {
-			cached, err := graph.SharedSPTs.Get(g, source)
-			if err != nil {
-				return nil, err
-			}
-			spt = cached
-		} else if err := g.BFSInto(source, &sptBuf); err != nil {
+	for si, source := range sources {
+		spt, err := trees.Tree(si, &sptBuf)
+		if err != nil {
 			return nil, err
 		}
 		smp, err := NewSampler(g.N(), source, rng.NewChild(p.Seed, int64(si)))

@@ -94,7 +94,7 @@ func TestCurveMatchesExactExpectation(t *testing.T) {
 		}
 		n := g.N()
 		sites := n - 1
-		p := Protocol{NSource: 3, NRcvr: 400, Seed: 17, BatchBFS: true}
+		p := Protocol{NSource: 3, NRcvr: 400, Seed: 17}
 		lanes := min(p.NRcvr, sweepLanes)
 		swept := (n + lanes*denseCrossover - 1) / (lanes * denseCrossover) // the smallest swept size
 		if swept < 2 || dense(swept-1, lanes, n) || !dense(swept, lanes, n) {

@@ -71,17 +71,15 @@ func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mo
 		return nil, err
 	}
 	sources := drawSources(g, p)
-	block := sources[srcLo:srcHi]
-	bt, err := resolveBatch(g, block, p)
+	trees, err := graph.SweepSPTs(g, sources[srcLo:srcHi], p.sptCache())
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer trees.Release()
 	nBlock := srcHi - srcLo
 	acc := newCurvePartial(p.NSource, len(sizes), srcLo, srcHi)
 	err = runWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
-		si := srcLo + lane
-		return measureSourceIndependent(ctx, g, sources[si], si, lane, sizes, mode, p, bt, acc)
+		return measureSourceIndependent(ctx, g, srcLo+lane, lane, sizes, mode, p, trees, acc)
 	})
 	if err != nil {
 		return nil, err
@@ -179,15 +177,14 @@ func MeasureSharedCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []i
 	combined := make([]int, 0, 2*nBlock)
 	combined = append(combined, sources[srcLo:srcHi]...)
 	combined = append(combined, cores[srcLo:srcHi]...)
-	bt, err := resolveBatch(g, combined, p)
+	trees, err := graph.SweepSPTs(g, combined, p.sptCache())
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer trees.Release()
 	acc := newSharedPartial(p.NSource, len(sizes), srcLo, srcHi)
 	err = runWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
-		si := srcLo + lane
-		return measureSourceShared(ctx, g, sources[si], cores[si], si, lane, nBlock, sizes, p, bt, acc)
+		return measureSourceShared(ctx, g, srcLo+lane, lane, nBlock, sizes, p, trees, acc)
 	})
 	if err != nil {
 		return nil, err

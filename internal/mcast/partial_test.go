@@ -34,9 +34,8 @@ func TestCurvePartialsByteIdentical(t *testing.T) {
 		name string
 		mut  func(*Protocol)
 	}{
-		{"plain", func(p *Protocol) {}},
-		{"batch", func(p *Protocol) { p.BatchBFS = true }},
-		{"sptcache", func(p *Protocol) { p.BatchBFS = true; p.SPTCache = true }},
+		{"batch", func(p *Protocol) {}}, // uncached: one MS-BFS slab
+		{"sptcache", func(p *Protocol) { p.SPTCache = true }},
 		{"include-source", func(p *Protocol) { p.IncludeSource = true }},
 	}
 	splits := map[string][][2]int{
@@ -169,9 +168,13 @@ func TestSharedPartialsByteIdentical(t *testing.T) {
 	g := randGraph(11, 160, 240)
 	sizes := []int{1, 4, 12, 40}
 	for _, strategy := range []CoreStrategy{CoreRandom, CoreSource, CoreCenter} {
-		for _, batch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/batch=%v", strategy, batch), func(t *testing.T) {
-				p := Protocol{NSource: 7, NRcvr: 4, Seed: 17, Workers: 3, BatchBFS: batch}
+		// batch=true is the uncached MS-BFS slab.
+		for _, cfg := range []struct {
+			name  string
+			cache bool
+		}{{"batch=true", false}, {"sptcache", true}} {
+			t.Run(fmt.Sprintf("%v/%s", strategy, cfg.name), func(t *testing.T) {
+				p := Protocol{NSource: 7, NRcvr: 4, Seed: 17, Workers: 3, SPTCache: cfg.cache}
 				want, err := MeasureSharedCurve(g, sizes, strategy, p)
 				if err != nil {
 					t.Fatal(err)

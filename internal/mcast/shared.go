@@ -145,7 +145,7 @@ func validateSharedArgs(g *graph.Graph, sizes []int, p Protocol) error {
 func drawSharedPairs(g *graph.Graph, strategy CoreStrategy, p Protocol) (sources, cores []int, err error) {
 	var center int
 	if strategy == CoreCenter {
-		center, err = approxCenter(g, p.Seed, p.BatchBFS)
+		center, err = approxCenter(g, p.Seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -215,44 +215,31 @@ func (a *SharedPartial) reduce(sizes []int) []SharedPoint {
 	return out
 }
 
-// measureSourceShared runs the shared-curve inner loop for one source: both
-// trees resolved (lane views when the batch path is engaged, else from the
-// SPT cache when enabled, else per-source BFS), packed, then every
-// (size, rep) sample measured against each through the fused counters,
-// chosen once per grid point as in measureSourceIndependent: a swept batch
-// marks each set on both trees and sweeps each tree once, and a grid point
-// the size of the whole population is marked on both trees, swept and
-// added NRcvr times, with its draws left owed. ctx is polled at every grid
-// point.
+// measureSourceShared runs the shared-curve inner loop for one source: the
+// source's and the core's trees read from the sweep's trees, packed, then
+// every (size, rep) sample measured against each through the fused
+// counters, chosen once per grid point as in measureSourceIndependent: a
+// swept batch marks each set on both trees and sweeps each tree once, and a
+// grid point the size of the whole population is marked on both trees,
+// swept and added NRcvr times, with its draws left owed. ctx is polled at
+// every grid point.
 //
-// si is the global source index (RNG identity); lane is the slot in the
-// batch slab and the accumulator (lane == si for a full sweep); laneCount is
-// the number of source lanes in the batch, after which the core lanes start
-// (p.NSource for a full sweep, the block size for a partial one).
-func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, lane, laneCount int, sizes []int, p Protocol, bt *batchTrees, acc *SharedPartial) error {
+// si is the global source index (RNG identity); lane is the source's slot
+// in the sweep's trees and the accumulator (lane == si for a full sweep);
+// laneCount is the number of source trees, after which the core trees
+// start (p.NSource for a full sweep, the block size for a partial one).
+func measureSourceShared(ctx context.Context, g *graph.Graph, si, lane, laneCount int, sizes []int, p Protocol, trees *graph.SweepTrees, acc *SharedPartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
-	srcSPT, coreSPT := &sc.spt, &sc.spt2
-	if bt != nil {
-		bt.view(lane, &sc.view)
-		bt.view(laneCount+lane, &sc.view2)
-		srcSPT, coreSPT = &sc.view, &sc.view2
-	} else if p.SPTCache {
-		var err error
-		if srcSPT, err = graph.SharedSPTs.Get(g, source); err != nil {
-			return err
-		}
-		if coreSPT, err = graph.SharedSPTs.Get(g, core); err != nil {
-			return err
-		}
-	} else {
-		if err := g.BFSInto(source, srcSPT); err != nil {
-			return err
-		}
-		if err := g.BFSInto(core, coreSPT); err != nil {
-			return err
-		}
+	srcSPT, err := trees.Tree(lane, &sc.spt)
+	if err != nil {
+		return err
 	}
+	coreSPT, err := trees.Tree(laneCount+lane, &sc.spt2)
+	if err != nil {
+		return err
+	}
+	source := srcSPT.Source
 	sc.pd = packTree(srcSPT, sc.growPacked(sc.pd, len(srcSPT.Parent)))
 	sc.pd2 = packTree(coreSPT, sc.growPacked(sc.pd2, len(coreSPT.Parent)))
 	sc.rows.use(srcSPT)
@@ -314,10 +301,9 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, 
 // approxCenter returns a node with approximately minimum eccentricity by
 // sampling BFS sources and picking the node minimizing the max distance to
 // the sampled sources — a cheap 2-approximation-flavor heuristic adequate
-// for core placement. With batch set, the sampled traversals run as one
-// MS-BFS batch; the sample sources are pre-drawn from the same stream in the
-// same order, and only Dist values are read, so the result is identical.
-func approxCenter(g *graph.Graph, seed int64, batch bool) (int, error) {
+// for core placement. The sampled trees are a sweep of their own, outside
+// the SPT cache.
+func approxCenter(g *graph.Graph, seed int64) (int, error) {
 	if g.N() == 0 {
 		return 0, fmt.Errorf("mcast: empty graph")
 	}
@@ -330,33 +316,25 @@ func approxCenter(g *graph.Graph, seed int64, batch bool) (int, error) {
 	for i := range srcs {
 		srcs[i] = r.Intn(g.N())
 	}
+	trees, err := graph.SweepSPTs(g, srcs, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer trees.Release()
 	maxDist := make([]int32, g.N())
-	accumulate := func(dist []int32) {
-		for v, d := range dist {
+	var buf graph.SPT
+	for i := range srcs {
+		spt, err := trees.Tree(i, &buf)
+		if err != nil {
+			return 0, err
+		}
+		for v, d := range spt.Dist {
 			if d == graph.Unreachable {
 				d = math.MaxInt32
 			}
 			if d > maxDist[v] {
 				maxDist[v] = d
 			}
-		}
-	}
-	if batch {
-		b := graph.AcquireSPTBatch()
-		defer graph.ReleaseSPTBatch(b)
-		if err := g.BatchSPTsInto(srcs, b); err != nil {
-			return 0, err
-		}
-		for i := range srcs {
-			accumulate(b.DistRow(i))
-		}
-	} else {
-		var spt graph.SPT
-		for _, s := range srcs {
-			if err := g.BFSInto(s, &spt); err != nil {
-				return 0, err
-			}
-			accumulate(spt.Dist)
 		}
 	}
 	best := 0

@@ -162,7 +162,7 @@ func TestCoreStrategyString(t *testing.T) {
 
 func TestApproxCenterOnPath(t *testing.T) {
 	g := pathGraph(t, 21)
-	c, err := approxCenter(g, 1, false)
+	c, err := approxCenter(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +170,5 @@ func TestApproxCenterOnPath(t *testing.T) {
 	// land within a quarter of the path of it.
 	if c < 5 || c > 15 {
 		t.Fatalf("approx center of P21 = %d", c)
-	}
-	// The batched variant pre-draws the same samples from the same stream
-	// and reads the same distances, so it must pick the same node.
-	cb, err := approxCenter(g, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cb != c {
-		t.Fatalf("batched approx center %d != serial %d", cb, c)
 	}
 }

@@ -44,22 +44,9 @@ func MeasureAveraged(g *graph.Graph, nSources int, seed int64) (*Reachability, e
 // MeasureAveragedCached is MeasureAveraged routed through an SPT cache (nil
 // disables caching). Experiments that histogram the same (graph, seed) pair —
 // fig6 and fig7 share their per-topology source streams — reuse every tree on
-// the second pass.
+// the second pass. S(r) entries are counts accumulated in exact float64
+// integer arithmetic, so the result is the same either way.
 func MeasureAveragedCached(g *graph.Graph, nSources int, seed int64, spts *graph.SPTCache) (*Reachability, error) {
-	return MeasureAveragedBatch(g, nSources, seed, spts, false)
-}
-
-// maxBatchSlabBytes caps the dense MS-BFS slab the uncached batch path may
-// hold; above it the measurement falls back to per-source BFS.
-const maxBatchSlabBytes = 512 << 20
-
-// MeasureAveragedBatch is MeasureAveragedCached with an explicit batch knob:
-// with batch set, the source traversals run through the MS-BFS kernel — as a
-// cache pre-fill when an SPT cache is supplied, else as one pooled slab whose
-// distance rows are histogrammed directly. The sources are pre-drawn from the
-// same stream in the same order, and S(r) entries are counts accumulated in
-// exact float64 integer arithmetic, so the result is identical either way.
-func MeasureAveragedBatch(g *graph.Graph, nSources int, seed int64, spts *graph.SPTCache, batch bool) (*Reachability, error) {
 	if nSources <= 0 {
 		return nil, fmt.Errorf("reach: nSources must be > 0, got %d", nSources)
 	}
@@ -71,50 +58,27 @@ func MeasureAveragedBatch(g *graph.Graph, nSources int, seed int64, spts *graph.
 	for i := range srcs {
 		srcs[i] = r.Intn(g.N())
 	}
-	var acc []float64
-	if batch && spts != nil {
-		if err := spts.FillBatch(g, srcs); err != nil {
-			return nil, err
-		}
+	trees, err := graph.SweepSPTs(g, srcs, spts)
+	if err != nil {
+		return nil, err
 	}
-	if batch && spts == nil && int64(nSources)*int64(g.N())*8 <= maxBatchSlabBytes {
-		b := graph.AcquireSPTBatch()
-		defer graph.ReleaseSPTBatch(b)
-		if err := g.BatchSPTsInto(srcs, b); err != nil {
+	defer trees.Release()
+	var acc []float64
+	var buf graph.SPT
+	for i := range srcs {
+		spt, err := trees.Tree(i, &buf)
+		if err != nil {
 			return nil, err
 		}
-		for i := range srcs {
-			for _, dd := range b.DistRow(i) {
-				if dd == graph.Unreachable {
-					continue
-				}
-				d := int(dd)
-				for len(acc) <= d {
-					acc = append(acc, 0)
-				}
-				acc[d]++
+		for _, dd := range spt.Dist {
+			if dd == graph.Unreachable {
+				continue
 			}
-		}
-	} else {
-		var sptBuf graph.SPT
-		for _, src := range srcs {
-			spt := &sptBuf
-			if spts != nil {
-				cached, err := spts.Get(g, src)
-				if err != nil {
-					return nil, err
-				}
-				spt = cached
-			} else if err := g.BFSInto(src, &sptBuf); err != nil {
-				return nil, err
+			d := int(dd)
+			for len(acc) <= d {
+				acc = append(acc, 0)
 			}
-			for _, v := range spt.Order {
-				d := int(spt.Dist[v])
-				for len(acc) <= d {
-					acc = append(acc, 0)
-				}
-				acc[d]++
-			}
+			acc[d]++
 		}
 	}
 	for i := range acc {

@@ -59,30 +59,57 @@ func TestMeasureErrors(t *testing.T) {
 	}
 }
 
+// TestMeasureAveragedDeterministic: S(r) is a function of the graph, the
+// source count and the seed. Uncached, through a cold cache and through the
+// same cache warm, it must equal, bit for bit, the histogram of per-source
+// BFS trees over the same source draws.
 func TestMeasureAveragedDeterministic(t *testing.T) {
 	g, err := topology.TransitStubSized(200, 3.6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := MeasureAveraged(g, 20, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MeasureAveraged(g, 20, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.S) != len(b.S) {
-		t.Fatal("nondeterministic length")
-	}
-	for i := range a.S {
-		if a.S[i] != b.S[i] {
-			t.Fatalf("nondeterministic S(%d)", i)
+	const nSources, seed = 20, 7
+	r := rng.New(seed)
+	var want []float64
+	for i := 0; i < nSources; i++ {
+		spt, err := g.BFS(r.Intn(g.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d, c := range spt.DistHistogram() {
+			for len(want) <= d {
+				want = append(want, 0)
+			}
+			want[d] += float64(c)
 		}
 	}
-	// Total mass: averaged S must sum to the node count (graph connected).
-	if math.Abs(a.Sites()+1-float64(g.N())) > 1e-6 {
-		t.Fatalf("sites %v vs N %d", a.Sites(), g.N())
+	for d := range want {
+		want[d] /= nSources
+	}
+	cache := graph.NewSPTCache(1 << 30)
+	for _, run := range []struct {
+		name string
+		spts *graph.SPTCache
+	}{{"uncached", nil}, {"cold cache", cache}, {"warm cache", cache}} {
+		got, err := MeasureAveragedCached(g, nSources, seed, run.spts)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if len(got.S) != len(want) {
+			t.Fatalf("%s: %d radii, want %d", run.name, len(got.S), len(want))
+		}
+		for d := range want {
+			if got.S[d] != want[d] {
+				t.Fatalf("%s: S(%d) = %v, want %v", run.name, d, got.S[d], want[d])
+			}
+		}
+		// Total mass: averaged S must sum to the node count (graph connected).
+		if math.Abs(got.Sites()+1-float64(g.N())) > 1e-6 {
+			t.Fatalf("%s: sites %v vs N %d", run.name, got.Sites(), g.N())
+		}
+	}
+	if st := cache.Stats(); st.Hits == 0 {
+		t.Fatalf("warm run read nothing from the cache: %+v", st)
 	}
 }
 

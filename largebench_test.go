@@ -66,7 +66,7 @@ func BenchmarkLargeCurve10M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pts, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 4, NRcvr: 4, Seed: int64(i) + 1, BatchBFS: true})
+			mtreescale.Protocol{NSource: 4, NRcvr: 4, Seed: int64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestLargeGraphSmoke(t *testing.T) {
 
 	// One curve point: the engine runs at this scale and measures a tree.
 	sizes := []int{64}
-	p := mtreescale.Protocol{NSource: 2, NRcvr: 2, Seed: 5, BatchBFS: true}
+	p := mtreescale.Protocol{NSource: 2, NRcvr: 2, Seed: 5}
 	pts, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct, p)
 	if err != nil {
 		t.Fatal(err)

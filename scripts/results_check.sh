@@ -3,13 +3,13 @@
 # experiment at one profile into a temporary directory and byte-compares each
 # <id>.{csv,gp,txt} with the committed copy. A differing, missing or extra
 # file fails the check. checkpoint.jsonl (the run journal) and REPORT.md
-# (written by `mtsim -report`, which reruns the whole registry) are skipped.
+# (written by `mtsim -report`, dated by its Generated line) are skipped.
 #
 # Usage: scripts/results_check.sh <profile> <dir> [mtsim flags...]
 #
 #   scripts/results_check.sh medium results                      # make results-check
 #   scripts/results_check.sh paper results-paper                 # make results-paper-check
-#   scripts/results_check.sh medium results -sptcache=false      # a byte-identical mode
+#   scripts/results_check.sh medium results -sptcache=false      # the uncached mode (also make results-check)
 #
 # The committed files were written on amd64. Go fuses multiply-adds on other
 # architectures (arm64, ppc64le, s390x), which can move the last printed
