@@ -142,7 +142,7 @@ type SPTBatch = graph.SPTBatch
 // MS-BFS kernel, up to 64 sources per graph traversal. Each tree is
 // node-for-node identical to BFS(source). The measurement engines use this
 // kernel for every sweep's trees: into one slab without the SPT cache, and
-// for the cache's misses with it.
+// with it straight into each missing tree's own arrays.
 func BatchSPTs(g *Topology, sources []int) (*SPTBatch, error) { return g.BatchSPTs(sources) }
 
 // GNP generates an Erdős–Rényi G(n,p) graph's giant component.

@@ -17,8 +17,10 @@
 // rename), so a crash never leaves a torn file.
 //
 // -parallel N runs independent experiments concurrently on up to N workers
-// (0 = all cores); output and files stay in paper order, and a per-
-// experiment wall-clock/allocation summary is appended.
+// (0 = all cores); output and files stay in paper order. A per-experiment
+// wall-clock/allocation summary and the process's peak RSS are appended at
+// any -parallel (to stderr when stdout is a CSV stream); allocation is
+// exact per experiment only when experiments ran one at a time.
 //
 // Robustness controls:
 //
@@ -45,6 +47,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -322,22 +325,39 @@ func runScheduled(ctx context.Context, out io.Writer, ids []string, p mtreescale
 		}
 		fmt.Fprintln(out, "wrote REPORT.md")
 	}
-	if cfg.parallel != 1 {
-		printSummary(out, stats, cfg.parallel, p, total)
+	// The table's "#" lines would break a CSV stream on stdout, so it goes
+	// to stderr there; any other stdout is files written or is for a human.
+	sum := out
+	if cfg.outDir == "" && cfg.format == "csv" {
+		sum = os.Stderr
 	}
+	printSummary(sum, stats, cfg.parallel, p, total)
 	if ck != nil {
 		return ck.Close()
 	}
 	return nil
 }
 
-// printSummary appends the per-experiment wall-clock/allocation table.
+// printSummary appends the per-experiment wall-clock/allocation table and
+// the process's peak RSS. An experiment's allocation is the process-wide
+// TotalAlloc delta while it ran: exact when experiments ran one at a time,
+// and counting its neighbours' allocations when they overlapped, so the
+// column is labelled by which it is.
 func printSummary(out io.Writer, stats []mtreescale.ExperimentStats, parallel int, p mtreescale.Profile, total time.Duration) {
 	// The engine worker count the profile actually gets: Protocol.Workers
 	// defaults to GOMAXPROCS and is clamped to the profile's source count.
 	engineWorkers := mtreescale.Protocol{NSource: p.NSource}.EffectiveWorkers()
 	fmt.Fprintf(out, "# schedule: %d experiments, parallel=%d, engine workers/experiment=%d, profile=%s, total wall %.2fs\n",
 		len(stats), parallel, engineWorkers, p.Name, total.Seconds())
+	workers := parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0) // the scheduler's default
+	}
+	alloc := "alloc (exact)"
+	if min(workers, len(stats)) > 1 {
+		alloc = "alloc (process-wide)"
+		fmt.Fprintln(out, "# experiments overlapped: each alloc counts whatever ran beside it; -parallel 1 gives exact figures")
+	}
 	var sumWall time.Duration
 	replayed := 0
 	for _, st := range stats {
@@ -346,8 +366,8 @@ func printSummary(out io.Writer, stats []mtreescale.ExperimentStats, parallel in
 			marker = "  (resumed)"
 			replayed++
 		}
-		fmt.Fprintf(out, "# %-20s wall %8.2fs  alloc %8.1f MB%s\n",
-			st.ID, st.Wall.Seconds(), float64(st.AllocBytes)/(1<<20), marker)
+		fmt.Fprintf(out, "# %-20s wall %8.2fs  %-20s %8.1f MB%s\n",
+			st.ID, st.Wall.Seconds(), alloc, float64(st.AllocBytes)/(1<<20), marker)
 		sumWall += st.Wall
 	}
 	if replayed > 0 {
@@ -356,6 +376,11 @@ func printSummary(out io.Writer, stats []mtreescale.ExperimentStats, parallel in
 	if len(stats) > 1 && total > 0 {
 		fmt.Fprintf(out, "# sum of experiment wall clocks %.2fs (speedup ×%.2f)\n",
 			sumWall.Seconds(), sumWall.Seconds()/total.Seconds())
+	}
+	if rss, ok := peakRSS(); ok {
+		fmt.Fprintf(out, "# peak RSS %.1f MB\n", float64(rss)/(1<<20))
+	} else {
+		fmt.Fprintln(out, "# peak RSS n/a")
 	}
 }
 

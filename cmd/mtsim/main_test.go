@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -211,6 +212,50 @@ func TestParallelSingleExperiment(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "# schedule: 1 experiments") {
 		t.Fatalf("missing schedule summary:\n%s", buf.String())
+	}
+}
+
+// TestSummaryAtEveryParallel checks the schedule table in both modes. Run
+// one at a time, experiments' allocations are exact; run two at once, each
+// experiment's process-wide delta counts the other's, and the table says
+// so. Either way it ends with the peak RSS, or "n/a" where the OS does not
+// say.
+func TestSummaryAtEveryParallel(t *testing.T) {
+	for _, tc := range []struct {
+		parallel, label, other string
+		note                   bool
+	}{
+		{"1", "alloc (exact)", "alloc (process-wide)", false},
+		{"2", "alloc (process-wide)", "alloc (exact)", true},
+	} {
+		var buf bytes.Buffer
+		args := []string{"-experiment", "fig8,fig2a", "-profile", "quick", "-parallel", tc.parallel, "-format", "notes"}
+		if err := run(context.Background(), args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.Contains(out, "# schedule: 2 experiments, parallel="+tc.parallel) {
+			t.Fatalf("-parallel %s: missing schedule header:\n%s", tc.parallel, out)
+		}
+		for _, id := range []string{"fig8", "fig2a"} {
+			if !regexp.MustCompile(`(?m)^# ` + id + ` +wall +[0-9.]+s  ` + regexp.QuoteMeta(tc.label) + ` +[0-9.]+ MB$`).MatchString(out) {
+				t.Fatalf("-parallel %s: no %q row for %s:\n%s", tc.parallel, tc.label, id, out)
+			}
+		}
+		if strings.Contains(out, tc.other) || strings.Contains(out, "# experiments overlapped") != tc.note {
+			t.Fatalf("-parallel %s: mislabelled alloc column:\n%s", tc.parallel, out)
+		}
+		if !regexp.MustCompile(`(?m)^# peak RSS ([0-9]+\.[0-9] MB|n/a)$`).MatchString(out) {
+			t.Fatalf("-parallel %s: no peak RSS line:\n%s", tc.parallel, out)
+		}
+	}
+	// A CSV stream on stdout keeps no table: it must still parse.
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-experiment", "fig8", "-profile", "quick", "-format", "csv"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := csv.NewReader(&buf).ReadAll(); err != nil {
+		t.Fatalf("stdout CSV does not parse: %v", err)
 	}
 }
 

@@ -27,10 +27,7 @@ func runExtWeighted(ctx context.Context, p Profile) (*Result, error) {
 	}
 	maxM := p.capSize(gg.G.N() / 2)
 	sizes := mcast.LogSpacedSizes(maxM, p.GridPoints)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	pts, err := wgraph.MeasureWeightedCurve(gg, sizes, p.NSource/2+1, p.NRcvr/2+1, p.Seed)
+	pts, err := wgraph.MeasureWeightedCurveCtx(ctx, gg, sizes, p.NSource/2+1, p.NRcvr/2+1, p.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -30,9 +30,9 @@ type SPT struct {
 	Dist   []int32
 	// Order lists reachable nodes in nondecreasing distance; Order[0] ==
 	// Source. The relative order of nodes at the same distance is
-	// kernel-dependent (discovery order for BFSInto, index order for
-	// SPTBatch.Materialize) — no consumer may rely on it beyond the
-	// nondecreasing-distance guarantee.
+	// kernel-dependent (discovery order for BFSInto, index order for the
+	// trees SPTCache fills through the MS-BFS kernel) — no consumer may rely
+	// on it beyond the nondecreasing-distance guarantee.
 	Order []int32
 }
 

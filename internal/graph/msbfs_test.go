@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +11,7 @@ import (
 
 // checkBatchAgainstBFS asserts the MS-BFS contract for one (graph, sources)
 // pair: every lane's Dist and Parent arrays are byte-identical to per-source
-// BFS, and Materialize yields a valid standalone SPT.
+// BFS, and so is every tree a cold cache fills through the same kernel.
 func checkBatchAgainstBFS(t *testing.T, g *Graph, sources []int) {
 	t.Helper()
 	b, err := g.BatchSPTs(sources)
@@ -35,20 +37,43 @@ func checkBatchAgainstBFS(t *testing.T, g *Graph, sources []int) {
 					i, s, v, parent[v], want.Parent[v])
 			}
 		}
-		m := b.Materialize(i)
-		if m.Source != s || m.Reachable() != want.Reachable() {
-			t.Fatalf("lane %d materialized source/reach %d/%d, want %d/%d",
-				i, m.Source, m.Reachable(), s, want.Reachable())
+	}
+	checkColdCacheAgainstBFS(t, g, sources)
+}
+
+// checkColdCacheAgainstBFS reads sources through a cold cache, whose fill
+// runs the kernel straight into each tree's own arrays, and checks every
+// tree against BFS: Source, Dist and Parent exactly, and Order as the
+// reachable nodes sorted by (distance, index). Each tree must be a valid
+// standalone SPT whose arrays are sized exactly, as the cache's byte
+// accounting assumes.
+func checkColdCacheAgainstBFS(t *testing.T, g *Graph, sources []int) {
+	t.Helper()
+	trees, err := NewSPTCache(1<<30).GetBatch(g, sources, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sources {
+		want, err := g.BFS(s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		checkParentValidity(t, g, m)
-		if m.Order[0] != int32(s) {
-			t.Fatalf("materialized order must start at source, got %d", m.Order[0])
+		tr := trees[i]
+		if tr.Source != s || !slices.Equal(tr.Dist, want.Dist) || !slices.Equal(tr.Parent, want.Parent) {
+			t.Fatalf("cached tree %d (source %d) differs from BFS", i, s)
 		}
-		for j := 1; j < len(m.Order); j++ {
-			if m.Dist[m.Order[j]] < m.Dist[m.Order[j-1]] {
-				t.Fatal("materialized order not sorted by distance")
-			}
+		order := slices.Clone(want.Order)
+		slices.SortFunc(order, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(want.Dist[a], want.Dist[b]), cmp.Compare(a, b))
+		})
+		if !slices.Equal(tr.Order, order) {
+			t.Fatalf("cached tree %d (source %d) Order %v, want %v", i, s, tr.Order, order)
 		}
+		if cap(tr.Dist) != g.N() || cap(tr.Parent) != g.N() || cap(tr.Order) != len(order) {
+			t.Fatalf("cached tree %d capacities %d/%d/%d, want %d/%d/%d",
+				i, cap(tr.Dist), cap(tr.Parent), cap(tr.Order), g.N(), g.N(), len(order))
+		}
+		checkParentValidity(t, g, tr)
 	}
 }
 
@@ -157,7 +182,8 @@ func TestBatchSPTsErrors(t *testing.T) {
 
 // FuzzMSBFSEquivalence cross-checks the MS-BFS kernel against single-source
 // BFS on fuzzer-chosen graphs and source sets: every lane's distances and
-// parents must match exactly.
+// parents must match exactly, in a batch slab and in the trees a cold cache
+// fills.
 func FuzzMSBFSEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(40), []byte{0, 3, 9})
 	f.Add(int64(2), uint8(90), uint8(0), []byte{1})
@@ -196,6 +222,7 @@ func FuzzMSBFSEquivalence(f *testing.F) {
 				}
 			}
 		}
+		checkColdCacheAgainstBFS(t, g, sources)
 	})
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -330,6 +331,60 @@ func TestSPTCacheGetBatch(t *testing.T) {
 	}
 	if st := fill.Stats(); st.Entries != 4 || st.Misses != 4 || st.Hits != uint64(len(sources)) {
 		t.Fatalf("FillBatch twice: stats = %+v, want 4 entries, 4 misses (the first fill's), %d hits", st, len(sources))
+	}
+}
+
+// A cold GetBatch allocates each tree once and nothing the size of the batch
+// besides: after two collections have emptied the pools, as the benchmark
+// does before each iteration, it may allocate the k trees (Dist, Parent and
+// Order, at most 12·n bytes each, plus the stagger of each tree's start,
+// under 4 KiB, which can cost it one more 8 KiB page), the kernel's lane
+// masks and frontier bitsets (power-of-two arena slabs), the graph's index
+// (8·n bytes) and a few hundred bytes of entry per tree. n·4 is a multiple
+// of the page size, so each array costs exactly its length.
+func TestSPTCacheColdFillAllocatesOnlyTheTrees(t *testing.T) {
+	const n, k = 8192, 40
+	g := randomGraph(21, n, 2*n)
+	sources := make([]int, k)
+	for i := range sources {
+		sources[i] = i * (n / k)
+	}
+	c := NewSPTCache(1 << 30)
+	trees := make([]*SPT, k)
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	trees, err := c.GetBatch(g, sources, trees)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := (n + 63) / 64
+	masks := 8 * (3*n + 2*words) // n and words are powers of two
+	bookkeeping := 8*n + k*512 + 16<<10
+	treeBytes := k * (12*n + 8<<10)
+	limit := uint64(treeBytes + masks + bookkeeping)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cold GetBatch allocated %d bytes, limit %d", got, limit)
+	if got > limit {
+		t.Fatalf("cold GetBatch of %d sources on %d nodes allocated %d bytes, want at most %d (trees %d, masks %d, bookkeeping %d)",
+			k, n, got, limit, treeBytes, masks, bookkeeping)
+	}
+	// Past 32 KiB a tree's start is staggered by its lane: its arrays must
+	// still be exactly the BFS tree's.
+	for i, s := range sources {
+		want, err := g.BFS(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trees[i]
+		if tr.Source != s || !slices.Equal(tr.Dist, want.Dist) || !slices.Equal(tr.Parent, want.Parent) || len(tr.Order) != n {
+			t.Fatalf("tree %d (source %d) differs from BFS", i, s)
+		}
+		if cap(tr.Dist) != n || cap(tr.Parent) != n {
+			t.Fatalf("tree %d capacities %d/%d, want %d", i, cap(tr.Dist), cap(tr.Parent), n)
+		}
 	}
 }
 

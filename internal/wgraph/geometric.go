@@ -1,6 +1,7 @@
 package wgraph
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -74,6 +75,13 @@ type WeightedPoint struct {
 // normalized tree size on the same samples, drawing m distinct receivers
 // per sample. Weighted trees use Dijkstra SPTs; hop trees use BFS SPTs.
 func MeasureWeightedCurve(gg *GeoGraph, sizes []int, nSource, nRcvr int, seed int64) ([]WeightedPoint, error) {
+	return MeasureWeightedCurveCtx(context.Background(), gg, sizes, nSource, nRcvr, seed)
+}
+
+// MeasureWeightedCurveCtx is MeasureWeightedCurve under a cancellation
+// context, polled before each source and each group size: once ctx is done
+// it abandons the sweep and returns ctx's error.
+func MeasureWeightedCurveCtx(ctx context.Context, gg *GeoGraph, sizes []int, nSource, nRcvr int, seed int64) ([]WeightedPoint, error) {
 	if nSource < 1 || nRcvr < 1 {
 		return nil, fmt.Errorf("wgraph: need nSource, nRcvr >= 1 (got %d, %d)", nSource, nRcvr)
 	}
@@ -94,6 +102,9 @@ func MeasureWeightedCurve(gg *GeoGraph, sizes []int, nSource, nRcvr int, seed in
 	var bfs graph.SPT
 	hopCounter := newHopCounter(g.N())
 	for si := 0; si < nSource; si++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		source := srcRand.Intn(g.N())
 		if err := g.BFSInto(source, &bfs); err != nil {
 			return nil, err
@@ -111,6 +122,9 @@ func MeasureWeightedCurve(gg *GeoGraph, sizes []int, nSource, nRcvr int, seed in
 			}
 		}
 		for k, size := range sizes {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			for rep := 0; rep < nRcvr; rep++ {
 				// Partial Fisher-Yates.
 				for i := 0; i < size; i++ {
