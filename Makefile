@@ -177,6 +177,7 @@ membership-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzRead$$ -fuzztime 30s ./internal/graph/
 	$(GO) test -fuzz FuzzMSBFSEquivalence -fuzztime 30s ./internal/graph/
+	$(GO) test -fuzz FuzzBuildMatchesReference -fuzztime 30s ./internal/graph/
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 30s ./internal/plot/
 	$(GO) test -fuzz FuzzParseCheckpointLine -fuzztime 30s ./internal/experiments/
 	$(GO) test -fuzz FuzzParseBenchOutput -fuzztime 30s ./cmd/benchjson/
@@ -194,6 +195,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRead$$ -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzMSBFSEquivalence -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz FuzzBuildMatchesReference -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s ./internal/plot/
 	$(GO) test -run '^$$' -fuzz FuzzParseCheckpointLine -fuzztime 10s ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzParseBenchOutput -fuzztime 10s ./cmd/benchjson/

@@ -39,10 +39,14 @@ func (g *Graph) Connected() bool {
 }
 
 // GiantComponent returns the subgraph induced by the largest connected
-// component, with nodes renumbered densely, plus the mapping from new ids to
-// original ids. Topology generators use this to clean disconnected debris,
-// because the paper's experiments pick sources and receivers that must be
-// mutually reachable.
+// component (the first one found on a tie), with nodes renumbered densely,
+// plus the mapping from new ids to original ids. Topology generators use
+// this to clean disconnected debris, because the paper's experiments pick
+// sources and receivers that must be mutually reachable.
+//
+// It renumbers the CSR rows directly. Every neighbor of a kept node is kept,
+// so degrees do not change, and new ids increase with old ones, so each
+// mapped row stays strictly ascending.
 func (g *Graph) GiantComponent() (*Graph, []int32) {
 	labels, count := g.Components()
 	if count <= 1 {
@@ -62,24 +66,21 @@ func (g *Graph) GiantComponent() (*Graph, []int32) {
 			best = i
 		}
 	}
-	// Renumber.
 	newID := make([]int32, g.N())
 	oldID := make([]int32, 0, sizes[best])
+	offsets := make([]int32, sizes[best]+1)
 	for v := 0; v < g.N(); v++ {
 		if labels[v] == int32(best) {
 			newID[v] = int32(len(oldID))
 			oldID = append(oldID, int32(v))
-		} else {
-			newID[v] = -1
+			offsets[len(oldID)] = offsets[len(oldID)-1] + int32(g.Degree(v))
 		}
 	}
-	b := NewBuilder(len(oldID))
-	b.SetName(g.name)
-	g.Edges(func(u, v int) {
-		if newID[u] >= 0 && newID[v] >= 0 {
-			// Endpoints are in range by construction; error impossible.
-			_ = b.AddEdge(int(newID[u]), int(newID[v]))
+	adj := make([]int32, 0, offsets[len(oldID)])
+	for _, v := range oldID {
+		for _, w := range g.Neighbors(int(v)) {
+			adj = append(adj, newID[w])
 		}
-	})
-	return b.Build(), oldID
+	}
+	return &Graph{offsets: offsets, adj: adj, name: g.name}, oldID
 }

@@ -21,7 +21,11 @@
 // Nodes are dense integers 0..N-1. All edges are unweighted and
 // bidirectional; the paper ("All topologies were cleaned by removing
 // duplicate edges and all remaining edges were then assumed to be
-// bi-directional") counts hops only, never link weights.
+// bi-directional") counts hops only, never link weights. That cleaning step
+// is Builder.Build (or BuildStreamed, stream.go, for graphs too large to
+// hold an edge list). Neither sorts the whole edge list: both bucket edges
+// into rows by counting, then sort and deduplicate each short row on its
+// own, so a build costs about one pass over the edges.
 package graph
 
 import (
@@ -87,40 +91,53 @@ func (b *Builder) Grow(n int) {
 }
 
 // Build produces the immutable Graph. The builder may be reused afterwards.
+//
+// It sorts no edge list. A counting sort buckets each canonical edge (u<v)
+// into u's forward row, and each short row is sorted and deduplicated on its
+// own. The adjacency is then allocated at exactly 2·M, and both directions
+// are scattered with u ascending, so every row comes out strictly ascending
+// without a second sort: a row's smaller neighbors arrive, in order, before
+// its own forward row is walked.
 func (b *Builder) Build() *Graph {
-	// Deduplicate canonicalized edges.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
-	uniq := b.edges[:0:len(b.edges)]
-	var last [2]int32 = [2]int32{-1, -1}
+	n := b.n
+	// Count each forward row into start[u], take inclusive prefix sums (row
+	// u ends at start[u]), then fill each row from its end, which leaves
+	// start[u] at the row's first entry.
+	start := make([]int32, n+1)
 	for _, e := range b.edges {
-		if e != last {
-			uniq = append(uniq, e)
-			last = e
+		start[e[0]]++
+	}
+	for u := 1; u <= n; u++ {
+		start[u] += start[u-1]
+	}
+	fwd := make([]int32, len(b.edges))
+	for _, e := range b.edges {
+		start[e[0]]--
+		fwd[start[e[0]]] = e[1]
+	}
+	sortDedupRows(start, fwd)
+
+	offsets := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		row := fwd[start[u]:start[u+1]]
+		offsets[u+1] += int32(len(row))
+		for _, w := range row {
+			offsets[w+1]++
 		}
 	}
-
-	deg := make([]int32, b.n)
-	for _, e := range uniq {
-		deg[e[0]]++
-		deg[e[1]]++
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
 	}
-	offsets := make([]int32, b.n+1)
-	for v := 0; v < b.n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
-	}
-	adj := make([]int32, offsets[b.n])
-	cursor := make([]int32, b.n)
-	copy(cursor, offsets[:b.n])
-	for _, e := range uniq {
-		adj[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
-		adj[cursor[e[1]]] = e[0]
-		cursor[e[1]]++
+	adj := make([]int32, offsets[n])
+	cursor := make([]int32, n)
+	copy(cursor, offsets[:n])
+	for u := 0; u < n; u++ {
+		for _, w := range fwd[start[u]:start[u+1]] {
+			adj[cursor[u]] = w
+			cursor[u]++
+			adj[cursor[w]] = int32(u)
+			cursor[w]++
+		}
 	}
 	return &Graph{offsets: offsets, adj: adj, name: b.name}
 }

@@ -7,14 +7,17 @@ import (
 )
 
 // This file implements the streaming CSR builder for large graphs.
-// The Builder materializes an edge list — 8 bytes per undirected edge before
-// canonicalization and the CSR arrays on top — which at 10M nodes and average
-// degree 4 means multiple transient gigabytes beyond the final graph. The
-// two-pass streaming path never holds an edge list: pass one counts degrees,
-// pass two scatters endpoints straight into the final adjacency array, and
-// an in-place per-vertex sort+dedup finishes the CSR. Peak RSS is the final
-// CSR plus a 4 B/node cursor, within the "≤ ~2× final CSR bytes" budget
-// that large-smoke asserts.
+// Builder.Build holds its edge list, 8 bytes per undirected edge, until the
+// CSR arrays are built on top of it, which at 10M nodes and average degree 4
+// means multiple transient gigabytes beyond the final graph. The two-pass
+// streaming path never holds an edge list: pass one counts degrees, pass two
+// scatters both endpoints of every edge straight into the final adjacency
+// array, and sortDedupRows, which Build also uses on its forward rows,
+// sorts and deduplicates each row in place. Peak RSS is the final CSR plus a
+// 4 B/node cursor, within the "≤ ~2× final CSR bytes" budget that
+// large-smoke asserts. The price is duplicate slack: the adjacency array is
+// sized before deduplication and reallocated only once duplicates reach 1/8
+// of it, so its MemBytes can exceed Build's exact 2·M.
 
 // EdgeStream produces a graph's edge multiset by calling emit(u, v) once per
 // edge. A stream MUST be re-runnable and deterministic: BuildStreamed
@@ -26,9 +29,12 @@ import (
 type EdgeStream func(emit func(u, v int32)) error
 
 // BuildStreamed constructs the CSR for an n-node graph from two passes over
-// stream, without materializing an edge list. It returns an error when the
-// stream emits out-of-range endpoints, produces different sequences across
-// the two passes, or overflows the int32 CSR index space.
+// stream, without materializing an edge list. Its neighbor lists equal those
+// Build makes from the same edges. Its adjacency array keeps up to 1/8
+// duplicate slack: it is reallocated to the deduplicated size only when at
+// least 1/8 of the streamed entries were duplicates. It returns an error
+// when the stream emits out-of-range endpoints, produces different
+// sequences across the two passes, or overflows the int32 CSR index space.
 func BuildStreamed(n int, name string, stream EdgeStream) (*Graph, error) {
 	if n < 0 {
 		n = 0
@@ -104,12 +110,26 @@ func BuildStreamed(n int, name string, stream EdgeStream) (*Graph, error) {
 		return nil, fmt.Errorf("graph: edge stream is not deterministic across passes")
 	}
 
-	// Per-vertex sort + dedup, compacting in place. The write cursor never
-	// overtakes the read range, so no extra buffer is needed.
+	write := sortDedupRows(offsets, adj)
+	if int64(write) <= total*7/8 {
+		// Heavy duplication: reallocate so MemBytes reflects reality.
+		adj = append(make([]int32, 0, write), adj[:write]...)
+	} else {
+		adj = adj[:write]
+	}
+	return &Graph{offsets: offsets, adj: adj, name: name}, nil
+}
+
+// sortDedupRows sorts each row adj[offsets[v]:offsets[v+1]], drops its
+// repeated entries and compacts the rows to the front of adj, rewriting
+// offsets to the compacted bounds; it returns the entries kept. The write
+// position never overtakes the row being read, so no buffer is needed.
+// Entries must be non-negative.
+func sortDedupRows(offsets, adj []int32) int32 {
+	n := len(offsets) - 1
 	write := int32(0)
 	for v := 0; v < n; v++ {
-		s, e := offsets[v], offsets[v+1]
-		seg := adj[s:e]
+		seg := adj[offsets[v]:offsets[v+1]]
 		slices.Sort(seg)
 		offsets[v] = write
 		last := int32(-1)
@@ -122,11 +142,5 @@ func BuildStreamed(n int, name string, stream EdgeStream) (*Graph, error) {
 		}
 	}
 	offsets[n] = write
-	if int64(write) <= total*7/8 {
-		// Heavy duplication: reallocate so MemBytes reflects reality.
-		adj = append(make([]int32, 0, write), adj[:write]...)
-	} else {
-		adj = adj[:write]
-	}
-	return &Graph{offsets: offsets, adj: adj, name: name}, nil
+	return write
 }
