@@ -51,7 +51,8 @@ type Metrics = graph.Metrics
 
 // ComputeMetrics measures a topology, sampling BFS sources on large graphs.
 func ComputeMetrics(g *Topology, sampleSources int, seed int64) Metrics {
-	return graph.ComputeMetrics(g, sampleSources, seed)
+	m, _ := graph.ComputeMetrics(context.Background(), g, sampleSources, seed) // never cancelled
+	return m
 }
 
 // ReadTopology parses the textual edge-list format.

@@ -346,10 +346,13 @@ func RunCtx(ctx context.Context, id string, p Profile) (*Result, error) {
 // buildTopologies fetches the named standard topologies at profile scale
 // through the generation cache, so experiments sharing a profile (table1,
 // fig1a, fig6a, ...) reuse one instance per (name, seed, scale) instead of
-// regenerating identical graphs.
-func buildTopologies(names []string, p Profile) ([]*graph.Graph, error) {
+// regenerating identical graphs. It polls ctx before each build.
+func buildTopologies(ctx context.Context, names []string, p Profile) ([]*graph.Graph, error) {
 	out := make([]*graph.Graph, 0, len(names))
 	for _, name := range names {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		g, err := topology.GenerateCached(name, 0, p.Scale)
 		if err != nil {
 			return nil, err

@@ -32,7 +32,7 @@ func init() {
 }
 
 func runFig1(ctx context.Context, id string, names []string, p Profile) (*Result, error) {
-	graphs, err := buildTopologies(names, p)
+	graphs, err := buildTopologies(ctx, names, p)
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func init() {
 }
 
 func runFig6(ctx context.Context, id string, names []string, p Profile) (*Result, error) {
-	graphs, err := buildTopologies(names, p)
+	graphs, err := buildTopologies(ctx, names, p)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func runFig6(ctx context.Context, id string, names []string, p Profile) (*Result
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := reach.MeasureAveragedCached(g, p.NSource, rng.Split(p.Seed, int64(gi)), p.sptCache())
+		r, err := reach.MeasureAveragedCached(ctx, g, p.NSource, rng.Split(p.Seed, int64(gi)), p.sptCache())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", g.Name(), err)
 		}
@@ -97,7 +97,7 @@ func runFig6(ctx context.Context, id string, names []string, p Profile) (*Result
 }
 
 func runFig7(ctx context.Context, id string, names []string, p Profile) (*Result, error) {
-	graphs, err := buildTopologies(names, p)
+	graphs, err := buildTopologies(ctx, names, p)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func runFig7(ctx context.Context, id string, names []string, p Profile) (*Result
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := reach.MeasureAveragedCached(g, p.NSource, rng.Split(p.Seed, int64(gi)), p.sptCache())
+		r, err := reach.MeasureAveragedCached(ctx, g, p.NSource, rng.Split(p.Seed, int64(gi)), p.sptCache())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", g.Name(), err)
 		}

@@ -37,12 +37,17 @@ func runTable1(ctx context.Context, p Profile) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := graph.ComputeMetrics(g, p.NSource, p.Seed)
+		m, err := graph.ComputeMetrics(ctx, g, p.NSource, p.Seed)
+		if err != nil {
+			return nil, err
+		}
+		r, err := reach.MeasureAveragedCached(ctx, g, p.NSource, p.Seed, p.sptCache())
+		if err != nil {
+			return nil, err
+		}
 		growth := "n/a"
-		if r, err := reach.MeasureAveragedCached(g, p.NSource, p.Seed, p.sptCache()); err == nil {
-			if cls, err := r.Classify(0.5); err == nil {
-				growth = cls.String()
-			}
+		if cls, err := r.Classify(0.5); err == nil {
+			growth = cls.String()
 		}
 		res.Rows = append(res.Rows, []string{
 			name,

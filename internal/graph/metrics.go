@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 
 	"mtreescale/internal/rng"
@@ -25,23 +26,21 @@ type Metrics struct {
 
 // ComputeMetrics measures g. For graphs with at most exactSourceLimit nodes
 // every node is used as a BFS source (exact values); larger graphs sample
-// sampleSources sources deterministically from seed.
-func ComputeMetrics(g *Graph, sampleSources int, seed int64) Metrics {
+// sampleSources distinct sources deterministically from seed, taken in draw
+// order. It polls ctx before each source and returns its error, with no
+// metrics, once the context is done.
+func ComputeMetrics(ctx context.Context, g *Graph, sampleSources int, seed int64) (Metrics, error) {
 	const exactSourceLimit = 512
 	m := Metrics{
 		Name:      g.Name(),
 		Nodes:     g.N(),
 		Links:     g.M(),
 		AvgDegree: g.AvgDegree(),
-	}
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d > m.MaxDegree {
-			m.MaxDegree = d
-		}
+		MaxDegree: g.MaxDegree(),
 	}
 	_, m.Components = g.Components()
 	if g.N() == 0 {
-		return m
+		return m, nil
 	}
 
 	var sources []int
@@ -52,19 +51,24 @@ func ComputeMetrics(g *Graph, sampleSources int, seed int64) Metrics {
 		}
 	} else {
 		r := rng.New(seed)
-		seen := make(map[int]bool, sampleSources)
-		for len(seen) < sampleSources {
-			seen[r.Intn(g.N())] = true
-		}
-		for v := range seen {
-			sources = append(sources, v)
+		seen := make([]bool, g.N())
+		for len(sources) < sampleSources {
+			if v := r.Intn(g.N()); !seen[v] {
+				seen[v] = true
+				sources = append(sources, v)
+			}
 		}
 	}
 
+	// Every term is an integer, so the float64 sum is exact and does not
+	// depend on the order of the sources.
 	var distSum float64
 	var distN int
 	var t SPT
 	for _, s := range sources {
+		if err := ctx.Err(); err != nil {
+			return Metrics{}, err
+		}
 		if err := g.BFSInto(s, &t); err != nil {
 			continue
 		}
@@ -79,7 +83,7 @@ func ComputeMetrics(g *Graph, sampleSources int, seed int64) Metrics {
 	if distN > 0 {
 		m.AvgPathLen = distSum / float64(distN)
 	}
-	return m
+	return m, nil
 }
 
 // String renders a Table 1 style row.

@@ -5,6 +5,7 @@
 package reach
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -38,15 +39,17 @@ func Measure(g *graph.Graph, source int) (*Reachability, error) {
 // with replacement (the paper's Figure 7 protocol: "averaged over the
 // Nsource choices for the source").
 func MeasureAveraged(g *graph.Graph, nSources int, seed int64) (*Reachability, error) {
-	return MeasureAveragedCached(g, nSources, seed, nil)
+	return MeasureAveragedCached(context.Background(), g, nSources, seed, nil)
 }
 
 // MeasureAveragedCached is MeasureAveraged routed through an SPT cache (nil
 // disables caching). Experiments that histogram the same (graph, seed) pair —
 // fig6 and fig7 share their per-topology source streams — reuse every tree on
 // the second pass. S(r) entries are counts accumulated in exact float64
-// integer arithmetic, so the result is the same either way.
-func MeasureAveragedCached(g *graph.Graph, nSources int, seed int64, spts *graph.SPTCache) (*Reachability, error) {
+// integer arithmetic, so the result is the same either way. It polls ctx
+// before each source's histogram and returns its error once the context is
+// done.
+func MeasureAveragedCached(ctx context.Context, g *graph.Graph, nSources int, seed int64, spts *graph.SPTCache) (*Reachability, error) {
 	if nSources <= 0 {
 		return nil, fmt.Errorf("reach: nSources must be > 0, got %d", nSources)
 	}
@@ -66,6 +69,9 @@ func MeasureAveragedCached(g *graph.Graph, nSources int, seed int64, spts *graph
 	var acc []float64
 	var buf graph.SPT
 	for i := range srcs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		spt, err := trees.Tree(i, &buf)
 		if err != nil {
 			return nil, err

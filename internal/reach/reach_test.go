@@ -1,6 +1,8 @@
 package reach
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -59,6 +61,42 @@ func TestMeasureErrors(t *testing.T) {
 	}
 }
 
+// cancelledFromCall is a context whose Err reports context.Canceled from
+// its from-th call on, and counts the calls.
+type cancelledFromCall struct {
+	context.Context
+	from, calls int
+}
+
+func (c *cancelledFromCall) Err() error {
+	if c.calls++; c.calls >= c.from {
+		return context.Canceled
+	}
+	return nil
+}
+
+// MeasureAveragedCached polls its context before every source's histogram,
+// with the cache on and off, and stops at the first poll that reports
+// cancellation.
+func TestMeasureAveragedCachedHonoursCancellation(t *testing.T) {
+	g, err := topology.TransitStubSized(200, 3.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spts := range []*graph.SPTCache{nil, graph.NewSPTCache(1 << 30)} {
+		for _, from := range []int{1, 2, 20} {
+			ctx := &cancelledFromCall{Context: context.Background(), from: from}
+			r, err := MeasureAveragedCached(ctx, g, 20, 7, spts)
+			if !errors.Is(err, context.Canceled) || r != nil {
+				t.Fatalf("cache %v, cancelled from poll %d: %v, %v; want context.Canceled", spts != nil, from, r, err)
+			}
+			if ctx.calls != from {
+				t.Fatalf("cache %v: ctx.Err called %d times, want the run to stop at poll %d", spts != nil, ctx.calls, from)
+			}
+		}
+	}
+}
+
 // TestMeasureAveragedDeterministic: S(r) is a function of the graph, the
 // source count and the seed. Uncached, through a cold cache and through the
 // same cache warm, it must equal, bit for bit, the histogram of per-source
@@ -91,7 +129,7 @@ func TestMeasureAveragedDeterministic(t *testing.T) {
 		name string
 		spts *graph.SPTCache
 	}{{"uncached", nil}, {"cold cache", cache}, {"warm cache", cache}} {
-		got, err := MeasureAveragedCached(g, nSources, seed, run.spts)
+		got, err := MeasureAveragedCached(context.Background(), g, nSources, seed, run.spts)
 		if err != nil {
 			t.Fatalf("%s: %v", run.name, err)
 		}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -391,7 +392,10 @@ func TestPreferentialAttachment(t *testing.T) {
 		t.Fatal("PA giant must be connected")
 	}
 	// Heavy tail: max degree far above average.
-	m := graph.ComputeMetrics(g, 50, 1)
+	m, err := graph.ComputeMetrics(context.Background(), g, 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if float64(m.MaxDegree) < 5*m.AvgDegree {
 		t.Fatalf("no heavy tail: max %d avg %.2f", m.MaxDegree, m.AvgDegree)
 	}
