@@ -161,25 +161,21 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 	if len(sources) == 0 {
 		return nil // and makes no index it would never drop
 	}
-	type wait struct {
-		i int
-		e *sptEntry
-	}
 	// Both lists are made on first use with room for every later source,
 	// so a warm read allocates nothing and a cold one allocates each once.
-	var waits []wait    // lookups whose tree was not ready under the lock
-	var own []*sptEntry // the misses, in first-occurrence order
+	var own []sptSlot   // the misses this read computes, in first-occurrence order
+	var waits []sptSlot // duplicates of a miss, and trees other callers have in flight
 	c.mu.Lock()
 	ix := c.indexLocked(g)
 	for i, s := range sources {
 		e := ix.bySource[s]
 		switch {
 		case e == nil:
-			e = ix.enter(g, s)
 			if own == nil {
-				own = make([]*sptEntry, 0, len(sources)-i)
+				own = make([]sptSlot, 0, len(sources)-i)
 			}
-			own = append(own, e)
+			own = append(own, sptSlot{i, ix.enter(g, s)})
+			continue
 		case e.next != nil:
 			// A mapped entry is unlinked only while this loop holds the
 			// lock after entering it as a miss: a duplicate source, which
@@ -198,12 +194,12 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 		default:
 		}
 		if waits == nil {
-			waits = make([]wait, 0, len(sources)-i)
+			waits = make([]sptSlot, 0, len(sources)-i)
 		}
-		waits = append(waits, wait{i, e})
+		waits = append(waits, sptSlot{i, e})
 	}
-	for _, e := range own {
-		c.pushFrontLocked(e)
+	for _, o := range own {
+		c.pushFrontLocked(o.e)
 	}
 	c.misses += uint64(len(own))
 	c.mu.Unlock()
@@ -211,8 +207,11 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 	if len(own) > 0 {
 		fillInPlace(g, own)
 		c.mu.Lock()
-		for _, e := range own {
-			c.settleLocked(e)
+		for _, o := range own {
+			c.settleLocked(o.e)
+			if dst != nil {
+				dst[o.i] = o.e.spt
+			}
 		}
 		c.mu.Unlock()
 	}
@@ -228,6 +227,12 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 	return nil
 }
 
+// sptSlot is a batch read's entry for sources[i].
+type sptSlot struct {
+	i int
+	e *sptEntry
+}
+
 // fillInPlace computes the trees of entries in flight through the MS-BFS
 // kernel in 64-lane groups, straight into each tree's own Dist and Parent
 // (one allocation per tree), and marks each group's entries ready once their
@@ -235,7 +240,7 @@ func (c *SPTCache) read(g *Graph, sources []int, dst []*SPT) error {
 // evicting it frees them: trees carved from one shared allocation would
 // leave the budget counting bytes freed that stay live until the last of
 // them goes.
-func fillInPlace(g *Graph, own []*sptEntry) {
+func fillInPlace(g *Graph, own []sptSlot) {
 	n := g.N()
 	sc := msbfsScratchPool.Get().(*msbfsScratch)
 	defer msbfsScratchPool.Put(sc)
@@ -243,7 +248,8 @@ func fillInPlace(g *Graph, own []*sptEntry) {
 	var dist, parent [msbfsLanes][]int32
 	for base := 0; base < len(own); base += msbfsLanes {
 		group := own[base:min(base+msbfsLanes, len(own))]
-		for i, e := range group {
+		for i, o := range group {
+			e := o.e
 			s := stagger(i, n)
 			buf := make([]int32, s+2*n)
 			e.spt = &SPT{Source: e.source, Dist: buf[s : s+n : s+n], Parent: buf[s+n:]}
@@ -251,9 +257,9 @@ func fillInPlace(g *Graph, own []*sptEntry) {
 		}
 		k := len(group)
 		g.msbfsGroup(sources[:k], dist[:k], parent[:k], sc)
-		for _, e := range group {
-			e.spt.Order = levelOrder(e.spt.Dist)
-			close(e.ready)
+		for _, o := range group {
+			o.e.spt.Order = levelOrder(o.e.spt.Dist)
+			close(o.e.ready)
 		}
 	}
 }

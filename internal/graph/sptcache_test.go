@@ -334,6 +334,42 @@ func TestSPTCacheGetBatch(t *testing.T) {
 	}
 }
 
+// A source repeated within a cold batch is computed once, and the tree goes
+// to every index that names it, whichever 64-lane group computed it; a
+// stale dst entry is overwritten at every index.
+func TestSPTCacheGetBatchRepeatedMiss(t *testing.T) {
+	g := randomGraph(12, 300, 600)
+	c := NewSPTCache(1 << 30)
+	var sources []int
+	for s := range 70 {
+		sources = append(sources, s)
+	}
+	sources = append(sources, 3, 68, 3, 69)
+	stale := &SPT{Source: -1}
+	dst := make([]*SPT, len(sources))
+	for i := range dst {
+		dst[i] = stale
+	}
+	trees, err := c.GetBatch(g, sources, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[int]*SPT{}
+	for i, s := range sources {
+		tr := trees[i]
+		if tr == stale || tr.Source != s || tr.Dist[s] != 0 {
+			t.Fatalf("trees[%d] = %p (source %d), want the tree of source %d", i, tr, tr.Source, s)
+		}
+		if f, ok := first[s]; ok && f != tr {
+			t.Fatalf("source %d repeated at index %d: %p, want the same tree %p as its first index", s, i, tr, f)
+		}
+		first[s] = tr
+	}
+	if st := c.Stats(); st.Misses != 70 || st.Hits != 0 || st.Entries != 70 {
+		t.Fatalf("stats = %+v, want 70 misses, no hits, 70 entries", st)
+	}
+}
+
 // A cold GetBatch allocates each tree once and nothing the size of the batch
 // besides: after two collections have emptied the pools, as the benchmark
 // does before each iteration, it may allocate the k trees (Dist, Parent and
