@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"mtreescale/internal/graph"
+	"mtreescale/internal/mcast"
 	"mtreescale/internal/rng"
 )
 
@@ -100,7 +101,7 @@ func MeasureWeightedCurveCtx(ctx context.Context, gg *GeoGraph, sizes []int, nSo
 	}
 	srcRand := rng.NewChild(seed, -1)
 	var bfs graph.SPT
-	hopCounter := newHopCounter(g.N())
+	counter := mcast.NewTreeCounter(g.N())
 	for si := 0; si < nSource; si++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -133,8 +134,8 @@ func MeasureWeightedCurveCtx(ctx context.Context, gg *GeoGraph, sizes []int, nSo
 				}
 				recv := pop[:size]
 
-				hops, hopSum := hopCounter.measure(&bfs, recv)
-				if hopSum == 0 {
+				hops := counter.Measure(&bfs, recv)
+				if hops.UnicastHops == 0 {
 					continue
 				}
 				cost, _ := gg.TreeCost(wspt, recv)
@@ -142,7 +143,7 @@ func MeasureWeightedCurveCtx(ctx context.Context, gg *GeoGraph, sizes []int, nSo
 				if reach == 0 || ucost == 0 {
 					continue
 				}
-				out[k].MeanHopRatio += float64(hops) / (float64(hopSum) / float64(len(recv)))
+				out[k].MeanHopRatio += float64(hops.Links) / (float64(hops.UnicastHops) / float64(len(recv)))
 				out[k].MeanCostRatio += cost / (ucost / float64(reach))
 				out[k].Samples++
 			}
@@ -155,30 +156,4 @@ func MeasureWeightedCurveCtx(ctx context.Context, gg *GeoGraph, sizes []int, nSo
 		}
 	}
 	return out, nil
-}
-
-// hopCounter is a miniature epoch-marked tree counter (kept local to avoid
-// an import cycle with mcast).
-type hopCounter struct {
-	epoch   int32
-	visited []int32
-}
-
-func newHopCounter(n int) *hopCounter { return &hopCounter{visited: make([]int32, n)} }
-
-func (c *hopCounter) measure(spt *graph.SPT, recv []int32) (links int, unicastHops int64) {
-	c.epoch++
-	c.visited[spt.Source] = c.epoch
-	for _, r := range recv {
-		if r < 0 || int(r) >= len(spt.Parent) || spt.Dist[r] == graph.Unreachable {
-			continue
-		}
-		unicastHops += int64(spt.Dist[r])
-		for v := r; c.visited[v] != c.epoch; {
-			c.visited[v] = c.epoch
-			links++
-			v = spt.Parent[v]
-		}
-	}
-	return links, unicastHops
 }
