@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race race-all race-robust bench bench-all bench-compare bench-churn bench-cluster bench-large large-smoke cluster-smoke chaos-smoke churn-smoke membership-smoke fuzz fuzz-smoke results results-paper results-check results-paper-check report clean
+.PHONY: all check build vet test race race-all race-robust bench bench-all bench-compare bench-churn bench-cluster bench-large large-smoke cluster-smoke chaos-smoke churn-smoke fuzz fuzz-smoke results results-paper results-check results-paper-check report clean
 
 all: build vet test
 
@@ -45,7 +45,7 @@ race:
 # still on the heap.
 race-robust:
 	$(GO) test -race -timeout 5m \
-		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Fence|Registry|Lease|Announce|WorkerTable|Backoff|TLS' \
+		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Registry|WorkerTable|Backoff|TLS' \
 		./internal/mcast/... ./internal/affinity/... ./internal/experiments/... ./internal/panicsafe/... \
 		./internal/atomicio/... ./internal/serve/... ./internal/graph/... \
 		./internal/cluster/... ./internal/chaos/... \
@@ -128,10 +128,11 @@ large-smoke:
 	MTREESCALE_LARGE_SMOKE=1 $(GO) test -run 'TestLargeGraphSmoke$$' -timeout 10m .
 
 # The cluster smoke: the coordinator's worker-kill resilience under the race
-# detector (in-process daemons), then the same scenario end-to-end across
-# real mtsimd processes and sockets — two workers, one killed after its
-# first completed shard, merged output byte-compared against the
-# single-process golden.
+# detector (in-process daemons), then end to end across real mtsimd
+# processes and sockets: two workers with one killed after its first
+# completed shard, a coordinator SIGKILLed mid-run and resumed from its
+# journal, and a TLS worker behind a shard token — every merged output
+# byte-compared against the single-process golden.
 cluster-smoke:
 	$(GO) test -race -timeout 5m \
 		-run 'TestClusterSurvivesDaemonKillMidRun|TestCoordinator|TestShardEndpoint' \
@@ -160,18 +161,6 @@ chaos-smoke:
 churn-smoke:
 	$(GO) test -race -timeout 5m -run 'Churn|DynTree' \
 		./internal/mcast/... ./internal/experiments/...
-
-# The membership smoke: the self-healing membership surface (lease registry,
-# worker announce, epoch-fenced takeover, TLS transport) under the race
-# detector, then the end-to-end script: real daemons with a worker joining
-# mid-run, a SIGKILLed worker retired by lease expiry, a coordinator killed
-# and fenced out by its replacement, and a TLS phase — every phase
-# byte-compared against the single-process golden.
-membership-smoke:
-	$(GO) test -race -timeout 5m \
-		-run 'Membership|Fence|Registry|Lease|Announce|TLS' \
-		./internal/cluster/... ./internal/atomicio/... ./internal/retry/...
-	./scripts/membership_smoke.sh
 
 # Short fuzzing passes over the parsers and the equivalence gates.
 fuzz:

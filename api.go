@@ -785,46 +785,11 @@ func StartClusterStubWorkerOpts(opt ClusterStubOptions) (*ClusterStubWorker, err
 	return cluster.StartStubWorkerOpts(opt)
 }
 
-// ClusterRegistry is a lease-based worker membership table: workers enter
-// by announcement (their own POST /register, or -discover polling), stay
-// members while heartbeats renew their TTL lease, and are retired when the
-// lease expires. Static members (the classic -workers list) never expire.
-type ClusterRegistry = cluster.Registry
-
-// ClusterMemberEvent is one membership transition ("join" or "leave").
-type ClusterMemberEvent = cluster.MemberEvent
-
-// ClusterRegisterPath is the registrar endpoint workers announce
-// themselves to.
-const ClusterRegisterPath = cluster.RegisterPath
-
-// NewClusterRegistry builds a registry with the given lease TTL
-// (non-positive means the 15s default) whose static members never expire.
-// Pass it to a coordinator via ClusterOptions.Registry to share one
-// membership view between the dispatch loop and a registrar endpoint or
-// discover-file poller.
-func NewClusterRegistry(ttl time.Duration, static []string) *ClusterRegistry {
-	return cluster.NewRegistry(ttl, static)
-}
-
 // NewClusterTLSClient builds an HTTP client trusting exactly the CA
 // certificates in the PEM file at caPath — the client side of cluster TLS
-// (mtctl -tls-ca, mtsimd -tls-ca for announcing to a TLS registrar).
+// (mtctl -tls-ca).
 func NewClusterTLSClient(caPath string) (*http.Client, error) {
 	return cluster.NewTLSClient(caPath)
-}
-
-// AnnounceClusterWorker posts self's base URL to a registrar's
-// POST /register endpoint once, reporting whether it was a join.
-func AnnounceClusterWorker(ctx context.Context, client *http.Client, registrar, self, token string) (joined bool, err error) {
-	return cluster.AnnounceOnce(ctx, client, registrar, self, token)
-}
-
-// ClusterAnnounceLoop keeps self registered with a registrar until ctx
-// ends: one announcement per interval, failures paced by capped
-// exponential backoff and reported through onErr (nil ignores them).
-func ClusterAnnounceLoop(ctx context.Context, client *http.Client, registrar, self, token string, interval time.Duration, onErr func(error)) {
-	cluster.AnnounceLoop(ctx, client, registrar, self, token, interval, onErr)
 }
 
 // ChaosPlan is a parsed deterministic fault-injection schedule: named

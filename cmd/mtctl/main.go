@@ -41,22 +41,14 @@
 //     than N times the rolling mean shard latency (floor -spec-min); the
 //     first valid result wins, the loser is discarded.
 //   - -token authenticates POST /shard and heartbeat probes against workers
-//     started with mtsimd -shard-token; it also gates the -register-addr
-//     registrar.
-//   - Membership is dynamic: -register-addr serves a registrar workers
-//     announce themselves to (mtsimd -announce), and -discover polls a
-//     worker address file. Announced workers hold a -lease-ttl lease that
-//     every successful heartbeat renews; a worker whose lease expires is
-//     retired — its in-flight shards requeue without costing retry budget —
-//     and may rejoin later by announcing again. The classic -workers list
-//     is static membership: those workers are never retired, only evicted.
-//   - With -out, the journal is epoch-fenced: each coordinator claims the
-//     next epoch on open, so a replacement coordinator resuming a dead
-//     one's run fences the original — if the "dead" coordinator was merely
-//     slow and writes again, its append fails and it aborts instead of
-//     double-merging (no split-brain).
-//   - -tls-ca pins the CA for https workers (mtsimd -tls-cert/-tls-key);
-//     -tls-cert/-tls-key serve the registrar itself over TLS.
+//     started with mtsimd -shard-token.
+//   - -tls-ca pins the CA for https workers (mtsimd -tls-cert/-tls-key).
+//
+// The -workers list is the whole fleet for the run: workers are evicted,
+// benched and readmitted, never added or removed. A killed coordinator is
+// recovered by rerunning it with -resume; every partial is a deterministic
+// function of its grid key and block, so a resumed run merges the same
+// bytes whichever run journaled each block.
 //
 // -bench measures the coordinator's fan-out overlap against calibrated-
 // latency in-process stub workers (1 worker vs 2 over the same grid) and
@@ -69,8 +61,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -122,15 +112,8 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		retries    = fs.Int("retries", 3, "worker-failure budget per shard (429s are backpressure and cost nothing)")
 		backoff    = fs.Duration("backoff", time.Second, "bench after a worker's first failed shard, doubling per consecutive failure; also the 429 pause when Retry-After is absent")
 		backoffMax = fs.Duration("backoff-max", 30*time.Second, "cap on a worker's bench")
-		token      = fs.String("token", "", "bearer token sent with every POST /shard and heartbeat probe (matches mtsimd -shard-token); also gates -register-addr")
+		token      = fs.String("token", "", "bearer token sent with every POST /shard and heartbeat probe (matches mtsimd -shard-token)")
 		tlsCA      = fs.String("tls-ca", "", "CA certificate pool (PEM) trusted for https workers (mtsimd -tls-cert)")
-
-		discover         = fs.String("discover", "", "worker address file (one base URL per line, #-comments) polled for membership; additions join within one poll, removals age out by lease expiry")
-		discoverInterval = fs.Duration("discover-interval", time.Second, "poll period for -discover")
-		registerAddr     = fs.String("register-addr", "", "serve a registrar on this address: workers announce themselves via POST /register (mtsimd -announce)")
-		tlsCert          = fs.String("tls-cert", "", "serve the -register-addr registrar over TLS with this PEM certificate (requires -tls-key)")
-		tlsKey           = fs.String("tls-key", "", "PEM private key for -tls-cert")
-		leaseTTL         = fs.Duration("lease-ttl", 0, "membership lease for announced workers; a lease no heartbeat or announcement renews retires the worker (0 = 15s)")
 
 		heartbeat = fs.Duration("heartbeat", 5*time.Second, "worker liveness probe interval; evicted workers stop receiving shards until a probe succeeds (0 disables)")
 		hbFails   = fs.Int("heartbeat-fails", 3, "consecutive heartbeat failures before a worker is evicted")
@@ -140,7 +123,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		chaosSeed = fs.Int64("chaos-seed", 1, "seed for the -chaos schedule; the same seed reproduces the identical fault sequence")
 
 		outDir = fs.String("out", "", "write merged.json and the checkpoint.jsonl shard journal into this directory")
-		resume = fs.Bool("resume", false, "replay <out>/checkpoint.jsonl and recompute only missing shards")
+		resume = fs.Bool("resume", false, "replay <out>/checkpoint.jsonl and recompute only missing shards (requires -out)")
 		timing = fs.String("timing", "", "write a BENCH-style timing document for this run to this file")
 
 		bench        = fs.String("bench", "", "run the committed cluster benchmark (1 vs 2 calibrated-latency stub workers) and write BENCH-style JSON to this file")
@@ -153,6 +136,9 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 	if *version {
 		fmt.Fprintln(outw, "mtctl", mtreescale.VersionString())
 		return nil
+	}
+	if *resume && *outDir == "" {
+		return fmt.Errorf("-resume requires -out (the checkpoint journal lives in the output directory)")
 	}
 
 	grid, err := buildGrid(gridFlags{
@@ -192,7 +178,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		if err != nil {
 			return err
 		}
-	case *workers != "" || *discover != "" || *registerAddr != "":
+	case *workers != "":
 		label = "ClusterRun/" + string(grid.Kind)
 		urls := splitList(*workers)
 		opt := mtreescale.ClusterOptions{
@@ -205,7 +191,6 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 			HeartbeatFails: *hbFails,
 			SpecFactor:     *speculate,
 			SpecMin:        *specMin,
-			LeaseTTL:       *leaseTTL,
 			OnEvent:        eventPrinter(errw),
 		}
 		if *tlsCA != "" {
@@ -214,12 +199,6 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 				return fmt.Errorf("-tls-ca: %w", err)
 			}
 			opt.Client = client
-		}
-		// Dynamic membership: a shared registry lets the discover poller
-		// and/or the registrar endpoint admit workers while the run is in
-		// flight; the classic -workers list enters it as static members.
-		if *discover != "" || *registerAddr != "" {
-			opt.Registry = mtreescale.NewClusterRegistry(*leaseTTL, nil)
 		}
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -232,38 +211,9 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *discover != "" {
-			go coord.Registry().PollDiscoverFile(ctx, *discover, *discoverInterval,
-				func(err error) { fmt.Fprintf(errw, "mtctl: discover: %v\n", err) })
-		}
-		if *registerAddr != "" {
-			if (*tlsCert == "") != (*tlsKey == "") {
-				return fmt.Errorf("-tls-cert and -tls-key must be given together")
-			}
-			rln, err := net.Listen("tcp", *registerAddr)
-			if err != nil {
-				return fmt.Errorf("-register-addr: %w", err)
-			}
-			rsrv := &http.Server{
-				Handler:           coord.Registry().Handler(*token),
-				ReadHeaderTimeout: 5 * time.Second,
-			}
-			defer rsrv.Close()
-			if *tlsCert != "" {
-				go func() { _ = rsrv.ServeTLS(rln, *tlsCert, *tlsKey) }()
-				fmt.Fprintf(errw, "mtctl: registrar on https://%s\n", rln.Addr())
-			} else {
-				go func() { _ = rsrv.Serve(rln) }()
-				fmt.Fprintf(errw, "mtctl: registrar on http://%s\n", rln.Addr())
-			}
-		}
 		n := *shards
 		if n <= 0 {
 			n = 2 * len(urls)
-		}
-		if n <= 0 {
-			// Pure dynamic membership: no static workers to size from.
-			n = 8
 		}
 		merged, stats, err = coord.Run(ctx, grid, n)
 		if err != nil {
@@ -281,9 +231,6 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		if stats.Evictions+stats.Readmissions+stats.Speculations+stats.JournalSkipped > 0 {
 			fmt.Fprintf(errw, "mtctl: %d evictions, %d readmissions, %d speculations, %d journal lines skipped\n",
 				stats.Evictions, stats.Readmissions, stats.Speculations, stats.JournalSkipped)
-		}
-		if stats.Joins+stats.Leaves > 0 {
-			fmt.Fprintf(errw, "mtctl: %d joins, %d leaves\n", stats.Joins, stats.Leaves)
 		}
 		for _, w := range sortedKeys(stats.PerWorker) {
 			fmt.Fprintf(errw, "mtctl:   %s: %d shards\n", w, stats.PerWorker[w])
@@ -410,10 +357,6 @@ func eventPrinter(errw io.Writer) func(mtreescale.ClusterEvent) {
 			fmt.Fprintf(errw, "mtctl: %s evicted: %v\n", ev.Worker, ev.Err)
 		case "readmit":
 			fmt.Fprintf(errw, "mtctl: %s readmitted after a successful probe\n", ev.Worker)
-		case "join":
-			fmt.Fprintf(errw, "mtctl: %s joined the worker pool\n", ev.Worker)
-		case "leave":
-			fmt.Fprintf(errw, "mtctl: %s left the worker pool (lease expired); its shards requeue\n", ev.Worker)
 		case "speculate":
 			fmt.Fprintf(errw, "mtctl: shard [%d,%d) straggling on %s; dispatching a backup copy\n",
 				ev.Lo, ev.Hi, ev.Worker)

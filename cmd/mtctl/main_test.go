@@ -49,6 +49,7 @@ func TestBadGridFlags(t *testing.T) {
 		{"-local", "-strategy", "nope"},
 		{"-local", "-sizes", "1,-3"},
 		{"-local", "-topo", "nope"},
+		{"-local", "-resume"}, // the journal lives under -out
 	} {
 		if _, _, err := ctl(t, bad...); err == nil {
 			t.Fatalf("flags %v: expected error", bad)

@@ -87,10 +87,6 @@ func runDaemon(ctx context.Context, args []string, logw io.Writer) error {
 	fs.StringVar(&cfg.shardToken, "shard-token", "", "require this bearer token on POST /shard (empty = open); coordinators pass it via mtctl -token")
 	fs.StringVar(&cfg.tlsCert, "tls-cert", "", "serve TLS with this PEM certificate (requires -tls-key); coordinators connect with mtctl -tls-ca")
 	fs.StringVar(&cfg.tlsKey, "tls-key", "", "PEM private key for -tls-cert")
-	tlsCA := fs.String("tls-ca", "", "CA certificate pool (PEM) trusted when announcing to an https registrar")
-	announce := fs.String("announce", "", "registrar base URL (mtctl -register-addr) to announce this worker to; announcements double as lease renewals")
-	advertise := fs.String("advertise", "", "base URL other hosts reach this worker at (default: scheme + listen address)")
-	announceInterval := fs.Duration("announce-interval", 5*time.Second, "re-announcement period for -announce; failures back off exponentially from it")
 	chaosSpec := fs.String("chaos", "", "fault-injection schedule, e.g. 'serve.handler=error@0.1;shard.payload=bitflip#1' (testing only; see internal/chaos)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the -chaos schedule; the same seed reproduces the identical fault sequence")
 	if err := fs.Parse(args); err != nil {
@@ -143,22 +139,6 @@ func runDaemon(ctx context.Context, args []string, logw io.Writer) error {
 	scheme := "http"
 	if cfg.tlsCert != "" {
 		scheme = "https"
-	}
-	if *announce != "" {
-		self := *advertise
-		if self == "" {
-			self = scheme + "://" + ln.Addr().String()
-		}
-		client := http.DefaultClient
-		if *tlsCA != "" {
-			client, err = mtreescale.NewClusterTLSClient(*tlsCA)
-			if err != nil {
-				return fmt.Errorf("-tls-ca: %w", err)
-			}
-		}
-		logf("mtsimd: announcing %s to %s every %s", self, *announce, *announceInterval)
-		go mtreescale.ClusterAnnounceLoop(ctx, client, *announce, self, cfg.shardToken, *announceInterval,
-			func(err error) { logf("mtsimd: announce: %v", err) })
 	}
 	logf("mtsimd: listening on %s://%s (%d experiments, profiles paper|medium|quick)",
 		scheme, ln.Addr(), len(mtreescale.ListExperiments()))

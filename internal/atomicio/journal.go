@@ -22,13 +22,6 @@ type Journal struct {
 	mu  sync.Mutex
 	f   *os.File
 	err error // first failure; reported by Err and Close
-	// Fenced journals (OpenJournalFenced) also carry the coordinator epoch
-	// they claimed and the byte count this writer has accounted for, so
-	// each append can detect a takeover writer's fence record in any
-	// foreign bytes that appeared since (see checkFence).
-	epoch  int64
-	fenced bool
-	size   int64
 }
 
 // OpenJournal opens path for appending, truncating any previous journal
@@ -76,16 +69,8 @@ func (j *Journal) Append(label string, v any) {
 		j.err = fmt.Errorf("journal: %s: append after close", label)
 		return
 	}
-	// A fenced journal refuses to write past another coordinator's claim:
-	// the one check that turns a would-be split-brain double-merge into a
-	// clean ErrFenced abort on the stale side.
-	if err == nil && j.fenced {
-		err = j.checkFence()
-	}
-	var n int
 	if err == nil {
-		n, err = j.f.Write(rec)
-		j.size += int64(n)
+		_, err = j.f.Write(rec)
 	}
 	if err == nil {
 		err = chaos.Maybe("journal.sync")

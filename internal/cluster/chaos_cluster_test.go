@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -473,4 +475,150 @@ func TestClusterChaosSoak(t *testing.T) {
 		t.Fatalf("soak merge != local after %d injected faults", len(plan.Events()))
 	}
 	t.Logf("soak survived %d injected faults: %+v", len(plan.Events()), stats)
+}
+
+// newSlowHealthzServer serves a real /shard but answers /healthz only
+// after delay — the kind of worker HeartbeatTimeout exists to classify.
+func newSlowHealthzServer(t *testing.T, delay time.Duration) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+HealthzPath, func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(delay):
+		case <-r.Context().Done():
+			return
+		}
+		w.Write([]byte(`{"ok":true}` + "\n"))
+	})
+	mux.HandleFunc("POST "+ShardPath, func(w http.ResponseWriter, r *http.Request) {
+		var spec ShardSpec
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		p, err := ExecuteShard(r.Context(), spec)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		json.NewEncoder(w).Encode(p)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestMembershipHeartbeatTimeout: a worker whose /healthz answers slowly is
+// evicted under a short HeartbeatTimeout and kept under a generous one —
+// the probe deadline is policy, not a constant.
+func TestMembershipHeartbeatTimeout(t *testing.T) {
+	g := testGrid(KindCurve)
+	want, err := RunLocal(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stub whose healthz sleeps 60ms before answering 200.
+	slow := newSlowHealthzServer(t, 60*time.Millisecond)
+	fast, err := StartStubWorker("fast", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Close()
+
+	run := func(timeout time.Duration) *Stats {
+		co, err := New([]string{slow, fast.URL()}, Options{
+			Heartbeat:        5 * time.Millisecond,
+			HeartbeatFails:   1,
+			HeartbeatTimeout: timeout,
+			Sleep:            instant,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := co.Run(nil, g, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("merged != local")
+		}
+		return stats
+	}
+
+	impatient := run(25 * time.Millisecond)
+	if impatient.Evictions < 1 || impatient.PerWorker[slow] != 0 {
+		t.Fatalf("slow-healthz worker not evicted under a 25ms probe deadline: %+v", impatient)
+	}
+	patient := run(2 * time.Second)
+	if patient.Evictions != 0 {
+		t.Fatalf("slow-healthz worker evicted under a 2s probe deadline: %+v", patient)
+	}
+}
+
+// TestMembershipSpeculationSkipsEvicted is the regression test for
+// speculative re-execution against a dead fleet: with the only alternative
+// worker evicted, the speculator must hold the shard's single backup copy
+// (not burn it against an evicted target), then spend it when the worker is
+// readmitted. Before the fix the budget was consumed while skipping, so the
+// straggler's shard could never be rescued and the run hung.
+func TestMembershipSpeculationSkipsEvicted(t *testing.T) {
+	g := testGrid(KindCurve)
+	want, err := RunLocal(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straggler, err := StartStubWorker("straggler", 0, func(ctx context.Context, spec ShardSpec) (*Partial, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer straggler.Close()
+	alt, err := StartStubWorker("alt", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alt.Close()
+	alt.SetHealthy(false) // evicted by the opening probe round
+
+	var evicted sync.Once
+	co, err := New([]string{straggler.URL(), alt.URL()}, Options{
+		Heartbeat:      5 * time.Millisecond,
+		HeartbeatFails: 1,
+		SpecFactor:     2,
+		SpecMin:        20 * time.Millisecond,
+		Sleep:          instant,
+		OnEvent: func(ev Event) {
+			if ev.Kind == "evict" && ev.Worker == alt.URL() {
+				evicted.Do(func() {
+					// Recover only after the speculator has had time to
+					// consider (and correctly skip) the alternative-less
+					// straggler.
+					time.AfterFunc(60*time.Millisecond, func() { alt.SetHealthy(true) })
+				})
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, stats, err := co.Run(ctx, g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Evictions < 1 || stats.Readmissions < 1 {
+		t.Fatalf("no evict/readmit cycle: %+v", stats)
+	}
+	if stats.Speculations < 1 {
+		t.Fatalf("straggler never rescued: %+v", stats)
+	}
+	if stats.PerWorker[straggler.URL()] != 0 {
+		t.Fatal("straggler somehow completed a shard")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("merged via deferred speculation != local")
+	}
 }

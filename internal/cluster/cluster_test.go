@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -366,6 +368,69 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got3, want) {
 		t.Fatal("fully-resumed merge != local")
+	}
+}
+
+// TestResumeReadsFencedJournal: journals written while coordinators fenced
+// their journals still resume. Fence records carry no grid key and are
+// skipped as foreign lines; the epoch stamped on each shard line is ignored,
+// even on a line stamped below a later fence, because a partial is a
+// deterministic function of its grid key and block whichever coordinator
+// wrote it.
+func TestResumeReadsFencedJournal(t *testing.T) {
+	g := testGrid(KindCurve)
+	want, err := RunLocal(nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Plan(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardLine := func(epoch int64, spec ShardSpec) string {
+		p, err := ExecuteShard(nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(struct {
+			Epoch int64 `json:"epoch"`
+			*Partial
+		}{epoch, p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	fixture := strings.Join([]string{
+		`{"fence_epoch":1,"fence_owner":"coordinator"}`,
+		shardLine(1, plan[0]),
+		`{"fence_epoch":2,"fence_owner":"coordinator"}`,
+		shardLine(2, plan[1]),
+		shardLine(1, plan[2]), // stamped below the epoch-2 fence above it
+	}, "\n") + "\n"
+	journal := filepath.Join(t.TempDir(), "checkpoint.jsonl")
+	if err := os.WriteFile(journal, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	co, err := New([]string{"http://127.0.0.1:1"}, Options{
+		JournalPath: journal,
+		Resume:      true,
+		Retries:     1,
+		Sleep:       instant,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := co.Run(nil, g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resumed != stats.Planned || stats.Planned != 3 || stats.JournalSkipped != 0 || stats.Attempts != 0 {
+		t.Fatalf("fenced journal not fully resumed: %+v", stats)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("merge resumed from a fenced journal != local")
 	}
 }
 

@@ -27,12 +27,9 @@ const ShardPath = "/shard"
 // "requeue" (worker failed; the shard goes back to the pool),
 // "quarantine" (that failure benched the worker for RetryIn),
 // "evict" / "readmit" (heartbeat verdicts on a worker),
-// "join" / "leave" (registry membership transitions: a worker announced
-// itself or its lease expired),
 // "speculate" (a straggling shard was re-queued to race its original
 // dispatch) and "journal-skip" (a resume journal line carried this grid's
-// key but failed validation — or was written by a fenced stale coordinator
-// — and was discarded).
+// key but failed validation and was discarded).
 type Event struct {
 	Kind    string
 	Worker  string
@@ -60,11 +57,6 @@ type Stats struct {
 	Readmissions int `json:"readmissions,omitempty"`
 	Speculations int `json:"speculations,omitempty"`
 	StaleDropped int `json:"stale_dropped,omitempty"`
-	// Joins and Leaves count registry membership transitions observed
-	// during the run: workers admitted (announcement or discovery) and
-	// workers retired by lease expiry.
-	Joins  int `json:"joins,omitempty"`
-	Leaves int `json:"leaves,omitempty"`
 	// JournalSkipped counts resume journal lines that carried this grid's
 	// key but failed validation (stale block bounds, payload mismatch, bad
 	// checksum) and were recomputed instead of trusted.
@@ -97,26 +89,9 @@ type Options struct {
 	BackoffMax time.Duration
 	// JournalPath, when set, appends every completed partial to an fsynced
 	// JSONL journal; with Resume, partials already journaled for this grid
-	// and shard plan are not recomputed. The journal is epoch-fenced: each
-	// Run claims the next coordinator epoch on open, stamps it into every
-	// shard line, and aborts with atomicio.ErrFenced if a later epoch
-	// (a replacement coordinator's -resume takeover) claims the file —
-	// the stale side of a takeover can never double-merge.
+	// and shard plan are not recomputed.
 	JournalPath string
 	Resume      bool
-	// Owner names this coordinator in the journal's fence records, for
-	// operators reading a contested journal (default "coordinator").
-	Owner string
-	// Registry, when set, supplies dynamic membership: workers join by
-	// announcement (POST /register or -discover polling) and leave by
-	// lease expiry, with slots spawned and retired mid-run. Nil builds a
-	// private static registry from the worker list given to New. Leases
-	// are renewed by successful heartbeat probes, so dynamic membership
-	// needs Heartbeat > 0 to retire silent workers.
-	Registry *Registry
-	// LeaseTTL sets the private registry's lease length when Registry is
-	// nil (default DefaultLeaseTTL); ignored otherwise.
-	LeaseTTL time.Duration
 	// Token, when set, is sent as "Authorization: Bearer <token>" on every
 	// shard post and heartbeat probe (mtsimd -shard-token).
 	Token string
@@ -153,18 +128,15 @@ type Options struct {
 // single-process run, whatever the worker count, scheduling, failures or
 // restarts along the way.
 type Coordinator struct {
-	reg     *Registry
+	workers []string
 	opt     Options
 	backoff retry.Backoff // bench series: capped exponential, deterministic jitter
 }
 
 // New builds a Coordinator over the given worker base URLs
-// (e.g. "http://host:8080"). The workers become static registry members;
-// with Options.Registry set the list may be empty — membership then comes
-// entirely from announcements and discovery, and a run with no members yet
-// waits for the first join.
+// (e.g. "http://host:8080"). The list is fixed for the coordinator's life.
 func New(workers []string, opt Options) (*Coordinator, error) {
-	if len(workers) == 0 && opt.Registry == nil {
+	if len(workers) == 0 {
 		return nil, valid.Badf("cluster: no workers")
 	}
 	seen := map[string]bool{}
@@ -204,18 +176,9 @@ func New(workers []string, opt Options) (*Coordinator, error) {
 	if opt.SpecMin <= 0 {
 		opt.SpecMin = time.Second
 	}
-	if opt.Owner == "" {
-		opt.Owner = "coordinator"
-	}
-	reg := opt.Registry
-	if reg == nil {
-		reg = NewRegistry(opt.LeaseTTL, workers)
-	} else {
-		reg.AddStatic(workers...)
-	}
 	return &Coordinator{
-		reg: reg,
-		opt: opt,
+		workers: append([]string(nil), workers...),
+		opt:     opt,
 		backoff: retry.Backoff{
 			Base:   opt.Backoff,
 			Max:    opt.BackoffMax,
@@ -224,10 +187,6 @@ func New(workers []string, opt Options) (*Coordinator, error) {
 		},
 	}, nil
 }
-
-// Registry returns the coordinator's membership table — the one given in
-// Options, or the private static registry New built from the worker list.
-func (c *Coordinator) Registry() *Registry { return c.reg }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
@@ -264,7 +223,6 @@ type runState struct {
 	fatal      error
 	stats      Stats
 	workers    map[string]*workerRow // the worker table (workers.go)
-	closed     bool                  // the run is ending: spawn no more slots
 	done       chan struct{}         // closed when remaining hits 0
 	cancel     context.CancelFunc
 }
@@ -361,34 +319,12 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 	// silently; lines carrying THIS grid's key that fail validation — stale
 	// bounds from an old plan, payload/block mismatch, a checksum that no
 	// longer matches — are evidence of damage and are logged and counted
-	// before being recomputed. Fence records order the file's writers:
-	// every shard line is judged against the highest coordinator epoch
-	// fenced above it, so a stale coordinator's late writes — lines landing
-	// after the takeover fence with the old epoch — are rejected the same
-	// way damage is.
+	// before being recomputed. A line's writer does not matter: a partial is
+	// a deterministic function of (grid key, lo, hi), so any coordinator
+	// that journaled this block journaled the same sealed value.
 	if c.opt.JournalPath != "" && c.opt.Resume {
 		byBlock := map[[2]int]*Partial{}
-		var fencedEpoch int64
 		if _, err := atomicio.ReadJournal(c.opt.JournalPath, func(line []byte) error {
-			var probe struct {
-				FenceEpoch int64  `json:"fence_epoch"`
-				Epoch      int64  `json:"epoch"`
-				Key        string `json:"key"`
-			}
-			if json.Unmarshal(line, &probe) == nil {
-				if probe.FenceEpoch > 0 {
-					if probe.FenceEpoch > fencedEpoch {
-						fencedEpoch = probe.FenceEpoch
-					}
-					return nil
-				}
-				if probe.Key == g.Key() && probe.Epoch < fencedEpoch {
-					err := valid.Badf("cluster: journal line from stale epoch %d (fenced at %d)", probe.Epoch, fencedEpoch)
-					st.stats.JournalSkipped++
-					c.emit(Event{Kind: "journal-skip", Err: err})
-					return err
-				}
-			}
 			p, err := parseJournalPartial(line, g)
 			if err != nil {
 				if !errors.Is(err, errForeignJournalLine) {
@@ -414,11 +350,7 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 
 	var journal *atomicio.Journal
 	if c.opt.JournalPath != "" {
-		// Claim the next coordinator epoch before dispatching anything: if a
-		// previous coordinator for this journal is still alive somewhere,
-		// its next append sees this fence and dies with ErrFenced instead of
-		// double-merging.
-		journal, _, err = atomicio.OpenJournalFenced(c.opt.JournalPath, c.opt.Resume, c.opt.Owner)
+		journal, err = atomicio.OpenJournal(c.opt.JournalPath, c.opt.Resume)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -452,69 +384,27 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 			go c.speculator(runCtx, plan, pool, st)
 		}
 
-		// Membership-driven slot management: every member gets Inflight
-		// workerLoop slots, spawned on join and cancelled on leave (the
-		// cancel aborts in-flight posts, whose shards requeue without a
-		// strike — see workerLoop). The slots' cancel func lives in the
-		// worker's row; a retired worker loses its row.
+		// Every worker gets Inflight workerLoop slots for the whole run.
 		var wg sync.WaitGroup
-		startWorker := func(w string) {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			if st.closed {
-				return
-			}
-			r := st.row(w)
-			if r.cancel != nil {
-				return
-			}
-			wctx, wcancel := context.WithCancel(runCtx)
-			r.cancel = wcancel
+		for _, w := range c.workers {
 			for s := 0; s < c.opt.Inflight; s++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					c.workerLoop(wctx, w, plan, pool, st, journal)
+					c.workerLoop(runCtx, w, plan, pool, st, journal)
 				}()
 			}
-		}
-		unwatch := c.reg.Watch(func(ev MemberEvent) {
-			switch ev.Kind {
-			case "join":
-				st.mu.Lock()
-				st.stats.Joins++
-				st.mu.Unlock()
-				c.emit(Event{Kind: "join", Worker: ev.Worker})
-				startWorker(ev.Worker)
-			case "leave":
-				st.mu.Lock()
-				st.stats.Leaves++
-				if r := st.workers[ev.Worker]; r != nil && r.cancel != nil {
-					r.cancel()
-				}
-				delete(st.workers, ev.Worker)
-				st.mu.Unlock()
-				c.emit(Event{Kind: "leave", Worker: ev.Worker})
-			}
-		})
-		defer unwatch()
-		for _, w := range c.reg.Members() {
-			startWorker(w)
 		}
 
 		// Every path out of the run ends runCtx except the last shard
 		// settling, so wait for either. Then cancel runCtx, so straggling
 		// speculation losers abort their posts instead of holding wg.Wait
-		// (and the run's wall clock) hostage, and close the table to joins,
-		// so none can wg.Add once Wait has begun.
+		// (and the run's wall clock) hostage.
 		select {
 		case <-st.done:
 		case <-runCtx.Done():
 		}
 		cancel()
-		st.mu.Lock()
-		st.closed = true
-		st.mu.Unlock()
 		wg.Wait()
 	} else {
 		close(st.done)
@@ -603,17 +493,8 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 			if st.complete(idx, p, worker) {
 				// Journal only the accepted result: the race loser's partial
 				// is equal in value but must not produce a duplicate line.
-				// Each line carries this run's coordinator epoch, and a
-				// fence by a higher epoch aborts the run on the spot — a
-				// taken-over coordinator must stop merging, not finish
-				// quietly alongside its replacement.
 				if journal != nil {
-					journal.Append(fmt.Sprintf("shard[%d,%d)", spec.Lo, spec.Hi),
-						journalLine{Epoch: journal.Epoch(), Partial: p})
-					if jerr := journal.Err(); errors.Is(jerr, atomicio.ErrFenced) {
-						st.fail(jerr)
-						return
-					}
+					journal.Append(fmt.Sprintf("shard[%d,%d)", spec.Lo, spec.Hi), p)
 				}
 				c.emit(Event{Kind: "complete", Worker: worker, Lo: spec.Lo, Hi: spec.Hi})
 			}
@@ -640,18 +521,6 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 			// shard failure: no strike, no retry budget, no requeue.
 			if st.isComplete(idx) {
 				continue
-			}
-			// A worker retired mid-flight (lease expired, slots cancelled)
-			// did not fail the shard — the membership changed under it.
-			// Requeue with no strike and no retry budget burned, and let
-			// the slot die with its worker.
-			if !c.reg.Active(worker) {
-				st.mu.Lock()
-				st.stats.Requeues++
-				st.mu.Unlock()
-				pool <- idx
-				c.emit(Event{Kind: "requeue", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, Err: err})
-				return
 			}
 			// The worker takes a strike and is benched (the gate above makes
 			// its slots wait); the shard goes back to the pool at once for
@@ -696,14 +565,13 @@ func (c *Coordinator) speculator(ctx context.Context, plan []ShardSpec, pool cha
 		default:
 		}
 		now := time.Now()
-		// A backup copy needs somewhere useful to land: a live member that
-		// is not the straggler itself and that the gate would let dispatch
-		// (neither evicted nor benched). Snapshot eligibility before taking
-		// st.mu (the registry has its own lock, the gate takes st.mu), then
-		// decide per straggler under it.
+		// A backup copy needs somewhere useful to land: a worker that is not
+		// the straggler itself and that the gate would let dispatch (neither
+		// evicted nor benched). Snapshot eligibility before taking st.mu (the
+		// gate takes it), then decide per straggler under it.
 		var eligible []string
-		for _, w := range c.reg.Members() {
-			if verdict, _ := st.gate(w, now); verdict == gateOpen && c.reg.Active(w) {
+		for _, w := range c.workers {
+			if verdict, _ := st.gate(w, now); verdict == gateOpen {
 				eligible = append(eligible, w)
 			}
 		}
@@ -730,8 +598,8 @@ func (c *Coordinator) speculator(ctx context.Context, plan []ShardSpec, pool cha
 			}
 			// No live target other than the straggler: hold the shard's one
 			// speculative copy (don't burn st.speculated) until a worker
-			// joins, recovers or is readmitted — dispatching the backup to
-			// an evicted or lease-expired worker would waste it.
+			// recovers or is readmitted — dispatching the backup to an
+			// evicted or benched worker would waste it.
 			if !hasAlternative(f.worker) {
 				continue
 			}
@@ -821,18 +689,11 @@ func (c *Coordinator) postShard(ctx context.Context, worker string, spec ShardSp
 	}
 }
 
-// journalLine wraps a Partial with the coordinator epoch that wrote it.
-// The Partial embeds flat, so pre-epoch journals and epoch-stamped lines
-// parse through the same code, and the payload checksum — which covers
-// only Partial fields — is untouched by the wrapper.
-type journalLine struct {
-	Epoch int64 `json:"epoch,omitempty"`
-	*Partial
-}
-
 // errForeignJournalLine marks a journal line that belongs to a different
 // grid — expected when several runs share one journal file, and skipped
-// without fanfare, unlike damage to a line that claims to be ours.
+// without fanfare, unlike damage to a line that claims to be ours. Lines
+// with no key at all, such as the fence records older coordinators wrote,
+// are foreign to every grid.
 var errForeignJournalLine = errors.New("cluster: journal line for another grid")
 
 // parseJournalPartial decodes one journal line and binds it to the grid.

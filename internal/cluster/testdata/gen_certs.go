@@ -1,7 +1,7 @@
 //go:build ignore
 
 // gen_certs regenerates the committed self-signed test certificate used by
-// the cluster TLS tests and scripts/membership_smoke.sh:
+// the cluster TLS tests and scripts/cluster_smoke.sh:
 //
 //	go run ./internal/cluster/testdata/gen_certs.go
 //

@@ -11,11 +11,10 @@ import (
 
 // NewTLSClient builds an HTTP client that trusts exactly the CA
 // certificate(s) in the PEM file at caPath — the client side of the
-// cluster's TLS story (mtctl -tls-ca, a worker's -tls-ca for announcing to
-// a TLS registrar). Trusting a private CA pool rather than the system
-// roots means a self-signed deployment cert works without weakening
-// verification: the server must still present a certificate chaining to
-// the pinned CA for its hostname.
+// cluster's TLS story (mtctl -tls-ca). Trusting a private CA pool rather
+// than the system roots means a self-signed deployment cert works without
+// weakening verification: the server must still present a certificate
+// chaining to the pinned CA for its hostname.
 func NewTLSClient(caPath string) (*http.Client, error) {
 	pem, err := os.ReadFile(caPath)
 	if err != nil {

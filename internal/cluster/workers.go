@@ -11,17 +11,15 @@ import (
 const HealthzPath = "/healthz"
 
 // workerRow is one worker's line in a run's worker table (runState.workers,
-// guarded by runState.mu). Membership itself stays in the Registry; the
-// table follows it through the join/leave watch. Two independent verdicts
-// live here: eviction (the heartbeat says the worker is unreachable; only
-// a good probe ends it) and the bench (the worker failed a shard; time ends
-// it). Lease expiry is neither — a retired worker loses its row outright.
+// guarded by runState.mu). The workers themselves are the fixed list given
+// to New. Two independent verdicts live here: eviction (the heartbeat says
+// the worker is unreachable; only a good probe ends it) and the bench (the
+// worker failed a shard; time ends it).
 type workerRow struct {
-	cancel     context.CancelFunc // stops the worker's slots; nil until it has slots
-	probeFails int                // consecutive failed heartbeat probes
-	evicted    bool               // probeFails reached HeartbeatFails
-	strikes    int                // consecutive failed shards
-	benchUntil time.Time          // no dispatch before this
+	probeFails int       // consecutive failed heartbeat probes
+	evicted    bool      // probeFails reached HeartbeatFails
+	strikes    int       // consecutive failed shards
+	benchUntil time.Time // no dispatch before this
 }
 
 // workerInput is one observation the table folds into a worker's row.
@@ -140,21 +138,16 @@ func (c *Coordinator) probe(ctx context.Context, worker string) bool {
 	return resp.StatusCode >= 200 && resp.StatusCode < 300
 }
 
-// probeRound probes every current member once, renews the lease of each
-// worker that answered, and folds the outcomes into the worker table.
+// probeRound probes every worker once and folds the outcomes into the
+// worker table.
 func (c *Coordinator) probeRound(ctx context.Context, st *runState) {
-	for _, w := range c.reg.Members() {
+	for _, w := range c.workers {
 		ok := c.probe(ctx, w)
 		if ctx.Err() != nil {
 			return // the run ended mid-probe: the answer says nothing about w
 		}
 		in := probeFailed
 		if ok {
-			// A lost renewal (the registry.lease failpoint, in production a
-			// dropped registrar write) leaves the lease aging toward expiry;
-			// the next successful round renews it, so only a sustained loss
-			// retires the worker.
-			c.reg.Renew(w)
 			in = probeOK
 		}
 		if ev := c.observe(st, w, in, time.Now()); ev.Kind != "" {
@@ -163,8 +156,7 @@ func (c *Coordinator) probeRound(ctx context.Context, st *runState) {
 	}
 }
 
-// heartbeatLoop re-probes the fleet every Heartbeat until the run ends,
-// then sweeps expired leases so unresponsive dynamic workers are retired.
+// heartbeatLoop re-probes the fleet every Heartbeat until the run ends.
 // It sleeps on a real timer, never Options.Sleep: tests inject instant
 // sleeps to skip benches, and an instant heartbeat interval would turn
 // this loop into a hot spin against /healthz.
@@ -179,6 +171,5 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context, st *runState) {
 		default:
 		}
 		c.probeRound(ctx, st)
-		c.reg.Sweep()
 	}
 }

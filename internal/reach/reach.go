@@ -42,13 +42,19 @@ func MeasureAveraged(g *graph.Graph, nSources int, seed int64) (*Reachability, e
 	return MeasureAveragedCached(context.Background(), g, nSources, seed, nil)
 }
 
+// sweepGroup is the number of sources MeasureAveragedCached fills at once:
+// one MS-BFS lane group.
+const sweepGroup = 64
+
 // MeasureAveragedCached is MeasureAveraged routed through an SPT cache (nil
 // disables caching). Experiments that histogram the same (graph, seed) pair —
 // fig6 and fig7 share their per-topology source streams — reuse every tree on
 // the second pass. S(r) entries are counts accumulated in exact float64
 // integer arithmetic, so the result is the same either way. It polls ctx
 // before each source's histogram and returns its error once the context is
-// done.
+// done. Trees are filled one MS-BFS lane group (sweepGroup sources) at a
+// time, at the poll that starts the group, so a cancel waits for at most one
+// group's fill rather than the whole sweep's.
 func MeasureAveragedCached(ctx context.Context, g *graph.Graph, nSources int, seed int64, spts *graph.SPTCache) (*Reachability, error) {
 	if nSources <= 0 {
 		return nil, fmt.Errorf("reach: nSources must be > 0, got %d", nSources)
@@ -61,18 +67,30 @@ func MeasureAveragedCached(ctx context.Context, g *graph.Graph, nSources int, se
 	for i := range srcs {
 		srcs[i] = r.Intn(g.N())
 	}
-	trees, err := graph.SweepSPTs(g, srcs, spts)
-	if err != nil {
-		return nil, err
-	}
-	defer trees.Release()
+	var trees *graph.SweepTrees
+	defer func() {
+		if trees != nil {
+			trees.Release()
+		}
+	}()
 	var acc []float64
 	var buf graph.SPT
 	for i := range srcs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		spt, err := trees.Tree(i, &buf)
+		if i%sweepGroup == 0 {
+			if trees != nil {
+				trees.Release()
+				trees = nil
+			}
+			group, err := graph.SweepSPTs(g, srcs[i:min(i+sweepGroup, len(srcs))], spts)
+			if err != nil {
+				return nil, err
+			}
+			trees = group
+		}
+		spt, err := trees.Tree(i%sweepGroup, &buf)
 		if err != nil {
 			return nil, err
 		}

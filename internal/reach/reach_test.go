@@ -97,6 +97,38 @@ func TestMeasureAveragedCachedHonoursCancellation(t *testing.T) {
 	}
 }
 
+// cancelledOnMiss is a context whose Err reports context.Canceled once its
+// cache has computed a tree.
+type cancelledOnMiss struct {
+	context.Context
+	cache *graph.SPTCache
+}
+
+func (c cancelledOnMiss) Err() error {
+	if c.cache.Stats().Misses > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// MeasureAveragedCached fills its trees one lane group at a time, so a
+// cancel that lands during the first fill stops the sweep before it
+// computes a second group.
+func TestMeasureAveragedCachedCancelStopsAfterOneGroup(t *testing.T) {
+	g, err := topology.TransitStubSized(2000, 3.6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := graph.NewSPTCache(1 << 30)
+	r, err := MeasureAveragedCached(cancelledOnMiss{context.Background(), cache}, g, 200, 7, cache)
+	if !errors.Is(err, context.Canceled) || r != nil {
+		t.Fatalf("got %v, %v; want context.Canceled", r, err)
+	}
+	if m := cache.Stats().Misses; m == 0 || m > sweepGroup {
+		t.Fatalf("cancelled sweep computed %d trees, want 1..%d", m, sweepGroup)
+	}
+}
+
 // TestMeasureAveragedDeterministic: S(r) is a function of the graph, the
 // source count and the seed. Uncached, through a cold cache and through the
 // same cache warm, it must equal, bit for bit, the histogram of per-source

@@ -1,8 +1,7 @@
 // Package retry is the shared retry policy: capped exponential backoff
-// with deterministic jitter. The cluster coordinator's worker
-// benches, workers' registry announcements and the serving tier's
-// quarantine windows all draw their delays from it — one series, one set
-// of tests.
+// with deterministic jitter. The cluster coordinator's worker benches and
+// the serving tier's quarantine windows both draw their delays from it —
+// one series, one set of tests.
 //
 // Determinism matters here the way it does in internal/chaos: a jittered
 // delay must be a pure function of the attempt number, never of

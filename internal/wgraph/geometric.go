@@ -127,11 +127,7 @@ func MeasureWeightedCurveCtx(ctx context.Context, gg *GeoGraph, sizes []int, nSo
 				return nil, err
 			}
 			for rep := 0; rep < nRcvr; rep++ {
-				// Partial Fisher-Yates.
-				for i := 0; i < size; i++ {
-					j := i + r.Intn(len(pop)-i)
-					pop[i], pop[j] = pop[j], pop[i]
-				}
+				r.PermPrefix32(pop, size)
 				recv := pop[:size]
 
 				hops := counter.Measure(&bfs, recv)
