@@ -16,10 +16,17 @@ build:
 	$(GO) build ./...
 
 # vet also gates formatting: any file gofmt would rewrite fails the target.
+# It also fails when a package's non-test files import "unsafe". No code
+# needs it: every scratch buffer is a plain slice sized by make. A view made
+# with unsafe.Slice carries whatever length it is given, so a bad index
+# through it corrupts memory instead of panicking as the bounds checks would.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
+	@unsafepkgs=$$($(GO) list -f '{{range .Imports}}{{if eq . "unsafe"}}{{$$.ImportPath}}{{end}}{{end}}' ./... | grep -v '^$$'); \
+	if [ -n "$$unsafepkgs" ]; then \
+		echo "non-test Go files import \"unsafe\" in:"; echo "$$unsafepkgs"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -56,12 +63,12 @@ race-all:
 	$(GO) test -race ./...
 
 # Record the engine benchmarks as machine-readable JSON. BENCH_6.json is the
-# last committed perf-trajectory point of the engine benchmarks (slab arenas
-# and streamed 10M-node topologies on top of the MS-BFS batch kernel; its
-# BenchmarkLarge* points were measured on the since-removed compressed
-# layout); bump the suffix when recording a new point so history stays
-# comparable. bench-compare compares only the names both files share, so
-# points recorded with since-removed benchmarks still compare.
+# last committed perf-trajectory point of the engine benchmarks (slab arenas,
+# since removed, and streamed 10M-node topologies on top of the MS-BFS batch
+# kernel; its BenchmarkLarge* points were measured on the since-removed
+# compressed layout); bump the suffix when recording a new point so history
+# stays comparable. bench-compare compares only the names both files share,
+# so points recorded with since-removed benchmarks still compare.
 BENCH_JSON ?= BENCH_6.json
 
 # The BenchmarkLarge* suite self-skips unless MTREESCALE_LARGE=1, so the plain

@@ -341,9 +341,9 @@ func NewTreeCounter(n int) *TreeCounter { return mcast.NewTreeCounter(n) }
 type DynTree = mcast.DynTree
 
 // NewDynTree builds an incremental delivery tree rooted at spt's source
-// (degreeCap 0 = unbounded; the arena may be nil).
+// (degreeCap 0 = unbounded).
 func NewDynTree(g *Topology, spt *SPT, degreeCap int) (*DynTree, error) {
-	return mcast.NewDynTree(g, spt, degreeCap, nil)
+	return mcast.NewDynTree(g, spt, degreeCap)
 }
 
 // ChurnConfig parameterizes the dynamic-membership workload: Poisson

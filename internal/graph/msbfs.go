@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-
-	"mtreescale/internal/arena"
 )
 
 // This file implements the multi-source BFS kernel (MS-BFS, in the style of
@@ -49,46 +47,28 @@ type SPTBatch struct {
 	n       int
 	dist    []int32
 	parent  []int32
-	ar      *arena.Arena // recycles the slabs across graph sizes
 }
 
 // msbfsScratch is the kernel's reusable per-traversal state: per-node lane
-// masks plus two frontier-membership bitsets (one bit per node). All of it
-// comes from one slab arena, so sweeping graphs of different sizes recycles
-// buffers instead of churning the GC.
+// masks plus two frontier-membership bitsets (one bit per node).
 type msbfsScratch struct {
-	ar                     *arena.Arena
 	seen, visit, visitNext []uint64
 	front, nextFront       []uint64
 }
 
-// grow sizes the scratch for an n-node traversal. visit/visitNext must be
-// all-zero between traversals — the kernel clears them incrementally
-// — so freshly slabbed (dirty) arena memory is zeroed here; seen and the
-// frontier bitsets are zeroed by the kernel at the start of every group.
+// grow sizes the scratch for an n-node traversal; the kernel reslices it to
+// n. visit/visitNext must be all-zero between traversals: they start zeroed
+// and the kernel clears them incrementally. seen and the frontier bitsets
+// are zeroed by the kernel at the start of every group.
 func (sc *msbfsScratch) grow(n, words int) {
-	if sc.ar == nil {
-		sc.ar = arena.New()
-	}
 	if cap(sc.seen) < n {
-		sc.seen = sc.ar.GrowUint64(sc.seen, n)
-		sc.visit = sc.ar.GrowUint64(sc.visit, n)
-		sc.visitNext = sc.ar.GrowUint64(sc.visitNext, n)
-		// Zero the full capacity, not just [:n]: a later traversal may
-		// reslice the same slab longer without passing through this branch.
-		clear(sc.visit[:cap(sc.visit)])
-		clear(sc.visitNext[:cap(sc.visitNext)])
-	} else {
-		sc.seen = sc.seen[:n]
-		sc.visit = sc.visit[:n]
-		sc.visitNext = sc.visitNext[:n]
+		sc.seen = make([]uint64, n)
+		sc.visit = make([]uint64, n)
+		sc.visitNext = make([]uint64, n)
 	}
 	if cap(sc.front) < words {
-		sc.front = sc.ar.GrowUint64(sc.front, words)
-		sc.nextFront = sc.ar.GrowUint64(sc.nextFront, words)
-	} else {
-		sc.front = sc.front[:words]
-		sc.nextFront = sc.nextFront[:words]
+		sc.front = make([]uint64, words)
+		sc.nextFront = make([]uint64, words)
 	}
 }
 
@@ -142,14 +122,11 @@ func (g *Graph) BatchSPTsInto(sources []int, b *SPTBatch) error {
 	b.Sources = append(b.Sources[:0], sources...)
 	b.n = n
 	total := len(sources) * n
-	if b.ar == nil {
-		b.ar = arena.New()
+	if cap(b.dist) < total {
+		b.dist = make([]int32, total)
+		b.parent = make([]int32, total)
 	}
-	// The dist/parent slabs come from the batch's arena: resizing across
-	// graph scales recycles slabs instead of allocating afresh. Kernels
-	// overwrite every element, so dirty recycled memory is fine.
-	b.dist = b.ar.GrowInt32(b.dist, total)
-	b.parent = b.ar.GrowInt32(b.parent, total)
+	b.dist, b.parent = b.dist[:total], b.parent[:total]
 	sc := msbfsScratchPool.Get().(*msbfsScratch)
 	defer msbfsScratchPool.Put(sc)
 	var dist, parent [msbfsLanes][]int32

@@ -267,3 +267,14 @@ func benchBatch64(b *testing.B, g *Graph) {
 		}
 	}
 }
+
+// The MS-BFS scratch keeps the masks of the largest graph it has traversed:
+// after a 2,000-node traversal, sizing it for 500 nodes allocates nothing.
+// It calls grow directly, not through the pool a collection may empty.
+func TestScratchReuseAllocatesNothing(t *testing.T) {
+	var sc msbfsScratch
+	sc.grow(2000, (2000+63)/64)
+	if n := testing.AllocsPerRun(10, func() { sc.grow(500, (500+63)/64) }); n != 0 {
+		t.Fatalf("msbfsScratch.grow(500) after grow(2000) allocates %.1f/op", n)
+	}
+}

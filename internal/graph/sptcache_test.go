@@ -375,7 +375,7 @@ func TestSPTCacheGetBatchRepeatedMiss(t *testing.T) {
 // does before each iteration, it may allocate the k trees (Dist, Parent and
 // Order, at most 12·n bytes each, plus the stagger of each tree's start,
 // under 4 KiB, which can cost it one more 8 KiB page), the kernel's lane
-// masks and frontier bitsets (power-of-two arena slabs), the graph's index
+// masks and frontier bitsets (3·n and 2·n/64 words), the graph's index
 // (8·n bytes) and a few hundred bytes of entry per tree. n·4 is a multiple
 // of the page size, so each array costs exactly its length.
 func TestSPTCacheColdFillAllocatesOnlyTheTrees(t *testing.T) {
@@ -397,7 +397,7 @@ func TestSPTCacheColdFillAllocatesOnlyTheTrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := (n + 63) / 64
-	masks := 8 * (3*n + 2*words) // n and words are powers of two
+	masks := 8 * (3*n + 2*words)
 	bookkeeping := 8*n + k*512 + 16<<10
 	treeBytes := k * (12*n + 8<<10)
 	limit := uint64(treeBytes + masks + bookkeeping)

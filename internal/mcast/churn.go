@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"mtreescale/internal/arena"
 	"mtreescale/internal/graph"
 	"mtreescale/internal/rng"
 	"mtreescale/internal/valid"
@@ -248,22 +247,13 @@ type churnSim struct {
 // initSim arms the process at t = 0 with an empty tree. Heap storage is
 // pre-sized to 2·m̄ (the active-session count concentrates at m̄ by Little's
 // law), so the steady-state event path performs no allocation.
-func (s *churnSim) initSim(tree *DynTree, r *rng.Rand, cfg ChurnConfig, n int, exclude int32, ar *arena.Arena) {
+func (s *churnSim) initSim(tree *DynTree, r *rng.Rand, cfg ChurnConfig, n int, exclude int32) {
 	s.tree, s.r, s.cfg, s.n, s.exclude = tree, r, cfg, n, exclude
 	s.now = 0
 	s.arrivalMean = cfg.MeanSession / float64(cfg.TargetMembers)
 	s.nextArrival = expDraw(r, s.arrivalMean)
 	hint := 2*cfg.TargetMembers + 64
-	if ar != nil {
-		s.ht = ar.GrowFloat64(s.ht, hint)[:0]
-		s.hv = ar.GrowInt32(s.hv, hint)[:0]
-	} else {
-		if cap(s.ht) < hint {
-			s.ht = make([]float64, 0, hint)
-			s.hv = make([]int32, 0, hint)
-		}
-		s.ht, s.hv = s.ht[:0], s.hv[:0]
-	}
+	s.ht, s.hv = grow(s.ht, hint)[:0], grow(s.hv, hint)[:0]
 }
 
 // churnEvent reports what one simulation step did.
@@ -379,20 +369,15 @@ func (s *churnSim) popDep() {
 
 // churnScratch is the pooled per-worker state of the churn engine: the tree
 // buffer, the incremental tree, the departure heap and the self-check
-// counter, all recycled through one arena.
+// counter.
 type churnScratch struct {
 	spt     graph.SPT // written only past the sweep's slab cap
-	tree    *DynTree
+	tree    DynTree
 	sim     churnSim
-	counter *TreeCounter // lazily sized, self-check path only
-	ar      *arena.Arena
+	counter TreeCounter // self-check path only
 }
 
-var churnPool = sync.Pool{New: func() any {
-	sc := &churnScratch{ar: arena.New()}
-	sc.tree = &DynTree{ar: sc.ar}
-	return sc
-}}
+var churnPool = sync.Pool{New: func() any { return new(churnScratch) }}
 
 // MeasureChurn runs the churn workload without cancellation.
 func MeasureChurn(g *graph.Graph, cfg ChurnConfig, p Protocol) (*ChurnResult, error) {
@@ -480,10 +465,7 @@ func churnOneSource(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Prot
 		// SharedTreeSize's accounting.
 		sc.tree.Join(int32(source))
 	}
-	if cfg.SelfCheckEvery > 0 && (sc.counter == nil || len(sc.counter.visited) < g.N()) {
-		sc.counter = NewTreeCounter(g.N())
-	}
-	sc.sim.initSim(sc.tree, rng.NewChild(p.Seed, int64(si)), cfg, g.N(), int32(source), sc.ar)
+	sc.sim.initSim(&sc.tree, rng.NewChild(p.Seed, int64(si)), cfg, g.N(), int32(source))
 	warm, total := cfg.WarmupEvents, cfg.WarmupEvents+cfg.Events
 	var st churnSlot
 	var wallStart time.Time
@@ -523,7 +505,7 @@ func churnOneSource(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Prot
 			}
 		}
 		if cfg.SelfCheckEvery > 0 && (e+1)%cfg.SelfCheckEvery == 0 {
-			if err := sc.tree.SelfCheck(sc.counter); err != nil {
+			if err := sc.tree.SelfCheck(&sc.counter); err != nil {
 				return err
 			}
 		}

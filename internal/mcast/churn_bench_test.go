@@ -21,7 +21,6 @@ import (
 	"sync"
 	"testing"
 
-	"mtreescale/internal/arena"
 	"mtreescale/internal/graph"
 	"mtreescale/internal/rng"
 	"mtreescale/internal/topology"
@@ -97,7 +96,7 @@ func (s *churnBenchState) fill(tree *DynTree) {
 
 func benchIncremental(b *testing.B, degreeCap int) {
 	g, spt := churnBenchGraph(b)
-	tree, err := NewDynTree(g, spt, degreeCap, arena.New())
+	tree, err := NewDynTree(g, spt, degreeCap)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,14 +146,13 @@ func BenchmarkChurnRecompute1k50k(b *testing.B) {
 // and pins the 0 allocs/op steady-state contract.
 func BenchmarkChurnEngineStep1k50k(b *testing.B) {
 	g, spt := churnBenchGraph(b)
-	ar := arena.New()
-	tree, err := NewDynTree(g, spt, 0, ar)
+	tree, err := NewDynTree(g, spt, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := ChurnConfig{TargetMembers: 1000}.withDefaults()
 	var sim churnSim
-	sim.initSim(tree, rng.New(11), cfg, g.N(), 0, ar)
+	sim.initSim(tree, rng.New(11), cfg, g.N(), 0)
 	for i := 0; i < 12_000; i++ { // past the ~m̄ arrivals warmup
 		sim.step()
 	}

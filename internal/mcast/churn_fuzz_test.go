@@ -65,11 +65,11 @@ func FuzzChurnEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		free, err := NewDynTree(g, spt, 0, nil)
+		free, err := NewDynTree(g, spt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		capped, err := NewDynTree(g, spt, degCap, nil)
+		capped, err := NewDynTree(g, spt, degCap)
 		if err != nil {
 			t.Fatal(err)
 		}

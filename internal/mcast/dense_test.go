@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mtreescale/internal/arena"
 	"mtreescale/internal/graph"
 	"mtreescale/internal/rng"
 	"mtreescale/internal/topology"
@@ -24,9 +23,8 @@ import (
 func diffDense(srcT, coreT *graph.SPT, groups [][]int32) string {
 	n := len(srcT.Dist)
 	c := NewTreeCounter(n)
-	ar := arena.New()
 	pd, pd2 := packTree(srcT, nil), packTree(coreT, nil)
-	rows, rows2 := &rankRows{ar: ar}, &rankRows{ar: ar}
+	rows, rows2 := &rankRows{}, &rankRows{}
 	rows.use(srcT)
 	rows2.use(coreT)
 	source, core := int32(srcT.Source), int32(coreT.Source)
@@ -538,7 +536,7 @@ func BenchmarkTreeSizeCrossover(b *testing.B) {
 			b.Fatal(err)
 		}
 		pd := packTree(spt, nil)
-		rows := &rankRows{ar: arena.New()}
+		rows := &rankRows{}
 		rows.use(spt)
 		b.Run(fmt.Sprintf("N=%d/rows", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

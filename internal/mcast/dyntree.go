@@ -21,14 +21,12 @@
 // force-attached along its SPT path and Forced() is incremented, so the
 // constraint violation is observable instead of silent.
 //
-// A DynTree is not safe for concurrent use. All slices may be arena-backed;
-// Reset clears them explicitly because arena memory is handed out dirty.
+// A DynTree is not safe for concurrent use.
 package mcast
 
 import (
 	"fmt"
 
-	"mtreescale/internal/arena"
 	"mtreescale/internal/graph"
 	"mtreescale/internal/valid"
 )
@@ -58,15 +56,13 @@ type DynTree struct {
 	epoch int32
 
 	gMaxDeg int // cached g.MaxDegree(), sized for degHist
-	ar      *arena.Arena
 }
 
 // NewDynTree returns an incremental tree rooted at spt.Source. degreeCap
 // bounds every node's tree degree (0 = unbounded; otherwise ≥ 2, since even
-// a relay chain needs one parent and one child link per node). ar may be
-// nil, in which case plain make-allocated scratch is used.
-func NewDynTree(g *graph.Graph, spt *graph.SPT, degreeCap int, ar *arena.Arena) (*DynTree, error) {
-	t := &DynTree{ar: ar}
+// a relay chain needs one parent and one child link per node).
+func NewDynTree(g *graph.Graph, spt *graph.SPT, degreeCap int) (*DynTree, error) {
+	t := &DynTree{}
 	if err := t.Reset(g, spt, degreeCap); err != nil {
 		return nil, err
 	}
@@ -100,10 +96,10 @@ func (t *DynTree) Reset(g *graph.Graph, spt *graph.SPT, degreeCap int) error {
 	t.g, t.spt = g, spt
 	t.root = int32(spt.Source)
 	t.cap = int32(degreeCap)
-	t.member = growInt32(t.ar, t.member, n)
-	t.childcnt = growInt32(t.ar, t.childcnt, n)
-	t.tparent = growInt32(t.ar, t.tparent, n)
-	t.degHist = growInt64(t.ar, t.degHist, t.gMaxDeg+1)
+	t.member = grow(t.member, n)
+	t.childcnt = grow(t.childcnt, n)
+	t.tparent = grow(t.tparent, n)
+	t.degHist = grow(t.degHist, t.gMaxDeg+1)
 	for i := range t.member {
 		t.member[i] = 0
 		t.childcnt[i] = 0
@@ -115,8 +111,8 @@ func (t *DynTree) Reset(g *graph.Graph, spt *graph.SPT, degreeCap int) error {
 	t.links, t.members, t.maxDeg, t.forced = 0, 0, 0, 0
 	t.degHist[0] = 1 // the root is always on the tree, initially childless
 	if t.cap > 0 {
-		t.seen = growInt32(t.ar, t.seen, n)
-		t.prev = growInt32(t.ar, t.prev, n)
+		t.seen = grow(t.seen, n)
+		t.prev = grow(t.prev, n)
 		for i := range t.seen {
 			t.seen[i] = 0
 		}
@@ -126,26 +122,6 @@ func (t *DynTree) Reset(g *graph.Graph, spt *graph.SPT, degreeCap int) error {
 		}
 	}
 	return nil
-}
-
-func growInt32(ar *arena.Arena, s []int32, n int) []int32 {
-	if ar != nil {
-		return ar.GrowInt32(s, n)
-	}
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
-
-func growInt64(ar *arena.Arena, s []int64, n int) []int64 {
-	if ar != nil {
-		return ar.GrowInt64(s, n)
-	}
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int64, n)
 }
 
 // onTree reports whether v currently carries tree state. Any node with

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"mtreescale/internal/arena"
 	"mtreescale/internal/graph"
 	"mtreescale/internal/rng"
 )
@@ -149,7 +148,7 @@ func TestDynTreeMatchesRebuildEveryEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt, err := NewDynTree(g, spt, 0, arena.New())
+	dt, err := NewDynTree(g, spt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestDynTreeSharedMatchesSharedTreeSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt, err := NewDynTree(g, coreSPT, 0, nil)
+	dt, err := NewDynTree(g, coreSPT, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestDynTreeBoundedMatchesNaiveReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dt, err := NewDynTree(g, spt, cap, arena.New())
+		dt, err := NewDynTree(g, spt, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +289,7 @@ func TestDynTreeBoundedRepairsAroundSaturatedHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt, err := NewDynTree(g, spt, 2, nil)
+	dt, err := NewDynTree(g, spt, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +316,7 @@ func TestDynTreeBoundedRepairsAroundSaturatedHub(t *testing.T) {
 func TestDynTreeDuplicateAndAbsent(t *testing.T) {
 	g := pathGraph(t, 8)
 	spt, _ := g.BFS(0)
-	dt, err := NewDynTree(g, spt, 0, nil)
+	dt, err := NewDynTree(g, spt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +357,9 @@ func TestDynTreeDuplicateAndAbsent(t *testing.T) {
 }
 
 func TestDynTreeResetReuse(t *testing.T) {
-	ar := arena.New()
 	g1 := randGraph(41, 120, 180)
 	g2 := randGraph(43, 260, 300)
-	dt := &DynTree{ar: ar}
+	dt := &DynTree{}
 	for _, tc := range []struct {
 		g    *graph.Graph
 		root int
@@ -373,7 +371,7 @@ func TestDynTreeResetReuse(t *testing.T) {
 		if err := dt.Reset(tc.g, spt, 0); err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewDynTree(tc.g, spt, 0, nil)
+		fresh, err := NewDynTree(tc.g, spt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +398,7 @@ func TestDynTreeResetReuse(t *testing.T) {
 func TestDynTreeDegreeHist(t *testing.T) {
 	g := pathGraph(t, 6)
 	spt, _ := g.BFS(0)
-	dt, _ := NewDynTree(g, spt, 0, nil)
+	dt, _ := NewDynTree(g, spt, 0)
 	dt.Join(5) // path tree: root deg 1, interiors deg 2, leaf deg 1
 	hist := dt.DegreeHist(nil)
 	want := []int64{0, 2, 4}
@@ -415,17 +413,17 @@ func TestDynTreeDegreeHist(t *testing.T) {
 func TestNewDynTreeValidates(t *testing.T) {
 	g := pathGraph(t, 4)
 	spt, _ := g.BFS(0)
-	if _, err := NewDynTree(nil, spt, 0, nil); err == nil {
+	if _, err := NewDynTree(nil, spt, 0); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := NewDynTree(g, nil, 0, nil); err == nil {
+	if _, err := NewDynTree(g, nil, 0); err == nil {
 		t.Fatal("nil SPT accepted")
 	}
-	if _, err := NewDynTree(g, spt, 1, nil); err == nil {
+	if _, err := NewDynTree(g, spt, 1); err == nil {
 		t.Fatal("degree cap 1 accepted")
 	}
 	other := pathGraph(t, 9)
-	if _, err := NewDynTree(other, spt, 0, nil); err == nil {
+	if _, err := NewDynTree(other, spt, 0); err == nil {
 		t.Fatal("mis-sized SPT accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 
-	"mtreescale/internal/arena"
 	"mtreescale/internal/chaos"
 	"mtreescale/internal/graph"
 	"mtreescale/internal/panicsafe"
@@ -305,36 +304,22 @@ type sourceScratch struct {
 	spt, spt2   graph.SPT // tree buffers, written only past the sweep's slab cap
 	pd, pd2     []int64   // packed (dist, parent) words for the climbs
 	rows, rows2 rankRows  // BFS-rank rows of the same trees for the dense sweep
-	counter     *TreeCounter
+	counter     TreeCounter
 	smp         Sampler
 	recv        []int32
-	// ar backs pd/pd2, the rank rows and the sampler scratch with recycled
-	// slabs, so sweeping graphs of different scales (the large-graph
-	// regime's 1M/10M interleavings) re-slabs instead of re-allocating. The
-	// counter keeps plain make: its epoch array must be zeroed on growth
-	// either way.
-	ar *arena.Arena
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	sc := &sourceScratch{ar: arena.New()}
-	sc.smp.ar = sc.ar
-	sc.rows.ar = sc.ar
-	sc.rows2.ar = sc.ar
-	return sc
-}}
+var scratchPool = sync.Pool{New: func() any { return new(sourceScratch) }}
 
-func getScratch(n int) *sourceScratch {
-	sc := scratchPool.Get().(*sourceScratch)
-	if sc.counter == nil || len(sc.counter.visited) < n {
-		sc.counter = NewTreeCounter(n)
+// grow returns s resliced to length n, keeping its contents, when its
+// capacity suffices, and otherwise a new zeroed slice of exactly n. The
+// engines' pooled scratch sizes its buffers through it, so a buffer that
+// served a larger graph serves a smaller one without allocating.
+func grow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	return sc
-}
-
-// growPacked sizes a packed-word buffer for packTree through the arena.
-func (sc *sourceScratch) growPacked(pd []int64, n int) []int64 {
-	return sc.ar.GrowInt64(pd, n)
+	return make([]T, n)
 }
 
 // prepare reads the source's tree from the sweep's trees and resets the
@@ -387,14 +372,14 @@ func (sc *sourceScratch) draw(mode Mode, size int) (err error) {
 // si is the global source index (RNG identity); lane is the tree and
 // accumulator slot (lane == si for a full sweep, si - SrcLo for a partial).
 func measureSourceIndependent(ctx context.Context, g *graph.Graph, si, lane int, sizes []int, mode Mode, p Protocol, trees *graph.SweepTrees, acc *CurvePartial) error {
-	sc := getScratch(g.N())
+	sc := scratchPool.Get().(*sourceScratch)
 	defer scratchPool.Put(sc)
 	spt, err := sc.prepare(g, si, lane, p, trees)
 	if err != nil {
 		return err
 	}
 	source := int32(spt.Source)
-	sc.pd = packTree(spt, sc.growPacked(sc.pd, len(spt.Parent)))
+	sc.pd = packTree(spt, sc.pd)
 	sc.rows.use(spt)
 	perSweep := min(p.NRcvr, sweepLanes)
 	var buf [sweepLanes]Measurement

@@ -1,9 +1,6 @@
 package mcast
 
-import (
-	"mtreescale/internal/arena"
-	"mtreescale/internal/graph"
-)
+import "mtreescale/internal/graph"
 
 // This file holds the tree-counting fast paths of the measurement loops. A
 // delivery tree is the Steiner subtree of the source's SPT: the nodes with a
@@ -80,11 +77,7 @@ var spread = func() (t [256]uint64) {
 // packTree packs spt's Dist and Parent into one int64-per-node array,
 // reusing dst's storage when large enough.
 func packTree(spt *graph.SPT, dst []int64) []int64 {
-	n := len(spt.Dist)
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
+	dst = grow(dst, len(spt.Dist))
 	parent := spt.Parent
 	for v, d := range spt.Dist {
 		dst[v] = int64(d)<<32 | int64(uint32(parent[v]))
@@ -143,16 +136,14 @@ func climb4(pd []int64, visited []int32, epoch int32, r0, r1, r2, r3 int32) int 
 // rank of a node is its position in a nondecreasing-distance order with the
 // source at rank 0, so every parent ranks below its children. The rows are
 // built from the tree on first use (rank), so a source whose groups all stay
-// below the crossover never pays for them. rd and prank live in the owning
-// scratch's arena; mark is plain make, as it is cleared on every ranking
-// anyway.
+// below the crossover never pays for them.
 type rankRows struct {
 	spt *graph.SPT // the tree still to rank; nil once the rows hold its ranks
-	ar  *arena.Arena
 
 	rd    []int64 // rd[v] = dist<<32 | rank(v); negative when v is unreachable
 	prank []int32 // prank[k] = rank of the parent of rank k; prank[0] = 0
 	mark  []uint8 // bit j of mark[k] is set when set j has a member at or below rank k; all 0 between sweeps
+	level []int32 // counting-sort scratch of rank: the next free rank of each distance
 }
 
 // use points the rows at a new source tree; they are ranked on first use.
@@ -163,9 +154,9 @@ func (rr *rankRows) use(spt *graph.SPT) { rr.spt = spt }
 // order. Either order gives the same counts: the sweep needs only that
 // parents rank below children.
 func (rr *rankRows) rank() {
-	t, ar := rr.spt, rr.ar
+	t := rr.spt
 	rr.spt = nil
-	rd := ar.GrowInt64(rr.rd, len(t.Dist))
+	rd := grow(rr.rd, len(t.Dist))
 	reach := len(t.Order)
 	if t.Order != nil {
 		for v := range rd {
@@ -179,7 +170,7 @@ func (rr *rankRows) rank() {
 		for _, d := range t.Dist {
 			depth = max(depth, d)
 		}
-		level := ar.Int32(int(depth) + 1)
+		level := grow(rr.level, int(depth)+1)
 		clear(level)
 		for _, d := range t.Dist {
 			if d >= 0 {
@@ -198,18 +189,15 @@ func (rr *rankRows) rank() {
 			rd[v] = int64(d)<<32 | int64(level[d])
 			level[d]++
 		}
-		ar.PutInt32(level)
+		rr.level = level
 	}
-	prank := ar.GrowInt32(rr.prank, reach)
+	prank := grow(rr.prank, reach)
 	for v, w := range rd {
 		if w >= 0 {
 			prank[uint32(w)] = int32(uint32(rd[t.Parent[v]]))
 		}
 	}
-	if cap(rr.mark) < reach {
-		rr.mark = make([]uint8, reach)
-	}
-	mark := rr.mark[:reach]
+	mark := grow(rr.mark, reach)
 	clear(mark)
 	rr.rd, rr.prank, rr.mark = rd, prank, mark
 }
@@ -281,12 +269,8 @@ func dense(size, batch, n int) bool { return size*batch*denseCrossover >= n }
 // reachable count together. Receivers are climbed four at a time (climb4); the short
 // tail falls back to the one-at-a-time loop.
 func (c *TreeCounter) measureClimb(source int32, pd []int64, receivers []int32) Measurement {
-	if len(pd) > len(c.visited) {
-		c.visited = make([]int32, len(pd))
-		c.epoch = 0
-	}
-	c.epoch++
-	epoch, visited := c.epoch, c.visited
+	epoch := c.next(len(pd))
+	visited := c.visited
 	var m Measurement
 	visited[source] = epoch
 	i, n := 0, len(receivers)
@@ -341,12 +325,8 @@ func (c *TreeCounter) measureClimb(source int32, pd []int64, receivers []int32) 
 // treeSizeClimb is the climbing equivalent of TreeSize, with the same
 // four-wide climb as measureClimb.
 func (c *TreeCounter) treeSizeClimb(source int32, pd []int64, receivers []int32) int {
-	if len(pd) > len(c.visited) {
-		c.visited = make([]int32, len(pd))
-		c.epoch = 0
-	}
-	c.epoch++
-	epoch, visited := c.epoch, c.visited
+	epoch := c.next(len(pd))
+	visited := c.visited
 	links := 0
 	visited[source] = epoch
 	i, n := 0, len(receivers)
@@ -384,12 +364,8 @@ func (c *TreeCounter) treeSizeClimb(source int32, pd []int64, receivers []int32)
 // core-rooted tree pd: the tree is climbed from the group's source and from
 // every receiver under one epoch.
 func (c *TreeCounter) sharedTreeSizeClimb(core int32, pd []int64, source int32, receivers []int32) int {
-	if len(pd) > len(c.visited) {
-		c.visited = make([]int32, len(pd))
-		c.epoch = 0
-	}
-	c.epoch++
-	epoch, visited := c.epoch, c.visited
+	epoch := c.next(len(pd))
+	visited := c.visited
 	links := 0
 	visited[core] = epoch
 	if source >= 0 && int(source) < len(pd) && pd[source] >= 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mtreescale/internal/arena"
 	"mtreescale/internal/rng"
 )
 
@@ -33,29 +32,11 @@ type Sampler struct {
 	// mark[i] == epoch means index i is stamped for the current draw.
 	mark  []int32
 	epoch int32
-	// ar, when set (the pooled worker scratch wires it), backs the scratch
-	// arrays with recycled slabs so resizing across graph scales allocates
-	// nothing; nil falls back to make.
-	ar *arena.Arena
 	// owed counts the whole-population Distinct draws that whole skipped.
 	// Their stream steps are still to be taken: every draw method takes them
 	// first (settle), so later sets see the stream a sampler that made the
 	// draws would. Reset drops them.
 	owed int
-}
-
-// growScratch returns a length-n scratch slice, recycling buf's storage
-// through the arena when one is attached. Contents are NOT preserved and the
-// new tail is NOT zeroed.
-func (s *Sampler) growScratch(buf []int32, n int) []int32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	if s.ar != nil {
-		s.ar.PutInt32(buf)
-		return s.ar.Int32(n)
-	}
-	return make([]int32, n)
 }
 
 // NewSampler builds a sampler over the population {0..n-1} \ {exclude}.
@@ -81,7 +62,7 @@ func (s *Sampler) Reset(n int, exclude int, r rng.Source) error {
 	s.r = r
 	s.rr, _ = r.(*rng.Rand)
 	s.owed = 0
-	s.sites = s.growScratch(s.sites, n)[:0]
+	s.sites = grow(s.sites, n)[:0]
 	for v := 0; v < n; v++ {
 		if v != exclude {
 			s.sites = append(s.sites, int32(v))
@@ -131,7 +112,7 @@ func (s *Sampler) settle() {
 // a uniform distinct sample.
 func (s *Sampler) shuffled(m int) []int32 {
 	M := len(s.sites)
-	s.buf = s.growScratch(s.buf, M)
+	s.buf = grow(s.buf, M)
 	copy(s.buf, s.sites)
 	buf := s.buf
 	if rr := s.rr; rr != nil {
@@ -147,15 +128,12 @@ func (s *Sampler) shuffled(m int) []int32 {
 
 // stamp starts a new draw epoch, growing the mark array to the current
 // population if needed. Clearing the set is an integer increment; the array
-// is only re-zeroed on the (practically unreachable) epoch wrap.
+// is only re-zeroed on the (practically unreachable) epoch wrap. Growth keeps
+// the epoch running: every stamp already in the array is below the next one.
 func (s *Sampler) stamp() {
 	M := len(s.sites)
 	if len(s.mark) < M {
-		// Arena-recycled memory is dirty; the epoch scheme needs a known
-		// baseline, so clear on (re)growth and restart the epochs.
-		s.mark = s.growScratch(s.mark, M)
-		clear(s.mark)
-		s.epoch = 0
+		s.mark = grow(s.mark, M)
 	}
 	if s.epoch == math.MaxInt32 {
 		for i := range s.mark {
@@ -176,7 +154,7 @@ func (s *Sampler) WithReplacement(n int, dst []int32) ([]int32, error) {
 	dst = dst[:0]
 	if rr, sites := s.rr, s.sites; rr != nil {
 		// Bulk-draw the site indices (identical to n Intn draws), then gather.
-		s.draws = s.growScratch(s.draws, n)
+		s.draws = grow(s.draws, n)
 		draws := s.draws
 		rr.FillIntn(len(sites), draws)
 		for _, t := range draws {
@@ -217,7 +195,7 @@ func (s *Sampler) Distinct(m int, dst []int32) ([]int32, error) {
 	if rr := s.rr; rr != nil {
 		// Bulk-draw Floyd's index sequence (identical to the Intn(j+1) loop),
 		// then run the membership logic over the drawn indices.
-		s.draws = s.growScratch(s.draws, m)
+		s.draws = grow(s.draws, m)
 		draws := s.draws
 		rr.FillBounded(M-m, draws)
 		mark, epoch, sites := s.mark, s.epoch, s.sites

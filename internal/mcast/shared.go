@@ -56,19 +56,15 @@ func (c *TreeCounter) SharedTreeSize(coreSPT *graph.SPT, source int32, receivers
 	// source too. TreeSize ignores duplicates, so just measure with an
 	// extended receiver view. To avoid allocating, climb source first, then
 	// receivers, under one epoch.
-	if len(coreSPT.Parent) > len(c.visited) {
-		c.visited = make([]int32, len(coreSPT.Parent))
-		c.epoch = 0
-	}
-	c.epoch++
+	epoch := c.next(len(coreSPT.Parent))
 	links := 0
-	c.visited[coreSPT.Source] = c.epoch
+	c.visited[coreSPT.Source] = epoch
 	climb := func(v int32) {
 		if v < 0 || int(v) >= len(coreSPT.Parent) || coreSPT.Dist[v] == graph.Unreachable {
 			return
 		}
-		for c.visited[v] != c.epoch {
-			c.visited[v] = c.epoch
+		for c.visited[v] != epoch {
+			c.visited[v] = epoch
 			links++
 			v = coreSPT.Parent[v]
 		}
@@ -229,7 +225,7 @@ func (a *SharedPartial) reduce(sizes []int) []SharedPoint {
 // laneCount is the number of source trees, after which the core trees
 // start (p.NSource for a full sweep, the block size for a partial one).
 func measureSourceShared(ctx context.Context, g *graph.Graph, si, lane, laneCount int, sizes []int, p Protocol, trees *graph.SweepTrees, acc *SharedPartial) error {
-	sc := getScratch(g.N())
+	sc := scratchPool.Get().(*sourceScratch)
 	defer scratchPool.Put(sc)
 	srcSPT, err := trees.Tree(lane, &sc.spt)
 	if err != nil {
@@ -240,8 +236,8 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, si, lane, laneCoun
 		return err
 	}
 	source := srcSPT.Source
-	sc.pd = packTree(srcSPT, sc.growPacked(sc.pd, len(srcSPT.Parent)))
-	sc.pd2 = packTree(coreSPT, sc.growPacked(sc.pd2, len(coreSPT.Parent)))
+	sc.pd = packTree(srcSPT, sc.pd)
+	sc.pd2 = packTree(coreSPT, sc.pd2)
 	sc.rows.use(srcSPT)
 	sc.rows2.use(coreSPT)
 	// Receivers always exclude the source here (the shared-tree comparison

@@ -31,6 +31,23 @@ func NewTreeCounter(n int) *TreeCounter {
 	return &TreeCounter{visited: make([]int32, n)}
 }
 
+// next starts a measurement on an n-node tree and returns its epoch: it
+// grows visited when it is short and advances the epoch. Unstamped nodes
+// hold 0, so when the epoch wraps to 0 or below the stamps are re-zeroed
+// and the epochs restart at 1.
+func (c *TreeCounter) next(n int) int32 {
+	if n > len(c.visited) {
+		c.visited = make([]int32, n)
+		c.epoch = 0
+	}
+	c.epoch++
+	if c.epoch <= 0 {
+		clear(c.visited)
+		c.epoch = 1
+	}
+	return c.epoch
+}
+
 // TreeSize returns the number of links in the delivery tree induced by the
 // given receivers on the shortest-path tree spt: the union of the tree paths
 // from the source to every reachable receiver. Duplicate receivers are fine
@@ -41,20 +58,16 @@ func NewTreeCounter(n int) *TreeCounter {
 // first node already in the tree, so total cost is O(L) for the whole set —
 // each tree link is visited exactly once.
 func (c *TreeCounter) TreeSize(spt *graph.SPT, receivers []int32) int {
-	if len(spt.Parent) > len(c.visited) {
-		c.visited = make([]int32, len(spt.Parent))
-		c.epoch = 0
-	}
-	c.epoch++
+	epoch := c.next(len(spt.Parent))
 	links := 0
-	c.visited[spt.Source] = c.epoch
+	c.visited[spt.Source] = epoch
 	for _, r := range receivers {
 		v := r
 		if v < 0 || int(v) >= len(spt.Parent) || spt.Dist[v] == graph.Unreachable {
 			continue
 		}
-		for c.visited[v] != c.epoch {
-			c.visited[v] = c.epoch
+		for c.visited[v] != epoch {
+			c.visited[v] = epoch
 			links++
 			v = spt.Parent[v]
 		}
@@ -66,12 +79,8 @@ func (c *TreeCounter) TreeSize(spt *graph.SPT, receivers []int32) int {
 // one delivery tree receiver by receiver. It invalidates any in-progress
 // incremental measurement.
 func (c *TreeCounter) Begin(spt *graph.SPT) {
-	if len(spt.Parent) > len(c.visited) {
-		c.visited = make([]int32, len(spt.Parent))
-		c.epoch = 0
-	}
-	c.epoch++
-	c.visited[spt.Source] = c.epoch
+	epoch := c.next(len(spt.Parent))
+	c.visited[spt.Source] = epoch
 }
 
 // Add joins one receiver to the tree started by Begin and returns the

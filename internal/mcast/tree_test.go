@@ -235,3 +235,50 @@ func TestTreeSizeOnKAryTreeMatchesDepthBound(t *testing.T) {
 		t.Fatalf("all-leaves tree = %d, want %d", got, tr.Graph.N()-1)
 	}
 }
+
+// After 2³²−1 measurements a counter's epoch comes round to 0, the stamp
+// every node outside the tree holds. Each entry point must then clear the
+// stamps and restart the epochs, not see every node as already in the tree.
+// Each row stamps a short path first, so a restart that skips the clear
+// miscounts too.
+func TestTreeCounterEpochWrap(t *testing.T) {
+	g := pathGraph(t, 6)
+	spt, _ := g.BFS(0)
+	coreSPT, _ := g.BFS(2)
+	pd, pd2 := packTree(spt, nil), packTree(coreSPT, nil)
+	recv := []int32{3, 5}
+	links := TreeSizeSlow(spt, recv)
+	shared := NewTreeCounter(g.N()).SharedTreeSize(coreSPT, 0, recv)
+	measure := NewTreeCounter(g.N()).Measure(spt, recv)
+	for _, tc := range []struct {
+		name    string
+		measure func(c *TreeCounter, recv []int32) any
+		want    any
+	}{
+		{"TreeSize", func(c *TreeCounter, recv []int32) any { return c.TreeSize(spt, recv) }, links},
+		{"Begin", func(c *TreeCounter, recv []int32) any {
+			c.Begin(spt)
+			added := 0
+			for _, r := range recv {
+				added += c.Add(spt, r)
+			}
+			return added
+		}, links},
+		{"SharedTreeSize", func(c *TreeCounter, recv []int32) any { return c.SharedTreeSize(coreSPT, 0, recv) }, shared},
+		{"measureClimb", func(c *TreeCounter, recv []int32) any { return c.measureClimb(0, pd, recv) }, measure},
+		{"treeSizeClimb", func(c *TreeCounter, recv []int32) any { return c.treeSizeClimb(0, pd, recv) }, links},
+		{"sharedTreeSizeClimb", func(c *TreeCounter, recv []int32) any { return c.sharedTreeSizeClimb(2, pd2, 0, recv) }, shared},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewTreeCounter(g.N())
+			tc.measure(c, []int32{1})
+			c.epoch = -1
+			if got := tc.measure(c, recv); got != tc.want {
+				t.Fatalf("as the epoch wraps: %v, want %v", got, tc.want)
+			}
+			if got := tc.measure(c, recv); got != tc.want {
+				t.Fatalf("after the epoch wrapped: %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
