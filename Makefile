@@ -116,16 +116,19 @@ bench-churn:
 		./internal/mcast/ | $(GO) run ./cmd/benchjson -o $(BENCH_CHURN_JSON)
 	@cat $(BENCH_CHURN_JSON)
 
-# Gate a new perf point against the previous one: per-benchmark ns/op deltas,
-# nonzero exit when anything shared slowed down by more than BENCH_THRESHOLD
-# percent. Points recorded in different sessions of a shared host can drift
-# ±20% on the cache-sensitive kernels (see EXPERIMENTS.md); for a strict gate
-# re-record both generations back-to-back, or loosen the threshold.
-BENCH_OLD ?= BENCH_7.json
-BENCH_NEW ?= BENCH_8.json
+# Gate a new perf point against an earlier one of the same benchmarks:
+# per-benchmark ns/op deltas, nonzero exit when anything shared slowed down
+# by more than BENCH_THRESHOLD percent, and an error when the two points
+# share no benchmark name. Both points must be named, e.g. `make
+# bench-compare BENCH_OLD=BENCH_6.json BENCH_NEW=BENCH_9.json`. Points
+# recorded in different sessions of a shared host can drift ±20% on the
+# cache-sensitive kernels (see EXPERIMENTS.md); for a strict gate re-record
+# both generations back-to-back, or loosen the threshold.
 BENCH_THRESHOLD ?= 10
 
 bench-compare:
+	@if [ -z "$(BENCH_OLD)" ] || [ -z "$(BENCH_NEW)" ]; then \
+		echo "usage: make bench-compare BENCH_OLD=old.json BENCH_NEW=new.json [BENCH_THRESHOLD=10]"; exit 2; fi
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_OLD) $(BENCH_NEW)
 
 # The large-graph smoke: 1M-node streamed transit-stub, retained-heap bound

@@ -3,25 +3,18 @@ package mtreescale
 import (
 	"context"
 	"io"
-	"io/fs"
-	"net/http"
 	"time"
 
 	"mtreescale/internal/affinity"
 	"mtreescale/internal/analytic"
-	"mtreescale/internal/atomicio"
-	"mtreescale/internal/buildinfo"
-	"mtreescale/internal/chaos"
 	"mtreescale/internal/cluster"
 	"mtreescale/internal/core"
 	"mtreescale/internal/experiments"
 	"mtreescale/internal/graph"
 	"mtreescale/internal/mcast"
-	"mtreescale/internal/panicsafe"
 	"mtreescale/internal/plot"
 	"mtreescale/internal/reach"
 	"mtreescale/internal/rng"
-	"mtreescale/internal/serve"
 	"mtreescale/internal/steiner"
 	"mtreescale/internal/topology"
 	"mtreescale/internal/valid"
@@ -100,7 +93,8 @@ func GenerateTopologyCached(name string, seed int64, scale float64) (*Topology, 
 // choice of the compressed adjacency layout, which has been removed:
 // compress=true fails with an ErrInvalidParam error.
 //
-// Deprecated: use GenerateTopologyCached.
+// Deprecated: use GenerateTopologyCached. It stays because perfbench, the
+// benchmark module, still calls it.
 func GenerateTopologyCachedOpt(name string, seed int64, scale float64, compress bool) (*Topology, error) {
 	if compress {
 		return nil, valid.Badf("mtreescale: compress is no longer supported: the compressed adjacency layout was removed")
@@ -277,8 +271,8 @@ func MeasureEnsemble(gen func(seed int64) (*Topology, error), nNetworks int, siz
 }
 
 // MeasureEnsembleCtx is MeasureEnsemble under a cancellation context; a
-// panicking generator is recovered into a *PanicError instead of killing the
-// process.
+// panicking generator is recovered into an error carrying the panic value
+// and stack instead of killing the process.
 func MeasureEnsembleCtx(ctx context.Context, gen func(seed int64) (*Topology, error), nNetworks int, sizes []int, mode Mode, p Protocol) ([]Point, error) {
 	return mcast.MeasureEnsembleCtx(ctx, gen, nNetworks, sizes, mode, p)
 }
@@ -525,8 +519,7 @@ func ExperimentIDs() []string { return experiments.IDs() }
 type ExperimentListing = experiments.Info
 
 // ListExperiments returns every registered experiment's listing in paper
-// order — the helper behind `mtsim -list` and the daemon's /experiments
-// endpoint.
+// order — the listing `mtsim -list` and mtsimd's /experiments print.
 func ListExperiments() []ExperimentListing { return experiments.List() }
 
 // ErrInvalidParam is the sentinel wrapped by every boundary-validation
@@ -534,12 +527,6 @@ func ListExperiments() []ExperimentListing { return experiments.List() }
 // Serving layers use errors.Is(err, ErrInvalidParam) to answer 400 instead
 // of 500.
 var ErrInvalidParam = valid.ErrParam
-
-// ParseByteSize parses a byte count with an optional k/m/g suffix (binary
-// multiples, optional trailing 'b'): "512m", "4g", "1048576". An empty
-// string is 0 (no limit). Shared by the mtsim and mtsimd -maxheap flags;
-// failures wrap ErrInvalidParam.
-func ParseByteSize(s string) (uint64, error) { return valid.ParseByteSize(s) }
 
 // RunExperiment reproduces one paper table or figure.
 func RunExperiment(id string, p Profile) (*Result, error) { return experiments.Run(id, p) }
@@ -549,46 +536,6 @@ func RunExperiment(id string, p Profile) (*Result, error) { return experiments.R
 // ctx's error promptly after cancellation.
 func RunExperimentCtx(ctx context.Context, id string, p Profile) (*Result, error) {
 	return experiments.RunCtx(ctx, id, p)
-}
-
-// ExperimentRunner defines one registrable experiment.
-type ExperimentRunner = experiments.Runner
-
-// RegisterExperiment adds a custom experiment to the registry; it rejects
-// nil runners, missing IDs or Run functions, and duplicate IDs with an
-// error.
-func RegisterExperiment(r *ExperimentRunner) error { return experiments.Register(r) }
-
-// ExperimentStats is one scheduled experiment's result plus wall-clock and
-// allocation cost.
-type ExperimentStats = experiments.RunStats
-
-// ScheduleOptions configures RunExperimentsCtx: worker count, soft heap
-// guard, checkpoint replay, and completion callbacks.
-type ScheduleOptions = experiments.ScheduleOptions
-
-// ErrHeapLimit marks an experiment aborted by ScheduleOptions.MaxHeapBytes.
-var ErrHeapLimit = experiments.ErrHeapLimit
-
-// PanicError is a recovered experiment panic: the panic value plus the
-// goroutine stack captured at recovery. A panicking experiment lands in its
-// ExperimentStats.Err as a *PanicError while sibling experiments complete.
-type PanicError = panicsafe.PanicError
-
-// RunExperiments executes experiments concurrently with up to `parallel`
-// workers (0 = all cores) and returns stats in input order — the scheduler
-// behind `mtsim -parallel`.
-func RunExperiments(ids []string, p Profile, parallel int) ([]ExperimentStats, error) {
-	return experiments.RunMany(ids, p, parallel)
-}
-
-// RunExperimentsCtx is RunExperiments under a cancellation context and the
-// extended scheduling options: cancellation yields partial stats (finished
-// experiments keep their results, the rest are marked with ctx.Err()),
-// panics are isolated per experiment, and the heap guard aborts an
-// experiment — not the process — when it exceeds MaxHeapBytes.
-func RunExperimentsCtx(ctx context.Context, ids []string, p Profile, opts ScheduleOptions) ([]ExperimentStats, error) {
-	return experiments.RunManyCtx(ctx, ids, p, opts)
 }
 
 // WriteReport runs every experiment under the profile and writes a
@@ -608,81 +555,9 @@ func RenderReport(w io.Writer, p Profile, results []*Result) {
 	experiments.RenderReport(w, p, results, time.Now())
 }
 
-// CheckpointFile is the journal name inside an output directory
-// ("checkpoint.jsonl"): one fsynced JSON record per completed experiment.
-const CheckpointFile = experiments.CheckpointFile
-
-// CheckpointRecord is one journaled experiment result, bound to the profile
-// that produced it by ProfileKey.
-type CheckpointRecord = experiments.CheckpointRecord
-
-// ProfileKey fingerprints a profile; (key, id) identifies a deterministic
-// experiment result exactly.
-func ProfileKey(p Profile) string { return experiments.ProfileKey(p) }
-
-// ParseCheckpointLine decodes one journal line, rejecting torn or incomplete
-// records with an ErrInvalidParam-wrapped error.
-func ParseCheckpointLine(line []byte) (CheckpointRecord, error) {
-	return experiments.ParseCheckpointLine(line)
-}
-
-// Checkpointer appends completed experiments to <dir>/checkpoint.jsonl,
-// fsynced per record and safe for concurrent use.
-type Checkpointer = experiments.Checkpointer
-
-// NewCheckpointer opens the journal for appending, truncating any previous
-// journal unless resume is set.
-func NewCheckpointer(dir string, resume bool) (*Checkpointer, error) {
-	return experiments.NewCheckpointer(dir, resume)
-}
-
-// LoadCheckpoints reads <dir>/checkpoint.jsonl and returns the completed
-// results recorded under the given profile key, skipping torn lines.
-func LoadCheckpoints(dir, key string) (map[string]*Result, error) {
-	return experiments.LoadCheckpoints(dir, key)
-}
-
-// LoadAllCheckpoints reads the journal and returns every recorded result
-// grouped by profile key — the daemon's degraded-mode cache shape.
-func LoadAllCheckpoints(dir string) (map[string]map[string]*Result, error) {
-	return experiments.LoadAllCheckpoints(dir)
-}
-
-// Quarantine is the exponential-backoff registry for workloads that have
-// proven dangerous (a panic or heap-guard trip). Share one instance between
-// RunExperimentsCtx (ScheduleOptions.Quarantine) and a serving layer so a
-// misbehaving experiment is refused everywhere until its backoff elapses.
-type Quarantine = serve.Quarantine
-
-// QuarantineInfo describes one quarantined id for health reporting.
-type QuarantineInfo = serve.QuarantineInfo
-
-// NewQuarantine returns a quarantine registry with the given backoff base
-// and cap (non-positive values default to 1s and 5m).
-func NewQuarantine(base, max time.Duration) *Quarantine {
-	return serve.NewQuarantine(base, max)
-}
-
-// ErrQuarantined marks work refused because its id is inside a quarantine
-// backoff window.
-var ErrQuarantined = serve.ErrQuarantined
-
-// WriteFileAtomic writes data to path crash-safely: the bytes land in a
-// temporary file in the same directory, are fsynced, and are renamed over
-// path, so readers see either the old contents or the complete new contents
-// — never a torn write.
-func WriteFileAtomic(path string, data []byte, perm fs.FileMode) error {
-	return atomicio.WriteFile(path, data, perm)
-}
-
-// VersionString reports the binary's embedded build information (module
-// version, VCS revision, Go release) — the -version flag of every CLI.
-func VersionString() string { return buildinfo.String() }
-
-// CallSafe runs fn, converting a panic into a returned *PanicError (value +
-// goroutine stack) instead of unwinding the process — the isolation wrapper
-// the serving layers put around untrusted computations.
-func CallSafe(fn func() error) error { return panicsafe.Do(fn) }
+// The cluster names below are not part of the paper's surface. They stay
+// because perfbench, the benchmark module, shards a curve grid through
+// them; mtctl and mtsimd use internal/cluster directly.
 
 // ClusterGrid describes one shardable experiment sweep: a standard
 // topology, a size grid, and the measurement protocol. Grids shard along
@@ -691,16 +566,8 @@ func CallSafe(fn func() error) error { return panicsafe.Do(fn) }
 // merges byte-identically to a single-process run.
 type ClusterGrid = cluster.Grid
 
-// ClusterKind selects a grid's measurement engine.
-type ClusterKind = cluster.Kind
-
-// Grid kinds: the §2 curve protocol, the shared-tree comparison, and
-// footnote 4's topology ensemble.
-const (
-	ClusterCurve    = cluster.KindCurve
-	ClusterShared   = cluster.KindShared
-	ClusterEnsemble = cluster.KindEnsemble
-)
+// ClusterCurve is the grid kind of the §2 curve protocol.
+const ClusterCurve = cluster.KindCurve
 
 // ClusterShardSpec is one contiguous block of a grid's sharding axis — the
 // unit of work a coordinator posts to a worker's /shard endpoint.
@@ -749,79 +616,9 @@ type ClusterCoordinator = cluster.Coordinator
 // ClusterOptions tunes a ClusterCoordinator; the zero value is usable.
 type ClusterOptions = cluster.Options
 
-// ClusterEvent is one coordinator progress notification.
-type ClusterEvent = cluster.Event
-
-// ClusterStats summarizes one coordinator run.
-type ClusterStats = cluster.Stats
-
 // NewClusterCoordinator builds a coordinator over worker base URLs.
 func NewClusterCoordinator(workers []string, opt ClusterOptions) (*ClusterCoordinator, error) {
 	return cluster.New(workers, opt)
-}
-
-// ClusterStubWorker is a minimal in-process shard worker speaking the
-// /shard protocol: the coordinator's test double and the calibrated-latency
-// replay worker behind mtctl's committed cluster benchmark.
-type ClusterStubWorker = cluster.StubWorker
-
-// ClusterShardHandler computes one shard on behalf of a stub worker.
-type ClusterShardHandler = cluster.ShardHandler
-
-// StartClusterStubWorker serves POST /shard on a loopback listener,
-// sleeping latency before each shard; a nil handler computes shards
-// in-process.
-func StartClusterStubWorker(id string, latency time.Duration, handler ClusterShardHandler) (*ClusterStubWorker, error) {
-	return cluster.StartStubWorker(id, latency, handler)
-}
-
-// ClusterStubOptions is the stub worker's full option set: id, latency,
-// handler, bearer-token auth, and TLS serving.
-type ClusterStubOptions = cluster.StubOptions
-
-// StartClusterStubWorkerOpts serves POST /shard and GET /healthz on a
-// loopback listener with the full option set.
-func StartClusterStubWorkerOpts(opt ClusterStubOptions) (*ClusterStubWorker, error) {
-	return cluster.StartStubWorkerOpts(opt)
-}
-
-// NewClusterTLSClient builds an HTTP client trusting exactly the CA
-// certificates in the PEM file at caPath — the client side of cluster TLS
-// (mtctl -tls-ca).
-func NewClusterTLSClient(caPath string) (*http.Client, error) {
-	return cluster.NewTLSClient(caPath)
-}
-
-// ChaosPlan is a parsed deterministic fault-injection schedule: named
-// failpoint sites, each with rules (error, panic, latency, short write, bit
-// flip, injected status, response truncation) driven by per-site RNG streams
-// derived from one seed — the same seed replays the identical fault
-// sequence. See internal/chaos for the spec grammar.
-type ChaosPlan = chaos.Plan
-
-// ErrChaosInjected is the sentinel wrapped by every chaos-injected error.
-var ErrChaosInjected = chaos.ErrInjected
-
-// ParseChaosPlan parses a failpoint spec like
-// "journal.write=short@0.2;serve.handler=panic#1" with the given seed.
-func ParseChaosPlan(spec string, seed int64) (*ChaosPlan, error) {
-	return chaos.Parse(spec, seed)
-}
-
-// EnableChaos installs the plan process-wide; nil or a plan with no rules
-// leaves every failpoint on its single-atomic-load fast path.
-func EnableChaos(p *ChaosPlan) { chaos.Enable(p) }
-
-// DisableChaos removes any installed chaos plan.
-func DisableChaos() { chaos.Disable() }
-
-// ExperimentInfo returns the title and description of an experiment.
-func ExperimentInfo(id string) (title, description string, err error) {
-	r, err := experiments.Lookup(id)
-	if err != nil {
-		return "", "", err
-	}
-	return r.Title, r.Description, nil
 }
 
 // Figure is a plottable set of series.

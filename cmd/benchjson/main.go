@@ -17,7 +17,8 @@
 // Compare prints a per-benchmark ns/op delta table (negative = faster) and
 // exits nonzero when any benchmark present in both files slowed down by more
 // than the threshold percentage. Benchmarks only in one file are reported
-// but never fail the comparison.
+// but never fail the comparison; two files that share no benchmark name
+// are an error, since there is nothing to gate.
 package main
 
 import (
@@ -29,10 +30,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/atomicio"
 )
 
 // Benchmark is one parsed benchmark result line.
@@ -106,7 +108,7 @@ func writeDocTo(path string, doc *Doc) error {
 		_, err := os.Stdout.Write(buf.Bytes())
 		return err
 	}
-	return mtreescale.WriteFileAtomic(path, buf.Bytes(), 0o644)
+	return atomicio.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // readDoc loads one committed BENCH_*.json document, rejecting empty,
@@ -147,7 +149,8 @@ func validateDoc(doc *Doc) error {
 }
 
 // runCompare prints the per-benchmark ns/op delta table and reports whether
-// any shared benchmark regressed beyond the threshold percentage.
+// any shared benchmark regressed beyond the threshold percentage. Documents
+// that share no benchmark name are an error.
 func runCompare(w io.Writer, oldPath, newPath string, threshold float64) (bool, error) {
 	oldDoc, err := readDoc(oldPath)
 	if err != nil {
@@ -160,6 +163,9 @@ func runCompare(w io.Writer, oldPath, newPath string, threshold float64) (bool, 
 	oldBy := make(map[string]Benchmark, len(oldDoc.Benchmarks))
 	for _, b := range oldDoc.Benchmarks {
 		oldBy[b.Name] = b
+	}
+	if !slices.ContainsFunc(newDoc.Benchmarks, func(b Benchmark) bool { _, ok := oldBy[b.Name]; return ok }) {
+		return false, fmt.Errorf("%s and %s share no benchmark name: nothing to compare", oldPath, newPath)
 	}
 	fmt.Fprintf(w, "%-40s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
 	regressed := false

@@ -240,4 +240,8 @@ func TestCompareErrors(t *testing.T) {
 	if _, err := runCompare(&buf, zero, good, 10); err == nil {
 		t.Fatal("non-positive old ns/op must error")
 	}
+	other := writeDoc(t, dir, "other.json", []Benchmark{{Name: "Y", NsPerOp: 1}})
+	if _, err := runCompare(&buf, good, other, 10); err == nil {
+		t.Fatal("documents sharing no benchmark name must error")
+	}
 }

@@ -71,7 +71,12 @@ import (
 	"syscall"
 	"time"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/atomicio"
+	"mtreescale/internal/buildinfo"
+	"mtreescale/internal/chaos"
+	"mtreescale/internal/cluster"
+	"mtreescale/internal/experiments"
+	"mtreescale/internal/mcast"
 )
 
 func main() {
@@ -134,7 +139,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		return err
 	}
 	if *version {
-		fmt.Fprintln(outw, "mtctl", mtreescale.VersionString())
+		fmt.Fprintln(outw, "mtctl", buildinfo.String())
 		return nil
 	}
 	if *resume && *outDir == "" {
@@ -151,13 +156,13 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 	}
 
 	if *chaosSpec != "" {
-		plan, err := mtreescale.ParseChaosPlan(*chaosSpec, *chaosSeed)
+		plan, err := chaos.Parse(*chaosSpec, *chaosSeed)
 		if err != nil {
 			return fmt.Errorf("-chaos: %w", err)
 		}
 		plan.SetLogf(func(format string, args ...any) { fmt.Fprintf(errw, format+"\n", args...) })
-		mtreescale.EnableChaos(plan)
-		defer mtreescale.DisableChaos()
+		chaos.Enable(plan)
+		defer chaos.Disable()
 		fmt.Fprintf(errw, "mtctl: CHAOS ENABLED seed=%d spec=%q\n", *chaosSeed, *chaosSpec)
 	}
 
@@ -167,21 +172,21 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 
 	start := time.Now()
 	var (
-		merged *mtreescale.ClusterMerged
-		stats  *mtreescale.ClusterStats
+		merged *cluster.Merged
+		stats  *cluster.Stats
 		label  string
 	)
 	switch {
 	case *local:
 		label = "LocalRun/" + string(grid.Kind)
-		merged, err = mtreescale.RunClusterLocal(ctx, grid)
+		merged, err = cluster.RunLocal(ctx, grid)
 		if err != nil {
 			return err
 		}
 	case *workers != "":
 		label = "ClusterRun/" + string(grid.Kind)
 		urls := splitList(*workers)
-		opt := mtreescale.ClusterOptions{
+		opt := cluster.Options{
 			Inflight:       *inflight,
 			Retries:        *retries,
 			Backoff:        *backoff,
@@ -194,7 +199,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 			OnEvent:        eventPrinter(errw),
 		}
 		if *tlsCA != "" {
-			client, err := mtreescale.NewClusterTLSClient(*tlsCA)
+			client, err := cluster.NewTLSClient(*tlsCA)
 			if err != nil {
 				return fmt.Errorf("-tls-ca: %w", err)
 			}
@@ -204,10 +209,10 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				return err
 			}
-			opt.JournalPath = filepath.Join(*outDir, mtreescale.CheckpointFile)
+			opt.JournalPath = filepath.Join(*outDir, experiments.CheckpointFile)
 			opt.Resume = *resume
 		}
-		coord, err := mtreescale.NewClusterCoordinator(urls, opt)
+		coord, err := cluster.New(urls, opt)
 		if err != nil {
 			return err
 		}
@@ -249,7 +254,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 	return writeMerged(grid, merged, *outDir, outw)
 }
 
-// gridFlags carries the flag values buildGrid translates into a ClusterGrid.
+// gridFlags carries the flag values buildGrid translates into a cluster.Grid.
 type gridFlags struct {
 	kind, topo, sizes, mode, strategy string
 	scale                             float64
@@ -258,19 +263,19 @@ type gridFlags struct {
 	sptcache                          bool
 }
 
-func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
-	var g mtreescale.ClusterGrid
+func buildGrid(f gridFlags) (cluster.Grid, error) {
+	var g cluster.Grid
 	szs, err := parseSizes(f.sizes)
 	if err != nil {
 		return g, err
 	}
-	g = mtreescale.ClusterGrid{
-		Kind:     mtreescale.ClusterKind(f.kind),
+	g = cluster.Grid{
+		Kind:     cluster.Kind(f.kind),
 		Topology: f.topo,
 		Seed:     f.topoSeed,
 		Scale:    f.scale,
 		Sizes:    szs,
-		Protocol: mtreescale.Protocol{
+		Protocol: mcast.Protocol{
 			NSource: f.nsource,
 			NRcvr:   f.nrcvr,
 			Seed:    f.seed,
@@ -283,23 +288,23 @@ func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
 	}
 	switch f.mode {
 	case "distinct":
-		g.Mode = mtreescale.Distinct
+		g.Mode = mcast.Distinct
 	case "replacement":
-		g.Mode = mtreescale.WithReplacement
+		g.Mode = mcast.WithReplacement
 	default:
 		return g, fmt.Errorf("unknown -mode %q (want distinct|replacement)", f.mode)
 	}
 	switch f.strategy {
 	case "random":
-		g.Strategy = mtreescale.CoreRandom
+		g.Strategy = mcast.CoreRandom
 	case "source":
-		g.Strategy = mtreescale.CoreSource
+		g.Strategy = mcast.CoreSource
 	case "center":
-		g.Strategy = mtreescale.CoreCenter
+		g.Strategy = mcast.CoreCenter
 	default:
 		return g, fmt.Errorf("unknown -strategy %q (want random|source|center)", f.strategy)
 	}
-	if g.Kind == mtreescale.ClusterEnsemble {
+	if g.Kind == cluster.KindEnsemble {
 		g.NNetworks = f.nets
 	}
 	return g, g.Validate()
@@ -310,12 +315,12 @@ func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
 // runs serialize through this one shape, which is what makes "byte-identical
 // merged output" checkable with cmp(1).
 type mergedDoc struct {
-	Grid   mtreescale.ClusterGrid   `json:"grid"`
-	Key    string                   `json:"key"`
-	Result mtreescale.ClusterMerged `json:"result"`
+	Grid   cluster.Grid   `json:"grid"`
+	Key    string         `json:"key"`
+	Result cluster.Merged `json:"result"`
 }
 
-func writeMerged(g mtreescale.ClusterGrid, m *mtreescale.ClusterMerged, outDir string, outw io.Writer) error {
+func writeMerged(g cluster.Grid, m *cluster.Merged, outDir string, outw io.Writer) error {
 	doc := mergedDoc{Grid: g, Key: g.Key(), Result: *m}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -329,15 +334,15 @@ func writeMerged(g mtreescale.ClusterGrid, m *mtreescale.ClusterMerged, outDir s
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	return mtreescale.WriteFileAtomic(filepath.Join(outDir, "merged.json"), data, 0o644)
+	return atomicio.WriteFile(filepath.Join(outDir, "merged.json"), data, 0o644)
 }
 
 // eventPrinter renders coordinator progress notifications as one stderr
 // line each. Events arrive from concurrent worker slots, so writes are
 // serialized: errw need not be safe for concurrent use.
-func eventPrinter(errw io.Writer) func(mtreescale.ClusterEvent) {
+func eventPrinter(errw io.Writer) func(cluster.Event) {
 	var mu sync.Mutex
-	return func(ev mtreescale.ClusterEvent) {
+	return func(ev cluster.Event) {
 		mu.Lock()
 		defer mu.Unlock()
 		switch ev.Kind {
@@ -428,7 +433,7 @@ func writeJSONFile(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	return mtreescale.WriteFileAtomic(path, append(data, '\n'), 0o644)
+	return atomicio.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // runBench measures coordinator fan-out against calibrated-latency stub
@@ -438,25 +443,25 @@ func writeJSONFile(path string, v any) error {
 // distributed regime the cluster exists for), the two-worker run overlaps
 // dispatches and should land near 2x. The merged bytes of both runs are
 // checked against the unsharded local engines before any number is written.
-func runBench(ctx context.Context, g mtreescale.ClusterGrid, outFile string, latency time.Duration, nShards, inflight int, outw, errw io.Writer) error {
+func runBench(ctx context.Context, g cluster.Grid, outFile string, latency time.Duration, nShards, inflight int, outw, errw io.Writer) error {
 	want, err := localBytes(ctx, g)
 	if err != nil {
 		return err
 	}
 
-	w1, err := mtreescale.StartClusterStubWorker("bench-0", latency, nil)
+	w1, err := cluster.StartStubWorker("bench-0", latency, nil)
 	if err != nil {
 		return err
 	}
 	defer w1.Close()
-	w2, err := mtreescale.StartClusterStubWorker("bench-1", latency, nil)
+	w2, err := cluster.StartStubWorker("bench-1", latency, nil)
 	if err != nil {
 		return err
 	}
 	defer w2.Close()
 
 	run := func(urls []string) (time.Duration, error) {
-		coord, err := mtreescale.NewClusterCoordinator(urls, mtreescale.ClusterOptions{Inflight: inflight})
+		coord, err := cluster.New(urls, cluster.Options{Inflight: inflight})
 		if err != nil {
 			return 0, err
 		}
@@ -506,14 +511,14 @@ func runBench(ctx context.Context, g mtreescale.ClusterGrid, outFile string, lat
 	return nil
 }
 
-func localBytes(ctx context.Context, g mtreescale.ClusterGrid) ([]byte, error) {
-	m, err := mtreescale.RunClusterLocal(ctx, g)
+func localBytes(ctx context.Context, g cluster.Grid) ([]byte, error) {
+	m, err := cluster.RunLocal(ctx, g)
 	if err != nil {
 		return nil, err
 	}
 	return mergedBytes(g, m)
 }
 
-func mergedBytes(g mtreescale.ClusterGrid, m *mtreescale.ClusterMerged) ([]byte, error) {
+func mergedBytes(g cluster.Grid, m *cluster.Merged) ([]byte, error) {
 	return json.MarshalIndent(mergedDoc{Grid: g, Key: g.Key(), Result: *m}, "", "  ")
 }

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/cluster"
 )
 
 // smallGrid are flags for a grid cheap enough to run many times per test
@@ -65,12 +65,12 @@ func TestClusterMatchesLocalByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w1, err := mtreescale.StartClusterStubWorker("t-0", 0, nil)
+	w1, err := cluster.StartStubWorker("t-0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w1.Close()
-	w2, err := mtreescale.StartClusterStubWorker("t-1", 0, nil)
+	w2, err := cluster.StartStubWorker("t-1", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestClusterMatchesLocalByteIdentical(t *testing.T) {
 // and the rewritten merged.json is unchanged.
 func TestResumeNeedsNoLiveWorker(t *testing.T) {
 	dir := t.TempDir()
-	w, err := mtreescale.StartClusterStubWorker("t-0", 0, nil)
+	w, err := cluster.StartStubWorker("t-0", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

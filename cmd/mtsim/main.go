@@ -53,7 +53,13 @@ import (
 	"text/tabwriter"
 	"time"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/atomicio"
+	"mtreescale/internal/buildinfo"
+	"mtreescale/internal/chaos"
+	"mtreescale/internal/experiments"
+	"mtreescale/internal/mcast"
+	"mtreescale/internal/plot"
+	"mtreescale/internal/valid"
 )
 
 func main() {
@@ -96,29 +102,25 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if *version {
-		fmt.Fprintln(out, "mtsim", mtreescale.VersionString())
+		fmt.Fprintln(out, "mtsim", buildinfo.String())
 		return nil
 	}
 	if *chaosSpec != "" {
-		plan, err := mtreescale.ParseChaosPlan(*chaosSpec, *chaosSeed)
+		plan, err := chaos.Parse(*chaosSpec, *chaosSeed)
 		if err != nil {
 			return fmt.Errorf("-chaos: %w", err)
 		}
 		plan.SetLogf(func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) })
-		mtreescale.EnableChaos(plan)
-		defer mtreescale.DisableChaos()
+		chaos.Enable(plan)
+		defer chaos.Disable()
 		fmt.Fprintf(os.Stderr, "mtsim: CHAOS ENABLED seed=%d spec=%q\n", *chaosSeed, *chaosSpec)
 	}
 	if *list {
 		return writeList(out)
 	}
 	if *describe {
-		for _, id := range mtreescale.ExperimentIDs() {
-			title, desc, err := mtreescale.ExperimentInfo(id)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "%-20s %s\n%20s %s\n", id, title, "", desc)
+		for _, e := range experiments.List() {
+			fmt.Fprintf(out, "%-20s %s\n%20s %s\n", e.ID, e.Title, "", e.Description)
 		}
 		return nil
 	}
@@ -129,11 +131,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *resume && *outDir == "" {
 		return fmt.Errorf("-resume requires -out (the checkpoint journal lives in the output directory)")
 	}
-	maxHeapBytes, err := mtreescale.ParseByteSize(*maxHeap)
+	maxHeapBytes, err := valid.ParseByteSize(*maxHeap)
 	if err != nil {
 		return fmt.Errorf("-maxheap: %w", err)
 	}
-	p, err := mtreescale.ProfileByName(*profile)
+	p, err := experiments.ProfileByName(*profile)
 	if err != nil {
 		return err
 	}
@@ -159,7 +161,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer cancel()
 	}
 	if *report && *experiment == "" {
-		return mtreescale.WriteReportCtx(ctx, out, p)
+		return experiments.ReportCtx(ctx, out, p, time.Now())
 	}
 	if *report && *outDir == "" {
 		return fmt.Errorf("-report with -experiment requires -out (the report is written to <out>/REPORT.md)")
@@ -186,8 +188,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 func writeList(out io.Writer) error {
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	var families []string
-	byFamily := map[string][]mtreescale.ExperimentListing{}
-	for _, e := range mtreescale.ListExperiments() {
+	byFamily := map[string][]experiments.Info{}
+	for _, e := range experiments.List() {
 		if _, ok := byFamily[e.Family]; !ok {
 			families = append(families, e.Family)
 		}
@@ -217,7 +219,7 @@ func oneLine(s string) string {
 // comma-separated list.
 func expandIDs(arg string) ([]string, error) {
 	if arg == "all" {
-		return mtreescale.ExperimentIDs(), nil
+		return experiments.IDs(), nil
 	}
 	var ids []string
 	for _, id := range strings.Split(arg, ",") {
@@ -249,7 +251,7 @@ type scheduleConfig struct {
 
 // emit writes one result either into the output directory or to out in the
 // selected format.
-func emit(out io.Writer, res *mtreescale.Result, format, outDir string, w, h int) error {
+func emit(out io.Writer, res *experiments.Result, format, outDir string, w, h int) error {
 	if outDir != "" {
 		if err := writeAll(outDir, res, w, h); err != nil {
 			return err
@@ -266,35 +268,35 @@ func emit(out io.Writer, res *mtreescale.Result, format, outDir string, w, h int
 // rerunning them; with -report it also renders them into REPORT.md. On
 // failure or cancellation, completed results are still written into -out
 // before the error is returned, so interrupted work is never thrown away.
-func runScheduled(ctx context.Context, out io.Writer, ids []string, p mtreescale.Profile, cfg scheduleConfig) error {
-	opts := mtreescale.ScheduleOptions{Parallel: cfg.parallel, MaxHeapBytes: cfg.maxHeap}
-	var ck *mtreescale.Checkpointer
+func runScheduled(ctx context.Context, out io.Writer, ids []string, p experiments.Profile, cfg scheduleConfig) error {
+	opts := experiments.ScheduleOptions{Parallel: cfg.parallel, MaxHeapBytes: cfg.maxHeap}
+	var ck *experiments.Checkpointer
 	if cfg.outDir != "" {
-		key := mtreescale.ProfileKey(p)
+		key := experiments.ProfileKey(p)
 		if cfg.resume {
-			done, err := mtreescale.LoadCheckpoints(cfg.outDir, key)
+			done, err := experiments.LoadCheckpoints(cfg.outDir, key)
 			if err != nil {
 				return err
 			}
 			if len(done) > 0 {
 				fmt.Fprintf(out, "# resume: replaying %d checkpointed experiments\n", len(done))
 			}
-			opts.Replay = func(id string) (*mtreescale.Result, bool) {
+			opts.Replay = func(id string) (*experiments.Result, bool) {
 				res, ok := done[id]
 				return res, ok
 			}
 		}
 		var err error
-		if ck, err = mtreescale.NewCheckpointer(cfg.outDir, cfg.resume); err != nil {
+		if ck, err = experiments.NewCheckpointer(cfg.outDir, cfg.resume); err != nil {
 			return err
 		}
 		defer ck.Close()
-		opts.OnComplete = func(st mtreescale.ExperimentStats) {
+		opts.OnComplete = func(st experiments.RunStats) {
 			ck.Append(key, st.ID, st.Result)
 		}
 	}
 	start := time.Now()
-	stats, err := mtreescale.RunExperimentsCtx(ctx, ids, p, opts)
+	stats, err := experiments.RunManyCtx(ctx, ids, p, opts)
 	total := time.Since(start)
 	if err != nil {
 		// Salvage completed work: with -out, finished experiments are
@@ -310,7 +312,7 @@ func runScheduled(ctx context.Context, out io.Writer, ids []string, p mtreescale
 		}
 		return err
 	}
-	results := make([]*mtreescale.Result, len(stats))
+	results := make([]*experiments.Result, len(stats))
 	for i, st := range stats {
 		if err := emit(out, st.Result, cfg.format, cfg.outDir, cfg.width, cfg.height); err != nil {
 			return err
@@ -319,8 +321,8 @@ func runScheduled(ctx context.Context, out io.Writer, ids []string, p mtreescale
 	}
 	if cfg.report {
 		var md bytes.Buffer
-		mtreescale.RenderReport(&md, p, results)
-		if err := mtreescale.WriteFileAtomic(filepath.Join(cfg.outDir, "REPORT.md"), md.Bytes(), 0o644); err != nil {
+		experiments.RenderReport(&md, p, results, time.Now())
+		if err := atomicio.WriteFile(filepath.Join(cfg.outDir, "REPORT.md"), md.Bytes(), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintln(out, "wrote REPORT.md")
@@ -343,10 +345,10 @@ func runScheduled(ctx context.Context, out io.Writer, ids []string, p mtreescale
 // TotalAlloc delta while it ran: exact when experiments ran one at a time,
 // and counting its neighbours' allocations when they overlapped, so the
 // column is labelled by which it is.
-func printSummary(out io.Writer, stats []mtreescale.ExperimentStats, parallel int, p mtreescale.Profile, total time.Duration) {
+func printSummary(out io.Writer, stats []experiments.RunStats, parallel int, p experiments.Profile, total time.Duration) {
 	// The engine worker count the profile actually gets: Protocol.Workers
 	// defaults to GOMAXPROCS and is clamped to the profile's source count.
-	engineWorkers := mtreescale.Protocol{NSource: p.NSource}.EffectiveWorkers()
+	engineWorkers := mcast.Protocol{NSource: p.NSource}.EffectiveWorkers()
 	fmt.Fprintf(out, "# schedule: %d experiments, parallel=%d, engine workers/experiment=%d, profile=%s, total wall %.2fs\n",
 		len(stats), parallel, engineWorkers, p.Name, total.Seconds())
 	workers := parallel
@@ -384,13 +386,13 @@ func printSummary(out io.Writer, stats []mtreescale.ExperimentStats, parallel in
 	}
 }
 
-func render(out io.Writer, res *mtreescale.Result, format string, w, h int) error {
+func render(out io.Writer, res *experiments.Result, format string, w, h int) error {
 	switch format {
 	case "ascii":
 		if res.Figure == nil {
 			return renderTable(out, res)
 		}
-		s, err := mtreescale.RenderASCII(res.Figure, mtreescale.ASCIIOptions{Width: w, Height: h})
+		s, err := plot.RenderASCII(res.Figure, plot.ASCIIOptions{Width: w, Height: h})
 		if err != nil {
 			return err
 		}
@@ -401,12 +403,12 @@ func render(out io.Writer, res *mtreescale.Result, format string, w, h int) erro
 		if res.Figure == nil {
 			return renderTableCSV(out, res)
 		}
-		return mtreescale.WriteFigureCSV(out, res.Figure)
+		return plot.WriteCSV(out, res.Figure)
 	case "gnuplot":
 		if res.Figure == nil {
 			return fmt.Errorf("%s is a table; use -format ascii or csv", res.ID)
 		}
-		return mtreescale.WriteFigureGnuplot(out, res.Figure)
+		return plot.WriteGnuplot(out, res.Figure)
 	case "notes":
 		renderNotes(out, res)
 		return nil
@@ -415,7 +417,7 @@ func render(out io.Writer, res *mtreescale.Result, format string, w, h int) erro
 	}
 }
 
-func renderNotes(out io.Writer, res *mtreescale.Result) {
+func renderNotes(out io.Writer, res *experiments.Result) {
 	if len(res.Notes) == 0 {
 		return
 	}
@@ -425,7 +427,7 @@ func renderNotes(out io.Writer, res *mtreescale.Result) {
 	}
 }
 
-func renderTable(out io.Writer, res *mtreescale.Result) error {
+func renderTable(out io.Writer, res *experiments.Result) error {
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "%s\n", strings.Join(res.Header, "\t"))
 	for _, row := range res.Rows {
@@ -434,7 +436,7 @@ func renderTable(out io.Writer, res *mtreescale.Result) error {
 	return tw.Flush()
 }
 
-func renderTableCSV(out io.Writer, res *mtreescale.Result) error {
+func renderTableCSV(out io.Writer, res *experiments.Result) error {
 	fmt.Fprintln(out, strings.Join(res.Header, ","))
 	for _, row := range res.Rows {
 		fmt.Fprintln(out, strings.Join(row, ","))
@@ -445,13 +447,13 @@ func renderTableCSV(out io.Writer, res *mtreescale.Result) error {
 // writeAll renders one result into <dir>/<id>.{txt,csv,gp}. Every file is
 // published atomically: a crash mid-run leaves either the previous contents
 // or the complete new contents, never a torn file.
-func writeAll(dir string, res *mtreescale.Result, w, h int) error {
+func writeAll(dir string, res *experiments.Result, w, h int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	var txt strings.Builder
 	if res.Figure != nil {
-		s, err := mtreescale.RenderASCII(res.Figure, mtreescale.ASCIIOptions{Width: w, Height: h})
+		s, err := plot.RenderASCII(res.Figure, plot.ASCIIOptions{Width: w, Height: h})
 		if err != nil {
 			return err
 		}
@@ -462,13 +464,13 @@ func writeAll(dir string, res *mtreescale.Result, w, h int) error {
 		}
 	}
 	renderNotes(&txt, res)
-	if err := mtreescale.WriteFileAtomic(filepath.Join(dir, res.ID+".txt"), []byte(txt.String()), 0o644); err != nil {
+	if err := atomicio.WriteFile(filepath.Join(dir, res.ID+".txt"), []byte(txt.String()), 0o644); err != nil {
 		return err
 	}
 
 	var csvB strings.Builder
 	if res.Figure != nil {
-		if err := mtreescale.WriteFigureCSV(&csvB, res.Figure); err != nil {
+		if err := plot.WriteCSV(&csvB, res.Figure); err != nil {
 			return err
 		}
 	} else {
@@ -476,16 +478,16 @@ func writeAll(dir string, res *mtreescale.Result, w, h int) error {
 			return err
 		}
 	}
-	if err := mtreescale.WriteFileAtomic(filepath.Join(dir, res.ID+".csv"), []byte(csvB.String()), 0o644); err != nil {
+	if err := atomicio.WriteFile(filepath.Join(dir, res.ID+".csv"), []byte(csvB.String()), 0o644); err != nil {
 		return err
 	}
 
 	if res.Figure != nil {
 		var gp strings.Builder
-		if err := mtreescale.WriteFigureGnuplot(&gp, res.Figure); err != nil {
+		if err := plot.WriteGnuplot(&gp, res.Figure); err != nil {
 			return err
 		}
-		if err := mtreescale.WriteFileAtomic(filepath.Join(dir, res.ID+".gp"), []byte(gp.String()), 0o644); err != nil {
+		if err := atomicio.WriteFile(filepath.Join(dir, res.ID+".gp"), []byte(gp.String()), 0o644); err != nil {
 			return err
 		}
 	}

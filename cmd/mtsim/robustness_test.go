@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/experiments"
 )
 
 // readOutputs returns the experiment output files (name → contents) in dir,
@@ -22,7 +22,7 @@ func readOutputs(t *testing.T, dir string) map[string][]byte {
 	}
 	out := map[string][]byte{}
 	for _, e := range entries {
-		if e.IsDir() || e.Name() == mtreescale.CheckpointFile {
+		if e.IsDir() || e.Name() == experiments.CheckpointFile {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
@@ -68,7 +68,7 @@ func TestResumeByteIdenticalOutputs(t *testing.T) {
 	if err := run(context.Background(), []string{"-experiment", "fig8", "-profile", "quick", "-out", resumed}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := os.ReadFile(filepath.Join(resumed, mtreescale.CheckpointFile))
+	ck, err := os.ReadFile(filepath.Join(resumed, experiments.CheckpointFile))
 	if err != nil {
 		t.Fatalf("no checkpoint journal after -out run: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestMaxHeapAbortsExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	// 1 byte: the scheduler's deterministic pre-check trips immediately.
 	err := run(context.Background(), []string{"-experiment", "fig8", "-profile", "quick", "-maxheap", "1"}, &buf)
-	if !errors.Is(err, mtreescale.ErrHeapLimit) {
+	if !errors.Is(err, experiments.ErrHeapLimit) {
 		t.Fatalf("err = %v, want ErrHeapLimit", err)
 	}
 	// A generous limit passes.

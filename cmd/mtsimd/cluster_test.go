@@ -12,31 +12,32 @@ import (
 	"testing"
 	"time"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/cluster"
+	"mtreescale/internal/mcast"
 )
 
 // clusterGrid is a grid small enough for several full runs per test binary.
-func clusterGrid() mtreescale.ClusterGrid {
-	return mtreescale.ClusterGrid{
-		Kind:      mtreescale.ClusterEnsemble,
+func clusterGrid() cluster.Grid {
+	return cluster.Grid{
+		Kind:      cluster.KindEnsemble,
 		Topology:  "r100",
 		Scale:     1,
 		Sizes:     []int{1, 3, 10},
-		Mode:      mtreescale.Distinct,
+		Mode:      mcast.Distinct,
 		NNetworks: 4,
-		Protocol: mtreescale.Protocol{
+		Protocol: mcast.Protocol{
 			NSource: 3, NRcvr: 2, Seed: 11, Workers: 1, SPTCache: true,
 		},
 	}
 }
 
-func postShard(t *testing.T, url string, spec mtreescale.ClusterShardSpec) (*http.Response, []byte) {
+func postShard(t *testing.T, url string, spec cluster.ShardSpec) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+mtreescale.ClusterShardPath, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+cluster.ShardPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestShardEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, cfg)
 
 	g := clusterGrid()
-	spec := mtreescale.ClusterShardSpec{Grid: g, Lo: 1, Hi: 3}
+	spec := cluster.ShardSpec{Grid: g, Lo: 1, Hi: 3}
 	resp, body := postShard(t, ts.URL, spec)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /shard: status %d, body %s", resp.StatusCode, body)
@@ -108,14 +109,14 @@ func TestShardEndpoint(t *testing.T) {
 	if w := resp.Header.Get("X-Mtsimd-Worker"); w != "unit-worker" {
 		t.Fatalf("X-Mtsimd-Worker = %q", w)
 	}
-	var got mtreescale.ClusterPartial
+	var got cluster.Partial
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatalf("decoding partial: %v", err)
 	}
 	if got.Key != g.Key() || got.Lo != 1 || got.Hi != 3 || got.Ensemble == nil {
 		t.Fatalf("partial = key %.12s [%d,%d), ensemble %v", got.Key, got.Lo, got.Hi, got.Ensemble != nil)
 	}
-	want, err := mtreescale.ExecuteClusterShard(t.Context(), spec)
+	want, err := cluster.ExecuteShard(t.Context(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestShardEndpoint(t *testing.T) {
 	}
 
 	// Invalid block and malformed body are client errors, not incidents.
-	resp, _ = postShard(t, ts.URL, mtreescale.ClusterShardSpec{Grid: g, Lo: 3, Hi: 99})
+	resp, _ = postShard(t, ts.URL, cluster.ShardSpec{Grid: g, Lo: 3, Hi: 99})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad block: status %d", resp.StatusCode)
 	}
-	hr, err := http.Post(ts.URL+mtreescale.ClusterShardPath, "application/json", strings.NewReader("{torn"))
+	hr, err := http.Post(ts.URL+cluster.ShardPath, "application/json", strings.NewReader("{torn"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestShardEndpoint(t *testing.T) {
 	if wire, err := json.Marshal(large); err != nil || !bytes.Contains(wire, []byte(`"large_graph":true`)) {
 		t.Fatalf("grid wire form %s (err %v) lacks \"large_graph\":true", wire, err)
 	}
-	resp, _ = postShard(t, ts.URL, mtreescale.ClusterShardSpec{Grid: large, Lo: 1, Hi: 3})
+	resp, _ = postShard(t, ts.URL, cluster.ShardSpec{Grid: large, Lo: 1, Hi: 3})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("large_graph spec: status %d", resp.StatusCode)
 	}
-	gr, err := http.Get(ts.URL + mtreescale.ClusterShardPath)
+	gr, err := http.Get(ts.URL + cluster.ShardPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestClusterSurvivesDaemonKillMidRun(t *testing.T) {
 	release := make(chan struct{})
 	var aShards atomic.Int32
 	tsA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == mtreescale.ClusterShardPath && aShards.Add(1) > 1 {
+		if r.URL.Path == cluster.ShardPath && aShards.Add(1) > 1 {
 			select {
 			case <-release:
 			case <-r.Context().Done():
@@ -194,7 +195,7 @@ func TestClusterSurvivesDaemonKillMidRun(t *testing.T) {
 
 	var killed atomic.Bool
 	var kill, unhold sync.Once
-	onEvent := func(ev mtreescale.ClusterEvent) {
+	onEvent := func(ev cluster.Event) {
 		if ev.Worker != tsB.URL {
 			return
 		}
@@ -210,9 +211,9 @@ func TestClusterSurvivesDaemonKillMidRun(t *testing.T) {
 		}
 	}
 
-	coord, err := mtreescale.NewClusterCoordinator(
+	coord, err := cluster.New(
 		[]string{tsA.URL, tsB.URL},
-		mtreescale.ClusterOptions{
+		cluster.Options{
 			Retries: 4,
 			Backoff: 50 * time.Millisecond,
 			OnEvent: onEvent,
@@ -235,7 +236,7 @@ func TestClusterSurvivesDaemonKillMidRun(t *testing.T) {
 		t.Fatalf("survivor completed no shards: %+v", stats)
 	}
 
-	want, err := mtreescale.RunClusterLocal(t.Context(), g)
+	want, err := cluster.RunLocal(t.Context(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +257,13 @@ func TestShardAuthToken(t *testing.T) {
 	_, ts := newTestServer(t, cfg)
 
 	g := clusterGrid()
-	body, err := json.Marshal(mtreescale.ClusterShardSpec{Grid: g, Lo: 0, Hi: 2})
+	body, err := json.Marshal(cluster.ShardSpec{Grid: g, Lo: 0, Hi: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	post := func(auth string) *http.Response {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, ts.URL+mtreescale.ClusterShardPath, bytes.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+cluster.ShardPath, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

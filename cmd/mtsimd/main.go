@@ -49,7 +49,10 @@ import (
 	"syscall"
 	"time"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/buildinfo"
+	"mtreescale/internal/chaos"
+	"mtreescale/internal/experiments"
+	"mtreescale/internal/valid"
 )
 
 func main() {
@@ -93,10 +96,10 @@ func runDaemon(ctx context.Context, args []string, logw io.Writer) error {
 		return err
 	}
 	if *version {
-		fmt.Fprintln(logw, "mtsimd", mtreescale.VersionString())
+		fmt.Fprintln(logw, "mtsimd", buildinfo.String())
 		return nil
 	}
-	hb, err := mtreescale.ParseByteSize(*maxHeap)
+	hb, err := valid.ParseByteSize(*maxHeap)
 	if err != nil {
 		return fmt.Errorf("-maxheap: %w", err)
 	}
@@ -107,13 +110,13 @@ func runDaemon(ctx context.Context, args []string, logw io.Writer) error {
 
 	logf := func(format string, args ...any) { fmt.Fprintf(logw, format+"\n", args...) }
 	if *chaosSpec != "" {
-		plan, err := mtreescale.ParseChaosPlan(*chaosSpec, *chaosSeed)
+		plan, err := chaos.Parse(*chaosSpec, *chaosSeed)
 		if err != nil {
 			return fmt.Errorf("-chaos: %w", err)
 		}
 		plan.SetLogf(logf)
-		mtreescale.EnableChaos(plan)
-		defer mtreescale.DisableChaos()
+		chaos.Enable(plan)
+		defer chaos.Disable()
 		logf("mtsimd: CHAOS ENABLED seed=%d spec=%q", *chaosSeed, *chaosSpec)
 	}
 	s, err := newServer(cfg, logf)
@@ -141,7 +144,7 @@ func runDaemon(ctx context.Context, args []string, logw io.Writer) error {
 		scheme = "https"
 	}
 	logf("mtsimd: listening on %s://%s (%d experiments, profiles paper|medium|quick)",
-		scheme, ln.Addr(), len(mtreescale.ListExperiments()))
+		scheme, ln.Addr(), len(experiments.List()))
 	return serveDaemon(ctx, s, ln)
 }
 

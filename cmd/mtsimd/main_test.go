@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/experiments"
 )
 
 // testConfig is a small, deterministic config for handler-level tests.
@@ -81,8 +81,8 @@ func TestExperimentsEndpoint(t *testing.T) {
 		t.Fatalf("/experiments = %d: %s", resp.StatusCode, body)
 	}
 	var listing struct {
-		Experiments []mtreescale.ExperimentListing `json:"experiments"`
-		Profiles    []string                       `json:"profiles"`
+		Experiments []experiments.Info `json:"experiments"`
+		Profiles    []string           `json:"profiles"`
 	}
 	if err := json.Unmarshal(body, &listing); err != nil {
 		t.Fatalf("bad /experiments body: %v\n%s", err, body)
@@ -115,7 +115,7 @@ func TestCurveFreshThenCached(t *testing.T) {
 	if src := resp.Header.Get("X-Mtsimd-Source"); src != "fresh" {
 		t.Fatalf("X-Mtsimd-Source = %q, want fresh", src)
 	}
-	var res mtreescale.Result
+	var res experiments.Result
 	if err := json.Unmarshal(fresh, &res); err != nil || res.ID != "fig8" {
 		t.Fatalf("body is not the fig8 Result (%v): %s", err, fresh)
 	}

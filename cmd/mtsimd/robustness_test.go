@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	mtreescale "mtreescale"
+	"mtreescale/internal/experiments"
 )
 
 // registerBlocking registers a test experiment that signals on started and
@@ -26,14 +26,14 @@ func registerBlocking(t *testing.T, id string) (started chan struct{}, release c
 	t.Helper()
 	started = make(chan struct{}, 16)
 	release = make(chan struct{})
-	err := mtreescale.RegisterExperiment(&mtreescale.ExperimentRunner{
+	err := experiments.Register(&experiments.Runner{
 		ID:    id,
 		Title: "test: blocks until released",
-		Run: func(ctx context.Context, p mtreescale.Profile) (*mtreescale.Result, error) {
+		Run: func(ctx context.Context, p experiments.Profile) (*experiments.Result, error) {
 			started <- struct{}{}
 			select {
 			case <-release:
-				return &mtreescale.Result{ID: id, Title: "blocking", Notes: []string{"released"}}, nil
+				return &experiments.Result{ID: id, Title: "blocking", Notes: []string{"released"}}, nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -134,10 +134,10 @@ func TestSheddingAndHealthUnderSaturation(t *testing.T) {
 // value never reaches the wire — the process survives, and the experiment is
 // quarantined with a Retry-After on subsequent requests.
 func TestPanicIsolatedAndQuarantined(t *testing.T) {
-	err := mtreescale.RegisterExperiment(&mtreescale.ExperimentRunner{
+	err := experiments.Register(&experiments.Runner{
 		ID:    "zz-panic-always",
 		Title: "test: panics",
-		Run: func(ctx context.Context, p mtreescale.Profile) (*mtreescale.Result, error) {
+		Run: func(ctx context.Context, p experiments.Profile) (*experiments.Result, error) {
 			panic("sekrit-internal-state-do-not-leak")
 		},
 	})
@@ -297,7 +297,7 @@ func TestDrainFinishesInflightAndFlushesCheckpoint(t *testing.T) {
 	if r.resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-flight request = %d during drain (%s)", r.resp.StatusCode, r.body)
 	}
-	var res mtreescale.Result
+	var res experiments.Result
 	if err := json.Unmarshal(r.body, &res); err != nil || res.ID != "zz-drain-slow" {
 		t.Fatalf("in-flight body truncated (%v): %s", err, r.body)
 	}
@@ -313,13 +313,13 @@ func TestDrainFinishesInflightAndFlushesCheckpoint(t *testing.T) {
 
 	// Zero torn files: every journal line parses, and the in-flight result
 	// was checkpointed before exit.
-	raw, err := os.ReadFile(filepath.Join(dir, mtreescale.CheckpointFile))
+	raw, err := os.ReadFile(filepath.Join(dir, experiments.CheckpointFile))
 	if err != nil {
 		t.Fatalf("no checkpoint journal after drain: %v", err)
 	}
 	sawInflight := false
 	for i, line := range bytes.Split(bytes.TrimRight(raw, "\n"), []byte("\n")) {
-		rec, err := mtreescale.ParseCheckpointLine(line)
+		rec, err := experiments.ParseCheckpointLine(line)
 		if err != nil {
 			t.Fatalf("journal line %d torn after drain: %v\n%s", i+1, err, line)
 		}

@@ -13,9 +13,12 @@ import (
 	"sync"
 	"time"
 
-	mtreescale "mtreescale"
 	"mtreescale/internal/chaos"
+	"mtreescale/internal/cluster"
+	"mtreescale/internal/experiments"
+	"mtreescale/internal/panicsafe"
 	"mtreescale/internal/serve"
+	"mtreescale/internal/valid"
 )
 
 // config holds every tunable of the daemon. Tests construct it directly;
@@ -115,7 +118,7 @@ type server struct {
 
 	mu     sync.Mutex
 	cache  map[cacheKey]resultEntry
-	ck     *mtreescale.Checkpointer
+	ck     *experiments.Checkpointer
 	closed bool
 }
 
@@ -144,7 +147,7 @@ func newServer(cfg config, logf func(format string, args ...any)) (*server, erro
 	if cfg.dataDir == "" {
 		return s, nil
 	}
-	all, err := mtreescale.LoadAllCheckpoints(cfg.dataDir)
+	all, err := experiments.LoadAllCheckpoints(cfg.dataDir)
 	if err != nil {
 		cancel()
 		return nil, fmt.Errorf("loading checkpoints: %w", err)
@@ -160,7 +163,7 @@ func newServer(cfg config, logf func(format string, args ...any)) (*server, erro
 			n++
 		}
 	}
-	ck, err := mtreescale.NewCheckpointer(cfg.dataDir, true)
+	ck, err := experiments.NewCheckpointer(cfg.dataDir, true)
 	if err != nil {
 		cancel()
 		return nil, fmt.Errorf("opening checkpoint journal: %w", err)
@@ -203,7 +206,7 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /experiments", s.handleExperiments)
 	mux.Handle("GET /curve", faulty(s.handleCurve))
-	mux.Handle("POST "+mtreescale.ClusterShardPath, faulty(s.handleShard))
+	mux.Handle("POST "+cluster.ShardPath, faulty(s.handleShard))
 	return serve.Recoverer(s.onIncident, s.identify(mux))
 }
 
@@ -216,7 +219,7 @@ func (s *server) identify(next http.Handler) http.Handler {
 	})
 }
 
-func (s *server) onIncident(id string, pe *mtreescale.PanicError) {
+func (s *server) onIncident(id string, pe *panicsafe.PanicError) {
 	s.logf("mtsimd: incident %s: %v", id, pe)
 }
 
@@ -244,7 +247,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"experiments": mtreescale.ListExperiments(),
+		"experiments": experiments.List(),
 		"profiles":    []string{"paper", "medium", "quick"},
 		"quarantined": s.quar.Snapshot(),
 	})
@@ -265,7 +268,7 @@ func (s *server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	if profName == "" {
 		profName = "quick"
 	}
-	p, err := mtreescale.ProfileByName(profName)
+	p, err := experiments.ProfileByName(profName)
 	if err != nil {
 		serve.WriteJSONError(w, http.StatusBadRequest, err.Error(), 0)
 		return
@@ -280,7 +283,7 @@ func (s *server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSONError(w, http.StatusNotFound, fmt.Sprintf("unknown experiment %q (see /experiments)", id), 0)
 		return
 	}
-	key := cacheKey{mtreescale.ProfileKey(p), id}
+	key := cacheKey{experiments.ProfileKey(p), id}
 
 	// Fast path: a precomputed result — from this process or the checkpoint
 	// journal — is served without touching the compute pool. This is the
@@ -325,7 +328,7 @@ func (s *server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	stopAfter := context.AfterFunc(s.baseCtx, cancel)
 	defer stopAfter()
 
-	stats, err := mtreescale.RunExperimentsCtx(ctx, []string{id}, p, mtreescale.ScheduleOptions{
+	stats, err := experiments.RunManyCtx(ctx, []string{id}, p, experiments.ScheduleOptions{
 		Parallel:     1,
 		MaxHeapBytes: s.cfg.maxHeap,
 		Quarantine:   s.quar,
@@ -372,7 +375,7 @@ func (s *server) handleShard(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var spec mtreescale.ClusterShardSpec
+	var spec cluster.ShardSpec
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
 		serve.WriteJSONError(w, http.StatusBadRequest, "malformed shard spec: "+err.Error(), 0)
 		return
@@ -413,14 +416,14 @@ func (s *server) handleShard(w http.ResponseWriter, r *http.Request) {
 	stopAfter := context.AfterFunc(s.baseCtx, cancel)
 	defer stopAfter()
 
-	var p *mtreescale.ClusterPartial
-	err = mtreescale.CallSafe(func() error {
+	var p *cluster.Partial
+	err = panicsafe.Do(func() error {
 		var cerr error
-		p, cerr = mtreescale.ExecuteClusterShard(ctx, spec)
+		p, cerr = cluster.ExecuteShard(ctx, spec)
 		return cerr
 	})
 	if err != nil {
-		var pe *mtreescale.PanicError
+		var pe *panicsafe.PanicError
 		if errors.As(err, &pe) {
 			s.quar.Report(qkey, err)
 		}
@@ -449,14 +452,14 @@ func (s *server) handleShard(w http.ResponseWriter, r *http.Request) {
 // quarantine registry has already been struck for dangerous failures by the
 // scheduler itself.
 func (s *server) writeComputeError(w http.ResponseWriter, r *http.Request, id string, cerr error) {
-	var pe *mtreescale.PanicError
+	var pe *panicsafe.PanicError
 	switch {
 	case errors.As(cerr, &pe):
 		// Opaque on the wire, full stack in the log.
 		incident := serve.NewIncidentID()
 		s.logf("mtsimd: incident %s: experiment %s panicked: %v", incident, id, pe)
 		serve.WriteJSONError(w, http.StatusInternalServerError, "internal error (incident "+incident+")", 0)
-	case errors.Is(cerr, mtreescale.ErrHeapLimit), errors.Is(cerr, mtreescale.ErrQuarantined):
+	case errors.Is(cerr, experiments.ErrHeapLimit), errors.Is(cerr, serve.ErrQuarantined):
 		_, retry := s.quar.Allowed(id)
 		serve.WriteJSONError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("experiment %s refused: %v", id, cerr), retry)
@@ -466,7 +469,7 @@ func (s *server) writeComputeError(w http.ResponseWriter, r *http.Request, id st
 	case errors.Is(cerr, context.Canceled):
 		w.Header().Set("Connection", "close")
 		serve.WriteJSONError(w, http.StatusServiceUnavailable, "computation cancelled", 0)
-	case errors.Is(cerr, mtreescale.ErrInvalidParam):
+	case errors.Is(cerr, valid.ErrParam):
 		serve.WriteJSONError(w, http.StatusBadRequest, cerr.Error(), 0)
 	default:
 		serve.WriteJSONError(w, http.StatusInternalServerError, "experiment failed: "+cerr.Error(), 0)
@@ -482,7 +485,7 @@ func (s *server) cached(key cacheKey) (resultEntry, bool) {
 
 // store caches a fresh result and journals it. The journal write is fsynced
 // per record, so a kill at any later moment cannot tear it.
-func (s *server) store(key cacheKey, body []byte, res *mtreescale.Result) {
+func (s *server) store(key cacheKey, body []byte, res *experiments.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.cache[key]; ok {
@@ -520,7 +523,7 @@ func (s *server) serveResult(w http.ResponseWriter, ent resultEntry, degraded st
 }
 
 func knownExperiment(id string) bool {
-	for _, info := range mtreescale.ListExperiments() {
+	for _, info := range experiments.List() {
 		if info.ID == id {
 			return true
 		}

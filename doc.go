@@ -21,7 +21,11 @@
 //
 //   - The Monte-Carlo measurement engine of the paper's §2: MeasureCurve
 //     runs the Nsource×Nrcvr protocol and returns normalized tree-size
-//     points.
+//     points. Extensions measure shared (core-based) trees
+//     (MeasureSharedCurve), footnote 4's topology ensembles
+//     (MeasureEnsemble), length-weighted costs (MeasureWeightedCurve),
+//     Steiner-tree baselines (SteinerTreeSize) and trees maintained under
+//     membership churn (MeasureChurn, DynTree).
 //
 //   - The closed-form k-ary theory of §3 and §5 (AnalyticTree): exact
 //     Equations 4 and 21, discrete derivatives, the h(x) diagnostic,
@@ -40,8 +44,15 @@
 //     any measured curve, and apply the cost-based pricing policy that
 //     motivated the original law.
 //
-//   - A complete experiment registry (RunExperiment) reproducing every
-//     table and figure in the paper, with CSV/gnuplot/ASCII rendering.
+//   - A complete experiment registry (RunExperiment, ListExperiments)
+//     reproducing every table and figure in the paper, with Markdown
+//     reports (WriteReport) and CSV/gnuplot/ASCII rendering.
+//
+// The command-line tools topogen, reachcalc and treecalc are built on this
+// package. The binaries that schedule, serve, shard and benchmark runs
+// (mtsim, mtsimd, mtctl and benchjson) use the internal packages directly,
+// so their checkpoint journals, scheduler options, quarantine, fault
+// injection and cluster workers are not part of this API.
 //
 // # Quick start
 //

@@ -34,14 +34,12 @@ func init() {
 		ID:          "churn-steady",
 		Title:       "Churn: steady-state L(m̄) under dynamic membership",
 		Description: "Time-averaged delivery-tree size under Poisson join/leave for source, shared and degree-bounded trees, against the static-snapshot L(m) curve at the same mean membership.",
-		Family:      "churn",
 		Run:         runChurnSteady,
 	})
 	mustRegister(&Runner{
 		ID:          "churn-repair",
 		Title:       "Churn: repair cost and degree pressure per event",
 		Description: "Mean links grafted/pruned per membership event for unbounded vs degree-capped trees, with the forced-graft and maximum-degree pressure the cap trades against.",
-		Family:      "churn",
 		Run:         runChurnRepair,
 	})
 }

@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -174,11 +175,7 @@ type Runner struct {
 	ID          string
 	Title       string
 	Description string
-	// Family groups related experiments in listings (curve, shared,
-	// steiner, ensemble, weighted, affinity, churn). Empty falls back to
-	// the id-derived default (familyOf).
-	Family string
-	Run    func(ctx context.Context, p Profile) (*Result, error)
+	Run         func(ctx context.Context, p Profile) (*Result, error)
 }
 
 var registry = map[string]*Runner{}
@@ -230,7 +227,9 @@ func mustRegister(r *Runner) {
 	}
 }
 
-// IDs returns all experiment ids in paper order.
+// IDs returns all experiment ids: those of the canonical list in paper
+// order, then any others (experiments registered later) sorted by id, so
+// the order never depends on map iteration.
 func IDs() []string {
 	out := make([]string, 0, len(registry))
 	for _, id := range paperOrder {
@@ -238,20 +237,14 @@ func IDs() []string {
 			out = append(out, id)
 		}
 	}
-	// Append any experiment not in the canonical list (future extensions).
+	var extra []string
 	for id := range registry {
-		found := false
-		for _, o := range paperOrder {
-			if o == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, id)
+		if !slices.Contains(paperOrder, id) {
+			extra = append(extra, id)
 		}
 	}
-	return out
+	slices.Sort(extra)
+	return append(out, extra...)
 }
 
 // Info is one registry listing entry: the experiment id with its one-line
@@ -264,10 +257,9 @@ type Info struct {
 	Family      string `json:"family"`
 }
 
-// familyOf derives the listing family for experiments that predate the
-// Family field: the paper's tables and figures are the core "curve" family,
-// each extension forms its own, and churn-* is the dynamic-membership
-// workload family.
+// familyOf derives an experiment's listing family from its id: the paper's
+// tables and figures are the core "curve" family, each extension forms its
+// own, and churn-* is the dynamic-membership workload family.
 func familyOf(id string) string {
 	switch {
 	case strings.HasPrefix(id, "churn"):
@@ -293,11 +285,7 @@ func List() []Info {
 	out := make([]Info, 0, len(ids))
 	for _, id := range ids {
 		r := registry[id]
-		fam := r.Family
-		if fam == "" {
-			fam = familyOf(id)
-		}
-		out = append(out, Info{ID: id, Title: r.Title, Description: r.Description, Family: fam})
+		out = append(out, Info{ID: id, Title: r.Title, Description: r.Description, Family: familyOf(id)})
 	}
 	return out
 }

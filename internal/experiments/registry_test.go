@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -41,5 +42,20 @@ func TestIDsStableOrder(t *testing.T) {
 	}
 	if a[0] != "table1" {
 		t.Fatalf("first id %q, want table1", a[0])
+	}
+}
+
+func TestIDsSortsLaterRegistrations(t *testing.T) {
+	for _, id := range []string{"x-gamma", "x-alpha", "x-beta"} {
+		registerTemp(t, okRunner(id, 0))
+	}
+	want := IDs()
+	if tail := want[len(want)-3:]; !slices.Equal(tail, []string{"x-alpha", "x-beta", "x-gamma"}) {
+		t.Fatalf("later registrations listed as %v, want them last and sorted by id", tail)
+	}
+	for i := 0; i < 50; i++ {
+		if got := IDs(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: IDs() = %v, want %v", i, got, want)
+		}
 	}
 }

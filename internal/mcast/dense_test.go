@@ -36,7 +36,7 @@ func diffDense(srcT, coreT *graph.SPT, groups [][]int32) string {
 		if got := c.measureClimb(source, pd, recv); got != want[j] {
 			return fmt.Sprintf("group %d measure: climb %+v, reference %+v", j, got, want[j])
 		}
-		if got := c.treeSizeClimb(source, pd, recv); got != want[j].Links {
+		if got := c.sharedTreeSizeClimb(source, pd, -1, recv); got != want[j].Links {
 			return fmt.Sprintf("group %d tree size: climb %d, reference %d", j, got, want[j].Links)
 		}
 		shr[j] = c.SharedTreeSize(coreT, source, recv)

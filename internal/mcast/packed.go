@@ -322,52 +322,16 @@ func (c *TreeCounter) measureClimb(source int32, pd []int64, receivers []int32) 
 	return m
 }
 
-// treeSizeClimb is the climbing equivalent of TreeSize, with the same
-// four-wide climb as measureClimb.
-func (c *TreeCounter) treeSizeClimb(source int32, pd []int64, receivers []int32) int {
-	epoch := c.next(len(pd))
-	visited := c.visited
-	links := 0
-	visited[source] = epoch
-	i, n := 0, len(receivers)
-	for ; i+4 <= n; i += 4 {
-		r0, r1, r2, r3 := receivers[i], receivers[i+1], receivers[i+2], receivers[i+3]
-		if pd[r0] < 0 {
-			r0 = source
-		}
-		if pd[r1] < 0 {
-			r1 = source
-		}
-		if pd[r2] < 0 {
-			r2 = source
-		}
-		if pd[r3] < 0 {
-			r3 = source
-		}
-		links += climb4(pd, visited, epoch, r0, r1, r2, r3)
-	}
-	for ; i < n; i++ {
-		r := receivers[i]
-		if pd[r] < 0 {
-			continue
-		}
-		for v := r; visited[v] != epoch; {
-			visited[v] = epoch
-			links++
-			v = int32(uint32(pd[v]))
-		}
-	}
-	return links
-}
-
 // sharedTreeSizeClimb is the climbing equivalent of SharedTreeSize on the
-// core-rooted tree pd: the tree is climbed from the group's source and from
-// every receiver under one epoch.
-func (c *TreeCounter) sharedTreeSizeClimb(core int32, pd []int64, source int32, receivers []int32) int {
+// tree pd rooted at root: the tree is climbed from the group's source and
+// from every receiver under one epoch, with the same four-wide climb as
+// measureClimb. A negative source climbs from the receivers alone, which is
+// the climbing equivalent of TreeSize on a tree rooted at the source.
+func (c *TreeCounter) sharedTreeSizeClimb(root int32, pd []int64, source int32, receivers []int32) int {
 	epoch := c.next(len(pd))
 	visited := c.visited
 	links := 0
-	visited[core] = epoch
+	visited[root] = epoch
 	if source >= 0 && int(source) < len(pd) && pd[source] >= 0 {
 		for v := source; visited[v] != epoch; {
 			visited[v] = epoch
@@ -379,16 +343,16 @@ func (c *TreeCounter) sharedTreeSizeClimb(core int32, pd []int64, source int32, 
 	for ; i+4 <= n; i += 4 {
 		r0, r1, r2, r3 := receivers[i], receivers[i+1], receivers[i+2], receivers[i+3]
 		if pd[r0] < 0 {
-			r0 = core
+			r0 = root
 		}
 		if pd[r1] < 0 {
-			r1 = core
+			r1 = root
 		}
 		if pd[r2] < 0 {
-			r2 = core
+			r2 = root
 		}
 		if pd[r3] < 0 {
-			r3 = core
+			r3 = root
 		}
 		links += climb4(pd, visited, epoch, r0, r1, r2, r3)
 	}

@@ -274,7 +274,7 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, si, lane, laneCoun
 					sc.rows.markSet(j, -1, sc.recv)
 					sc.rows2.markSet(j, int32(source), sc.recv)
 				} else {
-					srcMs[j].Links = sc.counter.treeSizeClimb(int32(srcSPT.Source), sc.pd, sc.recv)
+					srcMs[j].Links = sc.counter.sharedTreeSizeClimb(int32(srcSPT.Source), sc.pd, -1, sc.recv)
 					shrMs[j].Links = sc.counter.sharedTreeSizeClimb(int32(coreSPT.Source), sc.pd2, int32(source), sc.recv)
 				}
 			}

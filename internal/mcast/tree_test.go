@@ -266,7 +266,7 @@ func TestTreeCounterEpochWrap(t *testing.T) {
 		}, links},
 		{"SharedTreeSize", func(c *TreeCounter, recv []int32) any { return c.SharedTreeSize(coreSPT, 0, recv) }, shared},
 		{"measureClimb", func(c *TreeCounter, recv []int32) any { return c.measureClimb(0, pd, recv) }, measure},
-		{"treeSizeClimb", func(c *TreeCounter, recv []int32) any { return c.treeSizeClimb(0, pd, recv) }, links},
+		{"treeSizeClimb", func(c *TreeCounter, recv []int32) any { return c.sharedTreeSizeClimb(0, pd, -1, recv) }, links},
 		{"sharedTreeSizeClimb", func(c *TreeCounter, recv []int32) any { return c.sharedTreeSizeClimb(2, pd2, 0, recv) }, shared},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -120,8 +122,8 @@ func (q *Quarantine) Len() int {
 	return len(q.entries)
 }
 
-// Snapshot lists the ids whose quarantine has not yet elapsed, for health
-// endpoints and logs.
+// Snapshot lists the ids whose quarantine has not yet elapsed, sorted by
+// id, for health endpoints and logs.
 func (q *Quarantine) Snapshot() []QuarantineInfo {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -136,6 +138,7 @@ func (q *Quarantine) Snapshot() []QuarantineInfo {
 			out = append(out, QuarantineInfo{ID: id, Strikes: e.strikes, Until: e.until, Cause: cause})
 		}
 	}
+	slices.SortFunc(out, func(a, b QuarantineInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
