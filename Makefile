@@ -2,15 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet test race race-all race-robust bench bench-all bench-compare bench-churn bench-cluster bench-large large-smoke cluster-smoke chaos-smoke churn-smoke fuzz fuzz-smoke results results-paper results-check results-paper-check report clean
+.PHONY: all check build vet test race race-all race-robust bench bench-all bench-compare bench-churn bench-cluster cluster-smoke chaos-smoke churn-smoke fuzz fuzz-smoke results results-paper results-check results-paper-check report clean
 
 all: build vet test
 
 # The default pre-commit gate: build, vet, full test suite, a race pass over
-# the concurrent packages (engine + scheduler), the large-graph smoke
-# (1M-node streamed build + memory-model assertion + one curve point), and
-# the committed-results gate (every medium-profile output byte for byte).
-check: build vet test race large-smoke results-check
+# the concurrent packages (engine + scheduler), and the committed-results
+# gate (every medium-profile output byte for byte).
+check: build vet test race results-check
 
 build:
 	$(GO) build ./...
@@ -62,31 +61,22 @@ race-robust:
 race-all:
 	$(GO) test -race ./...
 
-# Record the engine benchmarks as machine-readable JSON. BENCH_6.json is the
-# last committed perf-trajectory point of the engine benchmarks (slab arenas,
-# since removed, and streamed 10M-node topologies on top of the MS-BFS batch
-# kernel; its BenchmarkLarge* points were measured on the since-removed
-# compressed layout); bump the suffix when recording a new point so history
-# stays comparable. bench-compare compares only the names both files share,
-# so points recorded with since-removed benchmarks still compare.
-BENCH_JSON ?= BENCH_6.json
-
-# The BenchmarkLarge* suite self-skips unless MTREESCALE_LARGE=1, so the plain
-# `make bench` pipeline includes the invocation but records nothing for it;
-# `make bench-large` records the same doc with the large points filled in.
+# Record the engine benchmarks as a new machine-readable perf-trajectory
+# point. The file must be named, e.g. `make bench BENCH_JSON=BENCH_9.json`:
+# BENCH_6.json is the last committed point of these benchmarks, and a new
+# point gets the next unused suffix so history stays comparable.
+# bench-compare compares only the names both files share, so points recorded
+# with since-removed benchmarks still compare.
 bench:
+	@if [ -z "$(BENCH_JSON)" ]; then \
+		echo "usage: make bench BENCH_JSON=new.json"; exit 2; fi
 	{ $(GO) test -run '^$$' \
 		-bench 'BenchmarkMeasureCurve$$|BenchmarkMeasureCurveCached$$|BenchmarkMeasureSharedCurve$$' \
 		-benchmem -count 1 . ; \
 	  $(GO) test -run '^$$' \
 		-bench 'BenchmarkBFS50k$$|BenchmarkBFS50kDense$$|BenchmarkBatchSPTs64$$|BenchmarkBatchSPTs64Serial$$' \
-		-benchmem -count 1 ./internal/graph ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkLarge' \
-		-benchmem -benchtime 1x -count 1 -timeout 120m . ; } | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
+		-benchmem -count 1 ./internal/graph ; } | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 	@cat $(BENCH_JSON)
-
-bench-large:
-	MTREESCALE_LARGE=1 $(MAKE) bench
 
 # Record the committed cluster benchmark: the same small ensemble grid
 # dispatched through the coordinator to one vs two calibrated-latency stub
@@ -130,12 +120,6 @@ bench-compare:
 	@if [ -z "$(BENCH_OLD)" ] || [ -z "$(BENCH_NEW)" ]; then \
 		echo "usage: make bench-compare BENCH_OLD=old.json BENCH_NEW=new.json [BENCH_THRESHOLD=10]"; exit 2; fi
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_OLD) $(BENCH_NEW)
-
-# The large-graph smoke: 1M-node streamed transit-stub, retained-heap bound
-# against the streaming memory model, and one curve point measured on it.
-# ~2s; part of `make check` and CI.
-large-smoke:
-	MTREESCALE_LARGE_SMOKE=1 $(GO) test -run 'TestLargeGraphSmoke$$' -timeout 10m .
 
 # The cluster smoke: the coordinator's worker-kill resilience under the race
 # detector (in-process daemons), then end to end across real mtsimd

@@ -149,36 +149,9 @@ func Waxman(n int, alpha, beta float64, seed int64) (*Topology, error) {
 }
 
 // TransitStubSized generates a GT-ITM style transit-stub topology with
-// approximately n nodes and the given average degree.
+// exactly n nodes (n >= 64) and approximately the given average degree.
 func TransitStubSized(n int, avgDegree float64, seed int64) (*Topology, error) {
 	return topology.TransitStubSized(n, avgDegree, seed)
-}
-
-// EdgeStream is a re-runnable, deterministic edge generator: the streaming
-// CSR builder replays it twice (count pass, fill pass), so a closure must
-// emit the identical edge sequence on every invocation.
-type EdgeStream = graph.EdgeStream
-
-// BuildTopologyStreamed builds an n-node topology from an edge stream without
-// ever materializing an edge list — the large-graph construction path, with
-// peak memory of roughly the final CSR plus one int32 per node.
-func BuildTopologyStreamed(n int, name string, stream EdgeStream) (*Topology, error) {
-	return graph.BuildStreamed(n, name, stream)
-}
-
-// TransitStubStreamed generates an exactly-n-node transit-stub topology
-// through the streaming path: the shape solver keeps stub domains small and
-// grows the transit tier instead, and edges stream straight into the CSR
-// builder, so 10M+ node hierarchies build without an intermediate edge list.
-func TransitStubStreamed(n int, avgDegree float64, seed int64) (*Topology, error) {
-	return topology.TransitStubStreamed(n, avgDegree, seed)
-}
-
-// PreferentialAttachmentStreamed generates an n-node power-law topology
-// through the streaming path (connected by construction, no giant-component
-// pass, no edge list).
-func PreferentialAttachmentStreamed(n, edgesPerNode, extraShortcuts int, seed int64) (*Topology, error) {
-	return topology.PreferentialAttachmentStreamed(n, edgesPerNode, extraShortcuts, seed)
 }
 
 // TiersSized generates a TIERS style three-level topology with

@@ -318,8 +318,8 @@ func scaledNodes(n int, scale float64) int {
 		scale = 1
 	}
 	s := int(float64(n) * scale)
-	if s < 60 {
-		s = 60
+	if s < 64 {
+		s = 64 // TransitStubSized's smallest graph
 	}
 	return s
 }

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"mtreescale/internal/rng"
 )
 
 // referenceBuild is Builder.Build as it was before the counting sort: one
@@ -146,6 +148,24 @@ func checkBuildMatchesReference(t *testing.T, b, ref *Builder) []int32 {
 		t.Fatalf("GiantComponent: oldID%s", d)
 	}
 	return gotOld
+}
+
+// randomEdges draws a reproducible edge multiset with duplicates and
+// self-loops mixed in.
+func randomEdges(seed int64, n, m int) [][2]int32 {
+	r := rng.New(seed)
+	edges := make([][2]int32, 0, m)
+	for i := 0; i < m; i++ {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n))
+		edges = append(edges, [2]int32{u, v})
+		if i%7 == 0 {
+			edges = append(edges, [2]int32{u, v}) // duplicate
+		}
+		if i%11 == 0 {
+			edges = append(edges, [2]int32{u, u}) // self-loop
+		}
+	}
+	return edges
 }
 
 // buildStep is one round of calls to a Builder before a Build: an optional

@@ -22,22 +22,22 @@
 // bidirectional; the paper ("All topologies were cleaned by removing
 // duplicate edges and all remaining edges were then assumed to be
 // bi-directional") counts hops only, never link weights. That cleaning step
-// is Builder.Build (or BuildStreamed, stream.go, for graphs too large to
-// hold an edge list). Neither sorts the whole edge list: both bucket edges
-// into rows by counting, then sort and deduplicate each short row on its
-// own, so a build costs about one pass over the edges.
+// is Builder.Build, the one way to turn edges into a Graph. It sorts no
+// whole edge list: it buckets edges into rows by counting, then sorts and
+// deduplicates each short row on its own, so a build costs about one pass
+// over the edges.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Graph is an immutable undirected graph in compressed-sparse-row form:
 // the sorted neighbors of v are adj[offsets[v]:offsets[v+1]]. Build one with
-// a Builder (or BuildStreamed for large graphs). The zero value is an empty
-// graph.
+// a Builder. The zero value is an empty graph.
 type Graph struct {
 	offsets []int32 // len N+1; degree of v is offsets[v+1]-offsets[v]
 	adj     []int32
@@ -140,6 +140,29 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 	return &Graph{offsets: offsets, adj: adj, name: b.name}
+}
+
+// sortDedupRows sorts each row adj[offsets[v]:offsets[v+1]], drops its
+// repeated entries and compacts the rows to the front of adj, rewriting
+// offsets to the compacted bounds. The write position never overtakes the
+// row being read, so no buffer is needed. Entries must be non-negative.
+func sortDedupRows(offsets, adj []int32) {
+	n := len(offsets) - 1
+	write := int32(0)
+	for v := 0; v < n; v++ {
+		seg := adj[offsets[v]:offsets[v+1]]
+		slices.Sort(seg)
+		offsets[v] = write
+		last := int32(-1)
+		for _, w := range seg {
+			if w != last {
+				adj[write] = w
+				write++
+				last = w
+			}
+		}
+	}
+	offsets[n] = write
 }
 
 // N returns the number of nodes.

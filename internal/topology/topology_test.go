@@ -2,6 +2,7 @@ package topology
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -191,6 +192,21 @@ func TestPairFromIndex(t *testing.T) {
 	}
 }
 
+func TestPairFromIndexClosedForm(t *testing.T) {
+	for _, n := range []int{3, 5, 17, 100} {
+		k := int64(0)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				gi, gj := pairFromIndex(k, n)
+				if gi != i || gj != j {
+					t.Fatalf("n=%d k=%d: got (%d,%d), want (%d,%d)", n, k, gi, gj, i, j)
+				}
+				k++
+			}
+		}
+	}
+}
+
 func TestConnectedRandom(t *testing.T) {
 	g, err := ConnectedRandom(300, 4.0, 5)
 	if err != nil {
@@ -301,6 +317,7 @@ func TestTransitStubSizedTargets(t *testing.T) {
 		n   int
 		deg float64
 	}{
+		{64, 3.6},
 		{1000, 3.6},
 		{1008, 7.5},
 	} {
@@ -308,8 +325,11 @@ func TestTransitStubSizedTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(float64(g.N()-c.n)) > float64(c.n)/10 {
+		if g.N() != c.n {
 			t.Fatalf("n=%d: got %d nodes", c.n, g.N())
+		}
+		if want := fmt.Sprintf("ts%d", c.n); g.Name() != want {
+			t.Fatalf("n=%d: name %q, want %q", c.n, g.Name(), want)
 		}
 		if math.Abs(g.AvgDegree()-c.deg) > c.deg*0.35 {
 			t.Fatalf("n=%d: degavg %.2f, want ≈ %.1f", c.n, g.AvgDegree(), c.deg)
@@ -320,9 +340,13 @@ func TestTransitStubSizedTargets(t *testing.T) {
 	}
 }
 
+// TestTransitStubSizedTooSmall: the fixed shape cannot have fewer than 64
+// nodes, so a smaller n is an error rather than a larger graph.
 func TestTransitStubSizedTooSmall(t *testing.T) {
-	if _, err := TransitStubSized(5, 3, 1); err == nil {
-		t.Fatal("tiny n must error")
+	for _, n := range []int{5, 20, 63} {
+		if _, err := TransitStubSized(n, 3, 1); err == nil {
+			t.Fatalf("n=%d must error", n)
+		}
 	}
 }
 
@@ -399,6 +423,35 @@ func TestPreferentialAttachment(t *testing.T) {
 	if float64(m.MaxDegree) < 5*m.AvgDegree {
 		t.Fatalf("no heavy tail: max %d avg %.2f", m.MaxDegree, m.AvgDegree)
 	}
+}
+
+func TestPreferentialAttachmentDeterministic(t *testing.T) {
+	// Regression: the pick-set used to drain in map order, feeding the
+	// degree-proportional target array nondeterministically.
+	a, err := PreferentialAttachment(800, 3, 10, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := PreferentialAttachment(800, 3, 10, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graphsEqual(a, b) {
+		t.Fatal("same seed produced different graphs")
+	}
+}
+
+func graphsEqual(a, b *graph.Graph) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	equal := true
+	a.Edges(func(u, v int) {
+		if !b.HasEdge(u, v) {
+			equal = false
+		}
+	})
+	return equal
 }
 
 func TestPreferentialAttachmentErrors(t *testing.T) {

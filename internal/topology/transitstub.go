@@ -155,13 +155,12 @@ func connectedSubgraph(b *graph.Builder, r rng.Source, id func(int) int, n int, 
 	}
 }
 
-// TransitStubSized solves for parameters hitting approximately the requested
-// node count and average degree, mirroring the paper's ts1000 (deg 3.6) and
-// ts1008 (deg 7.5) topologies, and generates the graph.
+// TransitStubSized solves for parameters hitting exactly n nodes and
+// approximately the requested average degree, mirroring the paper's ts1000
+// (deg 3.6) and ts1008 (deg 7.5) topologies, and generates the graph, named
+// "ts<n>". Its fixed shape (4 transit domains of 4 nodes, 3 stub domains per
+// transit node) needs at least 16 transit nodes plus 48 one-node stubs.
 func TransitStubSized(n int, avgDegree float64, seed int64) (*graph.Graph, error) {
-	if n < 20 {
-		return nil, fmt.Errorf("topology: transit-stub wants n >= 20, got %d", n)
-	}
 	p := TransitStubParams{
 		TransitDomains:      4,
 		TransitNodes:        4,
@@ -169,18 +168,16 @@ func TransitStubSized(n int, avgDegree float64, seed int64) (*graph.Graph, error
 	}
 	transit := p.TransitDomains * p.TransitNodes
 	stubDomains := transit * p.StubsPerTransitNode
+	if minNodes := transit + stubDomains; n < minNodes {
+		return nil, fmt.Errorf("topology: transit-stub wants n >= %d, got %d", minNodes, n)
+	}
 	p.StubNodes = (n - transit) / stubDomains
-	if p.StubNodes < 1 {
-		p.StubNodes = 1
-	}
-	if rem := n - p.TotalNodes(); rem > 0 && rem <= stubDomains {
-		p.PaddedStubs = rem // hit the requested node count exactly
-	}
+	p.PaddedStubs = n - p.TotalNodes() // < stubDomains: hit n exactly
 	// Baseline edges: scaffold trees + anchors ≈ n-1; top up to the degree
 	// target with stub-stub and transit-stub shortcuts plus intra-domain
 	// density.
-	target := int(math.Round(avgDegree * float64(p.TotalNodes()) / 2))
-	baseline := p.TotalNodes() - 1 + p.TransitDomains // scaffold + ring
+	target := int(math.Round(avgDegree * float64(n) / 2))
+	baseline := n - 1 + p.TransitDomains // scaffold + ring
 	extra := target - baseline
 	if extra < 0 {
 		extra = 0
@@ -190,9 +187,5 @@ func TransitStubSized(n int, avgDegree float64, seed int64) (*graph.Graph, error
 		math.Max(1, float64(p.StubNodes*(p.StubNodes-1)/2)))
 	p.ExtraTransitStubEdges = extra / 4
 	p.ExtraStubStubEdges = extra / 4
-	g, err := TransitStub(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	return g.WithName(fmt.Sprintf("ts%d", n)), nil
+	return TransitStub(p, seed)
 }

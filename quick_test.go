@@ -16,7 +16,7 @@ import (
 func TestPropertyTreeSizeBounds(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw, srcRaw uint8) bool {
 		n := int(nRaw%100) + 2
-		g, err := mtreescale.TransitStubSized(n+20, 3.0, seed)
+		g, err := mtreescale.TransitStubSized(n+64, 3.0, seed)
 		if err != nil {
 			return false
 		}

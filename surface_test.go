@@ -15,14 +15,14 @@ import (
 var rootAPI = []string{
 	"ARPA", "ASCIIOptions", "AffinityChain", "AffinityEstimate",
 	"AffinityGraphChain", "AffinityParams", "AffinityTreeModel", "AnalyticTree",
-	"BatchSPTs", "BuildTopologyStreamed", "CalibratedPricing",
+	"BatchSPTs", "CalibratedPricing",
 	"ChuangSirbuExponent", "ChuangSirbuReference", "ChurnBounded",
 	"ChurnConfig", "ChurnResult", "ChurnSPT", "ChurnShared", "ChurnVariant",
 	"ClusterCoordinator", "ClusterCurve", "ClusterGrid", "ClusterMerged",
 	"ClusterOptions", "ClusterPartial", "ClusterShardPath", "ClusterShardSpec",
 	"Comparison", "ComputeMetrics", "CoreCenter", "CoreRandom", "CoreSource",
 	"CoreStrategy", "Curve", "CurveFromPoints", "DefaultPricing",
-	"DefaultProtocol", "Distinct", "DynTree", "EdgeStream", "ErrInvalidParam",
+	"DefaultProtocol", "Distinct", "DynTree", "ErrInvalidParam",
 	"EstimateAffinity", "ExecuteClusterShard", "ExpectedDistinct",
 	"ExperimentIDs", "ExperimentListing", "Figure", "GNP", "GenerateTopology",
 	"GenerateTopologyCached", "GenerateTopologyCachedOpt",
@@ -38,7 +38,7 @@ var rootAPI = []string{
 	"NewClusterCoordinator", "NewDynTree", "NewKAryTree", "NewTopologyBuilder",
 	"NewTreeCounter", "NewWeightedTopology", "PSTFit", "PaperProfile",
 	"ParseSessionDist", "PlanCluster", "Point", "PreferentialAttachment",
-	"PreferentialAttachmentStreamed", "Pricing", "Profile", "ProfileByName",
+	"Pricing", "Profile", "ProfileByName",
 	"Protocol", "QuickProfile", "Reachability", "ReachabilityFigure8Models",
 	"ReadTopology", "RealTopologies", "RenderASCII", "RenderReport",
 	"RequiredDraws", "ResetSPTCache", "ResetTopologyCache", "Result",
@@ -48,7 +48,7 @@ var rootAPI = []string{
 	"SetTopologyCacheLimit", "SharedPoint", "StandardTopologies", "SteinerEdge",
 	"SteinerTree", "SteinerTreeSize", "TiersSized", "Topology",
 	"TopologyBuilder", "TopologyCacheInfo", "TopologyCacheStats",
-	"TransitStubSized", "TransitStubStreamed", "TreeCounter", "Waxman",
+	"TransitStubSized", "TreeCounter", "Waxman",
 	"WaxmanGeo", "WeightedPoint", "WeightedTopology", "WithReplacement",
 	"WriteFigureCSV", "WriteFigureGnuplot", "WriteReport", "WriteReportCtx",
 	"WriteTopology",
